@@ -15,12 +15,13 @@ compatibility contract: loading rejects any mismatch instead of guessing.
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 
 from .blocks import ShadowNet
 from .config import ModelConfig
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 
 _MAGIC = b"SHADOWSCAN CKPT 1"
 
@@ -43,6 +44,13 @@ def save_checkpoint(path: str, model: ShadowNet) -> None:
         f.write(payload)
 
 
+def _count(text: str, what: str) -> int:
+    """A non-negative decimal integer field of the manifest."""
+    if not text.isdigit():
+        raise ValidationError(f"checkpoint {what} must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     with open(path, "rb") as f:
         raw = f.read()
@@ -51,35 +59,56 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         raise ValidationError(f"{path} is not a checkpoint (bad magic)")
     pos = end + 1
     config_values: dict[str, str] = {}
-    entries: list[tuple[str, tuple[int, ...], int]] = []
-    blob_size = None
+    entries: dict[str, tuple[tuple[int, ...], int]] = {}
     while True:
         end = raw.find(b"\n", pos)
         if end < 0:
             raise ValidationError("truncated checkpoint manifest")
-        line = raw[pos:end].decode("ascii")
+        try:
+            line = raw[pos:end].decode("ascii")
+        except UnicodeDecodeError:
+            raise ValidationError("checkpoint manifest holds non-ASCII bytes") from None
         pos = end + 1
         if line.startswith("config "):
             key, _, value = line[len("config ") :].partition("=")
             config_values[key] = value
         elif line.startswith("param "):
-            _, name, shape_text, offset = line.split(" ")
-            shape = tuple(int(d) for d in shape_text.split("x"))
-            entries.append((name, shape, int(offset)))
+            fields = line.split(" ")
+            if len(fields) != 4:
+                raise ValidationError(f"param line needs name, shape and offset: {line!r}")
+            _, name, shape_text, offset = fields
+            if name in entries:
+                raise ValidationError(f"param {name} appears twice in the manifest")
+            shape = tuple(_count(d, f"dimension of {name}") for d in shape_text.split("x"))
+            entries[name] = (shape, _count(offset, f"offset of {name}"))
         elif line.startswith("blob "):
-            blob_size = int(line.split(" ")[1])
+            fields = line.split(" ")
+            if len(fields) != 2:
+                raise ValidationError(f"blob line needs exactly one size: {line!r}")
+            blob_size = _count(fields[1], "blob size")
             break
         else:
             raise ValidationError(f"bad manifest line: {line!r}")
-    blob = raw[pos : pos + blob_size]
+    blob = raw[pos:]
     if len(blob) != blob_size:
-        raise ValidationError("checkpoint blob shorter than manifest promises")
+        raise ValidationError(f"checkpoint blob has {len(blob)} bytes, manifest promises {blob_size}")
     arrays: dict[str, np.ndarray] = {}
-    for name, shape, offset in entries:
-        count = int(np.prod(shape))
+    covered_to, last = 0, None
+    for name, (shape, offset) in sorted(entries.items(), key=lambda item: item[1][1]):
+        count = math.prod(shape)
+        if offset + 8 * count > blob_size:
+            raise ValidationError(f"param {name} runs past the end of the {blob_size}-byte blob")
+        if count:
+            if offset < covered_to:
+                raise ValidationError(f"params {last} and {name} overlap in the blob")
+            covered_to, last = offset + 8 * count, name
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         arrays[name] = arr.reshape(shape).astype(np.float64)
-    return ModelConfig.from_dict(config_values), arrays
+    try:
+        config = ModelConfig.from_dict(config_values)
+    except ConfigError as exc:
+        raise ValidationError(f"checkpoint config: {exc}") from None
+    return config, arrays
 
 
 def restore_model(model: ShadowNet, arrays: dict[str, np.ndarray]) -> None:

@@ -49,16 +49,20 @@ _CONFIG_FLAGS = (
 
 
 def _read_config_file(path: str) -> dict[str, str]:
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: config file holds non-ASCII bytes") from None
     values: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as f:
-        for lineno, line in enumerate(f, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            key, sep, value = text.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
-            values[key.strip()] = value.strip()
+    for lineno, line in enumerate(lines, 1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        key, sep, value = text.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -133,7 +137,8 @@ def cmd_scan_viz(args) -> int:
 
 
 def cmd_check(args) -> int:
-    results = run_suite(args.suite, seed=args.seed if args.seed is not None else 0)
+    config = _resolve_config(args)
+    results = run_suite(args.suite, seed=config.seed)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

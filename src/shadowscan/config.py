@@ -70,10 +70,12 @@ class ModelConfig:
             raw = values[f.name]
             if f.name == "residual_output":
                 kwargs[f.name] = _parse_bool(raw)
-            elif f.name in ("tau", "dropout"):
-                kwargs[f.name] = float(raw)
-            else:
-                kwargs[f.name] = int(raw)
+                continue
+            parse, kind = (float, "a number") if f.name in ("tau", "dropout") else (int, "an integer")
+            try:
+                kwargs[f.name] = parse(raw)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{f.name} must be {kind}, got {raw!r}") from None
         return cls(**kwargs).validate()
 
 

@@ -45,6 +45,10 @@ def _read_netpbm(path: str, magic: bytes, channels: int) -> np.ndarray:
     tokens, data_at = _read_tokens(raw, 4)
     if tokens[0] != magic:
         raise ValidationError(f"{path}: expected {magic.decode()} file, got {tokens[0].decode(errors='replace')}")
+    for label, token in zip(("width", "height", "maxval"), tokens[1:]):
+        if not token.isdigit() or int(token) < 1:
+            shown = token.decode(errors="replace")
+            raise ValidationError(f"{path}: netpbm {label} must be a positive integer, got {shown}")
     width, height, maxval = (int(t) for t in tokens[1:])
     if maxval != 255:
         raise ValidationError(f"{path}: only maxval 255 is supported, got {maxval}")

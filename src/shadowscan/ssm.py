@@ -114,56 +114,47 @@ def zoh_factor(u: Tensor) -> Tensor:
     return out
 
 
+def _linear_recurrence(coef: np.ndarray, x: np.ndarray) -> None:
+    """In place along axis 0: x[t] += coef[t-1] * x[t-1] for t = 1..len(x)-1."""
+    for a, prev, cur in zip(coef, x, x[1:]):
+        cur += a * prev
+
+
 def ssm_recurrence(abar: Tensor, bx: Tensor, cvec: Tensor) -> Tensor:
     """Differentiable scan core over per-token discretized parameters.
 
     Shapes: abar and bx are (L, C, N), cvec is (L, N). Computes
-    h[t] = abar[t] * h[t-1] + bx[t] with h[-1] = 0 and
-    y[t, c] = sum_n h[t, c, n] cvec[t, n]. The loop is the reference
-    semantics; no parallel-scan shortcut.
+    h[t] = bx[t] + abar[t] * h[t-1] with h[-1] = 0 and
+    y[t, c] = sum_n h[t, c, n] cvec[t, n]. Both passes run the one
+    sequential primitive, _linear_recurrence: forward over a copy of bx
+    with abar[1:], backward over the time-reversed adjoint
+    adj[t] = g[t] c[t] + abar[t+1] adj[t+1], i.e. with abar shifted one
+    step. Everything else, the output mix and the gradients, is
+    vectorized. No parallel-scan shortcut: each element rounds as the
+    plain sequential loop does.
     """
     if abar.ndim != 3 or abar.shape != bx.shape:
         raise ShapeError(f"abar {abar.shape} and bx {bx.shape} must be equal (L,C,N)")
-    length, channels, state = abar.shape
+    length, _, state = abar.shape
     if cvec.shape != (length, state):
         raise ShapeError(f"cvec must be ({length},{state}), got {cvec.shape}")
-    a_d, bx_d, c_d = abar.data, bx.data, cvec.data
-    hist = np.empty((length, channels, state), dtype=np.float64)
-    prev = np.zeros((channels, state), dtype=np.float64)
-    # only the state update is inherently sequential; the output mix runs
-    # vectorized afterwards, which matters because this loop dominates the
-    # whole model's runtime
-    for t in range(length):
-        h = hist[t]
-        np.multiply(a_d[t], prev, out=h)
-        h += bx_d[t]
-        prev = h
+    a_d, c_d = abar.data, cvec.data
+    hist = bx.data.copy()
+    _linear_recurrence(a_d[1:], hist)
     y = np.einsum("tcn,tn->tc", hist, c_d)
     out = Tensor(y, abar.requires_grad or bx.requires_grad or cvec.requires_grad)
 
     def bw(g):
         d_cv = np.einsum("tc,tcn->tn", g, hist) if cvec.requires_grad else None
-        # d_bx[t] doubles as the running adjoint of h[t]; carry holds it
-        # pre-scaled by abar for the next (earlier) step
-        d_bx = np.empty_like(bx_d)
-        d_ab = np.empty_like(a_d) if abar.requires_grad else None
-        g_col = g[:, :, None]
-        c_row = c_d[:, None, :]
-        carry = np.zeros((channels, state), dtype=np.float64)
-        for t in range(length - 1, -1, -1):
-            adj = d_bx[t]
-            np.multiply(g_col[t], c_row[t], out=adj)
-            adj += carry
-            if d_ab is not None:
-                if t > 0:
-                    np.multiply(adj, hist[t - 1], out=d_ab[t])
-                else:
-                    d_ab[0] = 0.0
-            np.multiply(adj, a_d[t], out=carry)
-        if d_ab is not None:
+        # adj[t] is the adjoint of h[t], which is also the gradient of bx[t]
+        adj = g[:, :, None] * c_d[:, None, :]
+        _linear_recurrence(a_d[:0:-1], adj[::-1])
+        if abar.requires_grad:
+            d_ab = np.zeros_like(adj)
+            np.multiply(adj[1:], hist[:-1], out=d_ab[1:])
             abar.accumulate(d_ab)
         if bx.requires_grad:
-            bx.accumulate(d_bx)
+            bx.accumulate(adj)
         if d_cv is not None:
             cvec.accumulate(d_cv)
 

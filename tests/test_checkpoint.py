@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowscan.blocks import ShadowNet
 from shadowscan.checkpoint import (
@@ -109,3 +111,46 @@ def test_save_is_deterministic(tmp_path):
     save_checkpoint(str(a), model)
     save_checkpoint(str(b), model)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _saved_bytes(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), ShadowNet(_CFG))
+    return path.read_bytes()
+
+
+def test_load_rejects_malformed_manifest_fields(tmp_path):
+    data = _saved_bytes(tmp_path)
+    first_param = data[data.index(b"\nparam ") : data.index(b"\n", data.index(b"\nparam ") + 1)]
+    path = tmp_path / "bad.ckpt"
+    for old, new in [
+        (b"\nblob ", first_param + b"\nblob "),  # the same name twice
+        (b" 0\nparam ", b" 0x\nparam "),  # offset is not an integer
+        (b"\nblob ", b" 7\nblob "),  # five fields on a param line
+        (b"\nblob ", b"\nblob 1 2\nblob "),  # two sizes on the blob line
+        (b"\nparam ", b"\nparam a 2x-1 0\nparam "),  # negative dimension
+        (b"\nparam ", b"\nparam a 2xq 0\nparam "),  # non-integer dimension
+        (b"\nblob ", b"\nblob -"),  # negative blob size
+    ]:
+        assert old in data
+        path.write_bytes(data.replace(old, new, 1))
+        with pytest.raises(ValidationError):
+            load_checkpoint(str(path))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_checkpoint_fuzz_loads_or_raises_validation_error(tmp_path_factory, data):
+    raw = bytearray(_saved_bytes(tmp_path_factory.mktemp("ckpt")))
+    manifest_end = raw.index(b"\nblob ") + 16
+    # most flips land in the manifest, where the parser has work to do
+    offset = st.one_of(st.integers(0, manifest_end), st.integers(0, len(raw) - 1))
+    for at, value in data.draw(st.lists(st.tuples(offset, st.integers(0, 255)), max_size=4)):
+        raw[at] = value
+    raw = raw[: data.draw(st.integers(0, len(raw)))]
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    path.write_bytes(bytes(raw))
+    try:
+        load_checkpoint(str(path))
+    except ValidationError:
+        pass

@@ -192,3 +192,87 @@ def test_missing_file_is_an_input_error(tmp_path):
     proc = run_cli(["scan-viz", "nope.pgm"], tmp_path)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+def _set_field(index, field, value):
+    """Manifest edit: replace one field of the index-th param line."""
+
+    def edit(lines, blob_size):
+        params = [i for i, line in enumerate(lines) if line.startswith(b"param ")]
+        fields = lines[params[index]].split(b" ")
+        fields[field] = value(blob_size, fields) if callable(value) else value
+        lines[params[index]] = b" ".join(fields)
+        return lines
+
+    return edit
+
+
+def _append_field(lines, blob_size):
+    params = [i for i, line in enumerate(lines) if line.startswith(b"param ")]
+    lines[params[0]] += b" 7"
+    return lines
+
+
+def _non_ascii(lines, blob_size):
+    lines[1] = lines[1].replace(b"channels", b"chann\xe9ls")
+    return lines
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_field(0, 3, b"0x"),
+        _set_field(-1, 3, lambda size, _: str(size + 8).encode()),
+        _append_field,
+        _set_field(0, 2, b"2xq"),
+        _set_field(0, 2, b"-2"),
+        _set_field(0, 3, lambda size, _: str(size - 8).encode()),
+        _set_field(1, 3, b"8"),
+        _non_ascii,
+    ],
+    ids=[
+        "offset-not-integer",
+        "offset-past-blob",
+        "wrong-field-count",
+        "dimension-not-integer",
+        "negative-dimension",
+        "param-runs-past-blob",
+        "overlapping-params",
+        "non-ascii-manifest",
+    ],
+)
+def test_forward_rejects_malformed_checkpoint(tmp_path, edit):
+    config = ModelConfig(channels=2, state_dim=2, expansion=2, unet_depth=1, patch_size=4)
+    save_checkpoint(str(tmp_path / "m.ckpt"), ShadowNet(config))
+    head, sep, rest = (tmp_path / "m.ckpt").read_bytes().partition(b"\nblob ")
+    lines = edit(head.split(b"\n"), int(rest.split(b"\n", 1)[0]))
+    (tmp_path / "m.ckpt").write_bytes(b"\n".join(lines) + sep + rest)
+    write_ppm(str(tmp_path / "in.ppm"), np.zeros((3, 16, 16)))
+    write_pgm(str(tmp_path / "mask.pgm"), np.zeros((16, 16)))
+    proc = run_cli(["forward", "in.ppm", "mask.pgm", "--checkpoint", "m.ckpt"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_forward_and_eval_reject_non_numeric_netpbm_header(tmp_path):
+    (tmp_path / "bad.ppm").write_bytes(b"P6\nabc 4\n255\n" + bytes(48))
+    write_ppm(str(tmp_path / "good.ppm"), np.zeros((3, 4, 4)))
+    write_pgm(str(tmp_path / "mask.pgm"), np.zeros((4, 4)))
+    save_checkpoint(str(tmp_path / "m.ckpt"), ShadowNet(ModelConfig(channels=2, state_dim=2)))
+    for args in (
+        ["forward", "bad.ppm", "mask.pgm", "--checkpoint", "m.ckpt"],
+        ["eval", "bad.ppm", "good.ppm", "mask.pgm"],
+    ):
+        proc = run_cli(args, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == proc.stderr.count("config ") + 1
+        assert proc.stderr.splitlines()[-1].startswith("error:") and "width" in proc.stderr
+
+
+@pytest.mark.parametrize("text", [b"channels=banana\n", b"channels=\xe9\n"], ids=["non-integer", "non-ascii"])
+def test_check_reads_its_config_file(tmp_path, text):
+    (tmp_path / "bad.cfg").write_bytes(text)
+    proc = run_cli(["check", "interleave", "--config", "bad.cfg"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stdout == ""

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowscan.errors import ShapeError, ValidationError
 from shadowscan.imageio import (
@@ -77,12 +79,36 @@ def test_reader_rejects_bad_files(tmp_path):
         good[:-1],  # truncated raster
         b"P6\n2 2\n255" ,  # no delimiter, no raster
         b"P6\n2 2",  # truncated header
+        b"P6\nabc 2\n255\n" + bytes(12),  # non-numeric width
+        b"P6\n2 -2\n255\n" + bytes(12),  # negative height
+        b"P6\n2 0\n255\n",  # zero height
+        b"P6\n2 2\n25x\n" + bytes(12),  # non-numeric maxval
     ]
     for i, blob in enumerate(cases):
         path = tmp_path / f"bad{i}.ppm"
         path.write_bytes(blob)
         with pytest.raises(ValidationError):
             read_ppm(str(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    magic=st.sampled_from([b"P6", b"P5"]),
+    flips=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 255)), max_size=4),
+    keep=st.integers(0, 40),
+)
+def test_netpbm_reader_fuzz_loads_or_raises_validation_error(tmp_path_factory, magic, flips, keep):
+    channels = 3 if magic == b"P6" else 1
+    raw = bytearray(magic + b"\n# c\n3 2\n255\n" + bytes(range(6 * channels)))
+    for at, value in flips:
+        raw[at % len(raw)] = value
+    path = tmp_path_factory.getbasetemp() / "fuzz.pnm"
+    path.write_bytes(bytes(raw[:keep]))
+    reader = read_ppm if magic == b"P6" else read_pgm
+    try:
+        reader(str(path))
+    except ValidationError:
+        pass
 
 
 def test_writer_shape_errors(tmp_path):

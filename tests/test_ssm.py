@@ -3,8 +3,11 @@ selective path, and the stage blocks around them."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import assert_grads_match
+from helpers import assert_grads_match, tape_grads
 from shadowscan import autodiff as ad
 from shadowscan.autodiff import GradTape, Tensor, backward
 from shadowscan.errors import ConfigError, ContractError, ShapeError
@@ -114,6 +117,65 @@ def test_recurrence_grads():
     bx = Tensor(rng.normal(size=(5, 2, 3)), requires_grad=True)
     cvec = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     assert_grads_match(ssm_recurrence, [abar, bx, cvec])
+
+
+def _frozen_recurrence(a_d, bx_d, c_d, g):
+    """The scan and its adjoint as two separate hand-written loops, kept
+    verbatim as the bitwise reference: returns y, d_abar, d_bx, d_cvec."""
+    length, channels, state = a_d.shape
+    hist = np.empty((length, channels, state), dtype=np.float64)
+    prev = np.zeros((channels, state), dtype=np.float64)
+    for t in range(length):
+        h = hist[t]
+        np.multiply(a_d[t], prev, out=h)
+        h += bx_d[t]
+        prev = h
+    y = np.einsum("tcn,tn->tc", hist, c_d)
+    d_cv = np.einsum("tc,tcn->tn", g, hist)
+    d_bx = np.empty_like(bx_d)
+    d_ab = np.empty_like(a_d)
+    g_col = g[:, :, None]
+    c_row = c_d[:, None, :]
+    carry = np.zeros((channels, state), dtype=np.float64)
+    for t in range(length - 1, -1, -1):
+        adj = d_bx[t]
+        np.multiply(g_col[t], c_row[t], out=adj)
+        adj += carry
+        if t > 0:
+            np.multiply(adj, hist[t - 1], out=d_ab[t])
+        else:
+            d_ab[0] = 0.0
+        np.multiply(adj, a_d[t], out=carry)
+    return y, d_ab, d_bx, d_cv
+
+
+@st.composite
+def _recurrence_case(draw):
+    length = draw(st.integers(1, 12))
+    channels = draw(st.integers(1, 4))
+    state = draw(st.integers(1, 4))
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    decay = st.floats(0.0, 1.0, exclude_min=True)
+    return (
+        draw(arrays(np.float64, (length, channels, state), elements=decay)),
+        draw(arrays(np.float64, (length, channels, state), elements=finite)),
+        draw(arrays(np.float64, (length, state), elements=finite)),
+        draw(arrays(np.float64, (length, channels), elements=finite)),
+        draw(st.tuples(st.booleans(), st.booleans(), st.booleans())),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_recurrence_case())
+def test_recurrence_bitwise_matches_frozen_loops(case):
+    a_d, bx_d, c_d, g, flags = case
+    tensors = [Tensor(arr, requires_grad=flag) for arr, flag in zip((a_d, bx_d, c_d), flags)]
+    expect = _frozen_recurrence(a_d, bx_d, c_d, g)
+    assert np.array_equal(ssm_recurrence(*tensors).data, expect[0])
+    if any(flags):
+        grads = tape_grads(ssm_recurrence, tensors, g)
+        for flag, got, want in zip(flags, grads, expect[1:]):
+            assert (got is None) if not flag else np.array_equal(got, want)
 
 
 def test_recurrence_shape_validation():
