@@ -6,7 +6,7 @@ training, metrics, and a batch CLI.
 """
 
 from .autodiff import GradTape, Tensor, backward
-from .blocks import ShadowNet, dfmb_interleave, fold_back, model_forward
+from .blocks import ShadowNet, dfmb_interleave, fold_back
 from .checkpoint import load_checkpoint, model_from_checkpoint, restore_model, save_checkpoint
 from .config import ModelConfig
 from .errors import (
@@ -23,7 +23,6 @@ from .scanorder import (
     ScanPath,
     dump_path,
     horizontal_order,
-    invert_path,
     mas_order,
     parse_path,
     pixel_order,
@@ -41,7 +40,6 @@ __all__ = [
     "ShadowNet",
     "dfmb_interleave",
     "fold_back",
-    "model_forward",
     "load_checkpoint",
     "model_from_checkpoint",
     "restore_model",
@@ -67,7 +65,6 @@ __all__ = [
     "ScanPath",
     "dump_path",
     "horizontal_order",
-    "invert_path",
     "mas_order",
     "parse_path",
     "pixel_order",

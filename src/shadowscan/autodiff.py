@@ -7,6 +7,12 @@ shape moves. Every differentiable op appends one backward closure to the
 active GradTape; replaying the tape in reverse visits each recorded op once
 (execution order is a topological order of the graph). Gradients accumulate
 into ``Tensor.grad`` with ``+=`` and are cleared only by ``zero_grad``.
+
+Replay consumes the tape: ``backward`` pops each closure before it runs it,
+so once an op has handed its gradient down, the activations it captured and
+the gradient of its output are no longer reachable from the tape. Only the
+leaves' gradients, and whatever tensors the caller still holds, outlive the
+replay; the tape is empty afterwards.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ class GradTape:
     """Execution-ordered record of differentiable operations.
 
     Use as a context manager around the forward computation, then call
-    ``backward`` (or the module-level function) on a scalar output. One
-    backward pass per tape; a tape is confined to one logical thread.
+    ``backward`` on a scalar output. One backward pass per tape, which
+    empties it; a tape is confined to one logical thread.
     """
 
     def __init__(self) -> None:
@@ -54,9 +60,6 @@ class GradTape:
 
     def record(self, replay) -> None:
         self._ops.append(replay)
-
-    def backward(self, output: "Tensor") -> None:
-        backward(output, self)
 
 
 class Tensor:
@@ -156,16 +159,22 @@ def _record(out: Tensor, backward_fn) -> None:
     tape.record(replay)
 
 
-def backward(output: Tensor, tape: GradTape) -> None:
-    """Seed d(output)/d(output) = 1 and replay the tape in reverse."""
+def backward(output: Tensor, tape: GradTape, seed: float = 1.0) -> None:
+    """Seed d(output)/d(output) = ``seed`` and replay the tape in reverse.
+
+    The replay consumes the tape: each closure is popped before it runs, so
+    the activations it captured are released as soon as its gradient has
+    been handed down, and the tape is empty when this returns.
+    """
     if output.data.size != 1:
         raise ContractError(f"backward needs a scalar output, got shape {output.shape}")
     if tape._consumed:
         raise ContractError("tape already replayed; build a fresh tape per backward pass")
     tape._consumed = True
-    output.accumulate(np.ones_like(output.data))
-    for replay in reversed(tape._ops):
-        replay()
+    output.accumulate(np.full_like(output.data, seed))
+    ops = tape._ops
+    while ops:
+        ops.pop()()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -631,22 +640,6 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
             a.accumulate(g[:, :na])
         if b.requires_grad:
             b.accumulate(g[:, na:])
-
-    _record(out, bw)
-    return out
-
-
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 3 or b.ndim != 3 or a.shape[1:] != b.shape[1:]:
-        raise ShapeError(f"concat_channels needs matching (H,W), got {a.shape}, {b.shape}")
-    na = a.shape[0]
-    out = Tensor(np.concatenate([a.data, b.data], axis=0), a.requires_grad or b.requires_grad)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate(g[:na])
-        if b.requires_grad:
-            b.accumulate(g[na:])
 
     _record(out, bw)
     return out

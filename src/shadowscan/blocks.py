@@ -321,7 +321,3 @@ class ShadowNet(Module):
         self.unet.silence()
         self.dec_w.data[:] = 0.0
         self.dec_b.data[:] = 0.0
-
-
-def model_forward(model: ShadowNet, image: np.ndarray, mask: np.ndarray, training: bool = False) -> Tensor:
-    return model.forward(image, mask, training)

@@ -290,10 +290,6 @@ class ConvMlp(Module):
         self.b2.data[:] = 0.0
 
 
-def conv_mlp(x: Tensor, mlp: ConvMlp, height: int, width: int, training: bool = False) -> Tensor:
-    return mlp.forward(x, height, width, training)
-
-
 class SsmStage(Module):
     """One full scan stage: bidirectional SSM block, then the conv MLP."""
 

@@ -66,6 +66,8 @@ Pair = tuple[np.ndarray, np.ndarray, np.ndarray]  # shadowed (3,H,W), mask (H,W)
 def batch_loss(model: ShadowNet, batch: list[Pair], training: bool) -> Tensor:
     """Mean absolute error between predictions and clean images, averaged
     over the batch. Must run inside a GradTape when used for a step."""
+    if not batch:
+        raise ValidationError("the loss needs at least one image pair")
     total = None
     for shadowed, mask, clean in batch:
         pred = model.forward(shadowed, mask, training=training)
@@ -79,13 +81,51 @@ def dataset_loss(model: ShadowNet, pairs: list[Pair]) -> float:
 
 
 def train_step(model: ShadowNet, state: AdamState, batch: list[Pair], lr: float) -> float:
-    model.zero_grads()
-    tape = GradTape()
-    with tape:
-        loss = batch_loss(model, batch, training=True)
-    backward(loss, tape)
-    adam_step(model.params(), state, lr)
-    return float(loss.data)
+    """One Adam update on the batch mean loss; returns that loss.
+
+    The images run one at a time, in batch order, each through its own tape
+    that is replayed and freed before the next image starts, so peak memory
+    is that of a single image. The result is bitwise that of one tape over
+    the whole batch: that tape hands each image's loss the cotangent
+    ``1/B`` and replays the images last to first, and every parameter gets
+    exactly one contribution per image. So each image's replay is seeded
+    with ``1/B``, and its parameter gradients are summed last image first.
+    Forwards stay in batch order, so dropout draws the same numbers.
+
+    Raises ValidationError, before the update, when the loss or a
+    parameter gradient is not finite; the message names the step by the
+    number of updates ``state`` has made.
+    """
+    named = model.named_params()
+    params = [p for _, p in named]
+    seed = 1.0 / len(batch)
+    total = None
+    grads = []
+    for pair in batch:
+        model.zero_grads()
+        tape = GradTape()
+        with tape:
+            err = batch_loss(model, [pair], training=True)
+        backward(err, tape, seed)
+        total = err.data if total is None else total + err.data
+        grads.append([p.grad for p in params])
+    # the last image's gradients are in place; add the others last to first
+    for image in reversed(grads[:-1]):
+        for p, g in zip(params, image):
+            if g is not None:
+                p.accumulate(g)
+    loss = float(total * seed)
+    _check_finite(named, loss, state.step)
+    adam_step(params, state, lr)
+    return loss
+
+
+def _check_finite(named: list[tuple[str, Tensor]], loss: float, step: int) -> None:
+    if not math.isfinite(loss):
+        raise ValidationError(f"training step {step}: loss is {loss!r}")
+    for name, p in named:
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise ValidationError(f"training step {step}: gradient of {name} is not finite")
 
 
 def train(
@@ -101,6 +141,8 @@ def train(
     the per-step training losses."""
     if not pairs:
         raise ValidationError("training requires at least one image pair")
+    if batch_size < 1:
+        raise ValidationError(f"batch size must be at least 1, got {batch_size}")
     state = init_adam(model.params())
     losses = []
     cursor = 0

@@ -277,10 +277,6 @@ def test_concats():
     c = _t(rng, 3, 2)
     assert np.array_equal(ad.concat_cols(a, c).data, np.concatenate([a.data, c.data], axis=1))
     assert_grads_match(ad.concat_cols, [a, c])
-    m1 = _t(rng, 2, 4, 4)
-    m2 = _t(rng, 3, 4, 4)
-    assert np.array_equal(ad.concat_channels(m1, m2).data, np.concatenate([m1.data, m2.data]))
-    assert_grads_match(ad.concat_channels, [m1, m2])
     with pytest.raises(ShapeError):
         ad.concat_rows(a, c)
     with pytest.raises(ShapeError):

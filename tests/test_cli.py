@@ -86,6 +86,36 @@ def test_train_toy_needs_a_data_source(tmp_path):
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize("flags", [["--synth", "-1"], ["--synth", "2", "--batch", "0"]])
+def test_train_toy_rejects_an_empty_set_or_batch(tmp_path, flags):
+    proc = run_cli(["train-toy", *flags, "--steps", "1", "--size", "8", *_TINY_FLAGS], tmp_path)
+    assert proc.returncode == 2
+    assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1
+    assert "Traceback" not in proc.stderr
+
+
+# the toy set with NaN in every clean image, so the first training loss is NaN
+_NAN_TRAIN_TOY = """
+import sys
+from shadowscan import cli
+toy = cli.make_toy_pairs
+cli.make_toy_pairs = lambda **kw: [(s, m, c * float("nan")) for s, m, c in toy(**kw)]
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_train_toy_stops_on_a_non_finite_loss(tmp_path):
+    proc = run_python(
+        ["-c", _NAN_TRAIN_TOY, "train-toy", "--synth", "2", "--steps", "3", "--size", "8", *_TINY_FLAGS],
+        tmp_path,
+    )
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: training step 0: loss is nan"]
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "toy.ckpt").exists()
+
+
 def test_train_toy_zero_steps_snapshots_the_fresh_model(tmp_path):
     proc = run_cli(
         ["train-toy", "--synth", "2", "--steps", "0", "--size", "8", *_TINY_FLAGS],

@@ -1,5 +1,5 @@
-"""Scan-order construction: spirals, the mask-aware order, inversion,
-pixel lifting, and the text dump format.
+"""Scan-order construction: spirals, the mask-aware order, pixel lifting,
+and the text dump format.
 
 The 4x4 trace in test_mask_aware_order_frozen_trace was worked out by hand
 once and is frozen here; any change to tie-breaking rules will trip it.
@@ -7,6 +7,8 @@ once and is frozen here; any change to tie-breaking rules will trip it.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowscan.autodiff import invert_permutation
 from shadowscan.errors import ValidationError
@@ -18,7 +20,6 @@ from shadowscan.scanorder import (
     dump_path,
     gbs_traverse,
     horizontal_order,
-    invert_path,
     mas_order,
     mean_adjacent_gap,
     parse_path,
@@ -195,29 +196,6 @@ def test_mask_aware_order_no_shadow_degrades_to_horizontal():
     assert path.patch == 2
 
 
-def test_invert_path_small_example():
-    path = ScanPath(1, 3, 1, KIND_MAS, ((0, 2), (0, 0), (0, 1)))
-    assert np.array_equal(path.flat, np.array([2, 0, 1]))
-    inv = invert_path(path)
-    assert np.array_equal(inv.flat, np.array([1, 2, 0]))
-    assert inv.kind == KIND_MAS
-
-
-def test_invert_path_is_involution_and_keeps_metadata():
-    grid = partition_patches(_rect_mask(5, 4, RegionRect(1, 2, 1, 2)), 1)
-    path = mas_order(grid)
-    inv = invert_path(path)
-    assert np.array_equal(inv.flat[path.flat], np.arange(len(path)))
-    back = invert_path(inv)
-    assert back.coords == path.coords
-    assert (inv.kind, inv.patch, inv.start_a, inv.start_b) == (
-        path.kind,
-        path.patch,
-        path.start_a,
-        path.start_b,
-    )
-
-
 def test_pixel_order_patch_one_is_flat():
     grid = partition_patches(_rect_mask(4, 4, RegionRect(0, 1, 2, 3)), 1)
     path = mas_order(grid)
@@ -288,3 +266,44 @@ def test_parse_path_rejects_garbage():
         parse_path("4 4 1\n0 0\n")
     with pytest.raises(ValidationError):
         parse_path("2 2 1 mas\n0 0 0\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2 x 1 mas\n0 0\n0 1\n",  # non-numeric header field
+        "1 2 1 mas\n0 0\n0 1.0\n",  # non-integer cell
+        "1 2 1 mas\n0 0\n0 \u0661\n",  # non-ASCII digit
+        "1 2 1 mas\n0 0\n0 1_0\n",
+        "1 99999999999999999999 1 mas\n0 0\n",  # beyond int64
+        "-2 2 1 s",
+        "0 1 1 mas\n",
+        "1 1 0 mas\n0 0\n",  # patch not positive
+        "2 2 1 spiral\n0 9\n",  # out of range and incomplete
+        "2 2 1 mas\n0 0\n0 1\n1 0\n",  # one cell short
+        "1 2 1 mas\n0 0\n0 1\n0 0\n",  # one cell too many
+        "2 2 1 mas\n0 0\n0 1\n1 0\n1 -1\n",  # negative column
+        "2 2 1 mas\n0 0\n0 1\n1 0\n2 0\n",  # row out of range
+        "2 2 1 mas\n0 0\n0 1\n1 0\n0 1\n",  # repeated cell
+    ],
+)
+def test_parse_path_rejects_malformed_dumps(text):
+    with pytest.raises(ValidationError):
+        parse_path(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_path_fuzz_parses_a_permutation_or_raises_validation_error(data):
+    grid = partition_patches(_rect_mask(6, 8, RegionRect(2, 3, 2, 5)), 2)
+    raw = bytearray(dump_path(mas_order(grid)).encode("ascii"))
+    for at, value in data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)), max_size=4)):
+        raw[at] = value
+    raw = raw[: data.draw(st.integers(0, len(raw)))]
+    try:
+        path = parse_path(raw.decode("latin-1"))
+    except ValidationError:
+        return
+    assert path.rows >= 1 and path.cols >= 1 and path.patch >= 1
+    assert len(path) == path.rows * path.cols
+    assert path.is_permutation()

@@ -18,7 +18,6 @@ from shadowscan.ssm import (
     SsmStage,
     bidirectional_ssm_block,
     build_kernel,
-    conv_mlp,
     discretize,
     selective_scan,
     ssm_conv_form,
@@ -336,7 +335,7 @@ def test_conv_mlp_identity_parameters():
     mlp.w2.data[:] = np.eye(3)
     mlp.b2.data[:] = 0.0
     x = Tensor(rng.normal(size=(12, 3)))
-    out = conv_mlp(x, mlp, 3, 4)
+    out = mlp.forward(x, 3, 4)
     expect = x.data + ad.gelu(Tensor(x.data)).data
     assert np.allclose(out.data, expect, atol=1e-14)
 

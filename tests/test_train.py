@@ -1,11 +1,15 @@
 """Optimizer arithmetic, loss wiring, the loop, and the toy data sources."""
 
+import importlib
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from shadowscan.autodiff import Tensor
+from shadowscan import autodiff as ad
+from shadowscan.autodiff import GradTape, Tensor, backward
 from shadowscan.blocks import ShadowNet
 from shadowscan.config import ModelConfig
 from shadowscan.errors import ValidationError
@@ -19,7 +23,10 @@ from shadowscan.train import (
     load_dir_pairs,
     make_toy_pairs,
     train,
+    train_step,
 )
+
+train_module = importlib.import_module("shadowscan.train")
 
 _TINY = ModelConfig(channels=2, state_dim=2, expansion=2, unet_depth=1, patch_size=2, seed=1)
 
@@ -93,6 +100,13 @@ def test_train_requires_pairs():
         train(ShadowNet(_TINY), [], steps=1)
 
 
+def test_loss_and_training_reject_an_empty_batch():
+    with pytest.raises(ValidationError):
+        dataset_loss(ShadowNet(_TINY), [])
+    with pytest.raises(ValidationError, match="batch size"):
+        train(ShadowNet(_TINY), make_toy_pairs(1, 8, seed=3), steps=1, batch_size=0)
+
+
 def test_short_training_run_reduces_loss():
     model = ShadowNet(_TINY)
     pairs = make_toy_pairs(4, 16, seed=4)
@@ -105,6 +119,106 @@ def test_short_training_run_reduces_loss():
     assert [s for s, _, _ in seen] == list(range(10))
     assert all(lr == cosine_lr(s, 10) for s, lr, _ in seen)
     assert [l for _, _, l in seen] == losses
+
+
+def _one_tape_step(model, batch):
+    """Loss and gradients of the batch from a single tape over all images."""
+    model.zero_grads()
+    with GradTape() as tape:
+        loss = batch_loss(model, batch, training=True)
+    backward(loss, tape)
+    return float(loss.data), [p.grad for p in model.params()]
+
+
+_SMALL = dict(channels=4, state_dim=2, unet_depth=1, patch_size=4)
+
+
+@pytest.mark.parametrize(
+    "sizes, overrides",
+    [
+        ((16,), {}),
+        ((16, 16), {}),
+        ((16, 16, 16), {}),
+        ((16, 16, 16, 16), {}),
+        ((16, 32, 16), {}),
+        ((16, 16, 16), {"dropout": 0.1}),
+        ((16, 16, 16), {"unet_depth": 0}),
+        ((16, 16, 16), {"unet_depth": 2}),
+    ],
+)
+def test_streamed_step_is_bitwise_the_one_tape_step(sizes, overrides):
+    config = ModelConfig(**{**_SMALL, **overrides}, seed=11)
+    batch = [make_toy_pairs(1, size, seed=20 + i)[0] for i, size in enumerate(sizes)]
+    want_loss, want_grads = _one_tape_step(ShadowNet(config), batch)
+    model = ShadowNet(config)
+    got_loss = train_step(model, init_adam(model.params()), batch, 1e-3)
+    assert got_loss == want_loss
+    for (name, p), want in zip(model.named_params(), want_grads):
+        assert (p.grad is None) == (want is None), name
+        assert want is None or np.array_equal(p.grad, want), name
+
+
+def _step_peak_bytes(model, state, batch):
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    train_step(model, state, batch, 1e-3)
+    return tracemalloc.get_traced_memory()[1] - base
+
+
+def test_step_memory_does_not_grow_with_batch():
+    model = ShadowNet(ModelConfig(**_SMALL, seed=2))
+    state = init_adam(model.params())
+    pairs = make_toy_pairs(4, 16, seed=3)
+    train_step(model, state, pairs[:1], 1e-3)  # warm-up
+    tracemalloc.start()
+    try:
+        one = _step_peak_bytes(model, state, pairs[:1])
+        four = _step_peak_bytes(model, state, pairs)
+    finally:
+        tracemalloc.stop()
+    assert four <= 1.2 * one, (one, four)
+
+
+def test_backward_releases_the_tape_as_it_replays():
+    x = Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
+    with GradTape() as tape:
+        hidden = ad.exp(ad.mul(x, x))
+        loss = ad.sum_all(ad.mul(hidden, hidden))
+    ref = weakref.ref(hidden.data)
+    del hidden
+    assert ref() is not None  # the tape still holds it
+    backward(loss, tape)
+    assert ref() is None
+    assert len(tape) == 0
+    assert np.allclose(x.grad, 4.0 * x.data * np.exp(2.0 * x.data**2))
+
+
+def test_nan_parameter_stops_training_before_the_update():
+    model = ShadowNet(_TINY)
+    model.dec_w.data[0, 0, 0, 0] = np.nan
+    before = {n: t.data.copy() for n, t in model.named_params()}
+    with pytest.raises(ValidationError, match="step 0: loss is nan"):
+        train(model, make_toy_pairs(2, 8, seed=3), steps=2)
+    for name, tensor in model.named_params():
+        assert np.array_equal(tensor.data, before[name], equal_nan=True), name
+
+
+def test_non_finite_gradient_is_named_and_stops_training(monkeypatch):
+    model = ShadowNet(_TINY)
+
+    def poisoned(output, tape, seed):
+        backward(output, tape, seed)
+        model.dec_b.grad[1] = np.inf
+
+    state = init_adam(model.params())
+    train_step(model, state, make_toy_pairs(1, 8, seed=4), 1e-3)
+    before = {n: t.data.copy() for n, t in model.named_params()}
+    monkeypatch.setattr(train_module, "backward", poisoned)
+    with pytest.raises(ValidationError, match="step 1: gradient of dec_b is not finite"):
+        train_step(model, state, make_toy_pairs(2, 8, seed=5), 1e-3)
+    assert state.step == 1
+    for name, tensor in model.named_params():
+        assert np.array_equal(tensor.data, before[name]), name
 
 
 def test_toy_pairs_are_exact_rectangle_shadows():
