@@ -571,8 +571,15 @@ def bilinear_upsample2x(x: Tensor) -> Tensor:
 
 
 def invert_permutation(perm: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size, dtype=perm.dtype)
+    """Inverse of a permutation of range(L), checked in O(L): with L
+    in-range entries, a slot left unwritten means some entry repeats."""
+    n = perm.size
+    if perm.ndim != 1 or (n and (perm.min() < 0 or perm.max() >= n)):
+        raise ValidationError(f"not a permutation of range({n})")
+    inv = np.full(n, -1, dtype=np.int64)
+    inv[perm] = np.arange(n)
+    if (inv < 0).any():
+        raise ValidationError(f"not a permutation of range({n})")
     return inv
 
 
@@ -597,9 +604,16 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 def permute_gather(x: Tensor, perm: np.ndarray) -> Tensor:
     """Reorder rows by a full permutation of range(L)."""
     perm = np.asarray(perm, dtype=np.int64)
-    if perm.shape != (x.shape[0],) or not np.array_equal(np.sort(perm), np.arange(x.shape[0])):
+    if perm.shape != (x.shape[0],):
         raise ValidationError(f"not a permutation of range({x.shape[0]})")
-    return gather_rows(x, perm)
+    inverse = invert_permutation(perm)
+    out = Tensor(x.data[perm], x.requires_grad)
+
+    def bw(g):
+        x.accumulate(g[inverse])
+
+    _record(out, bw)
+    return out
 
 
 def reverse_rows(x: Tensor) -> Tensor:

@@ -7,7 +7,8 @@ The model maps a shadow image plus its mask to a restored image:
 Features live as (L, C) token sequences in row-major pixel order and are
 folded to (C, H, W) maps only where a convolution or resampling needs the
 geometry. Every scan group runs a row-major stage followed by a
-mask-aware stage whose order comes from the current level's patch grid.
+mask-aware stage in its level's order, which depends only on the level's
+mask: the model builds each level's order once per forward.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import ShapeError
-from .maskgrid import PatchGrid, partition_patches, validate_mask
+from .maskgrid import partition_patches, validate_mask
 from .module import Module
 from .scanorder import mas_order, pixel_order
 from .ssm import SsmStage
@@ -41,9 +42,22 @@ def level_patch_size(height: int, width: int, patch: int) -> int:
     return patch
 
 
-def level_grid(mask: np.ndarray, patch: int, tau: float) -> PatchGrid:
-    h, w = mask.shape
-    return partition_patches(mask, level_patch_size(h, w, patch), tau)
+# a level's (pixel permutation, inverse); a module's list starts at its own level
+ScanOrder = tuple[np.ndarray, np.ndarray]
+
+
+def scan_orders(mask: np.ndarray, levels: int, patch: int, tau: float) -> list[ScanOrder]:
+    """Orders of ``levels`` pyramid levels, finest first, over masks max-pooled
+    2x per level (shadow presence survives) and ``level_patch_size`` patches.
+    Each inverse is that of the pixel permutation: lifting the inverted patch
+    path is a different map once the grid has more than one column."""
+    orders = []
+    for level in range(levels):
+        mask = max_pool_mask2x(mask) if level else mask
+        grid = partition_patches(mask, level_patch_size(*mask.shape, patch), tau)
+        perm = pixel_order(mas_order(grid))
+        orders.append((perm, ad.invert_permutation(perm)))
+    return orders
 
 
 class Encoder(Module):
@@ -81,21 +95,15 @@ class DualScanGroup(Module):
         self.mas_stage = SsmStage(channels, state_dim, expansion, dropout, rng)
 
     def forward(
-        self, seq: Tensor, grid: PatchGrid, height: int, width: int, training: bool = False
+        self, seq: Tensor, order: ScanOrder, height: int, width: int, training: bool = False
     ) -> Tensor:
-        if grid.rows * grid.patch != height or grid.cols * grid.patch != width:
-            raise ShapeError(
-                f"grid {grid.rows}x{grid.cols} (patch {grid.patch}) does not tile {height}x{width}"
-            )
+        perm, inverse = order
+        if perm.size != height * width:
+            raise ShapeError(f"scan order of {perm.size} pixels does not cover {height}x{width}")
         out = self.row_stage.forward(seq, height, width, training)
-        path = mas_order(grid)
-        perm = pixel_order(path)
         gathered = ad.permute_gather(out, perm)
         gathered = self.mas_stage.forward(gathered, height, width, training)
-        # the scatter must invert the pixel permutation itself; inverting the
-        # patch path first and lifting that is not the same map once the
-        # grid has more than one column
-        return ad.permute_gather(gathered, ad.invert_permutation(perm))
+        return ad.permute_gather(gathered, inverse)
 
     def silence(self) -> None:
         self.row_stage.silence()
@@ -115,17 +123,11 @@ class InterleavedSequence:
 
 
 def _interleave_index(height: int, width: int) -> np.ndarray:
-    hh, hw = height // 2, width // 2
-    ii, jj = np.meshgrid(np.arange(hh), np.arange(hw), indexing="ij")
-    unit = (ii * hw + jj).ravel()
-    base = 5 * unit
-    idx = np.empty(5 * hh * hw, dtype=np.int64)
-    idx[base + 0] = (2 * ii * width + 2 * jj).ravel()
-    idx[base + 1] = ((2 * ii + 1) * width + 2 * jj).ravel()
-    idx[base + 2] = (2 * ii * width + 2 * jj + 1).ravel()
-    idx[base + 3] = ((2 * ii + 1) * width + 2 * jj + 1).ravel()
-    idx[base + 4] = height * width + unit
-    return idx
+    units = (height // 2) * (width // 2)
+    # pixel (2i + a, 2j + b) sits at [i, a, j, b]; a unit runs a fastest
+    fine = np.arange(height * width).reshape(height // 2, 2, width // 2, 2).transpose(0, 2, 3, 1)
+    coarse = height * width + np.arange(units)
+    return np.concatenate([fine.reshape(units, 4), coarse[:, None]], axis=1).ravel()
 
 
 def dfmb_interleave(fine: Tensor, coarse: Tensor, height: int, width: int) -> InterleavedSequence:
@@ -144,11 +146,8 @@ def dfmb_interleave(fine: Tensor, coarse: Tensor, height: int, width: int) -> In
 
 def fold_back(seq: InterleavedSequence) -> Tensor:
     """Drop the coarse tokens and restore fine tokens to row-major order."""
-    h, w = seq.height, seq.width
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    unit = (rr // 2) * (w // 2) + cc // 2
-    offset = (cc % 2) * 2 + rr % 2
-    return ad.gather_rows(seq.tokens, (5 * unit + offset).ravel())
+    woven_at = ad.invert_permutation(_interleave_index(seq.height, seq.width))
+    return ad.gather_rows(seq.tokens, woven_at[: seq.height * seq.width])
 
 
 class DualScaleFusion(Module):
@@ -168,21 +167,11 @@ class DualScaleFusion(Module):
         self.fusion = SsmStage(channels, state_dim, expansion, dropout, rng)
 
     def forward(
-        self,
-        seq: Tensor,
-        mask: np.ndarray,
-        height: int,
-        width: int,
-        patch: int,
-        tau: float,
-        training: bool = False,
+        self, seq: Tensor, orders: list[ScanOrder], height: int, width: int, training: bool = False
     ) -> Tensor:
-        big = self.full.forward(seq, level_grid(mask, patch, tau), height, width, training)
+        big = self.full.forward(seq, orders[0], height, width, training)
         down_seq = ad.map_to_seq(ad.bilinear_downsample2x(ad.seq_to_map(seq, height, width)))
-        half_mask = max_pool_mask2x(mask)
-        down = self.half.forward(
-            down_seq, level_grid(half_mask, patch, tau), height // 2, width // 2, training
-        )
+        down = self.half.forward(down_seq, orders[1], height // 2, width // 2, training)
         woven = dfmb_interleave(big, down, height, width)
         # the 5-token units of one block row tile a (H/2, 5W/2) map exactly
         fused = self.fusion.forward(woven.tokens, height // 2, 5 * (width // 2), training)
@@ -194,12 +183,19 @@ class DualScaleFusion(Module):
         self.fusion.silence()
 
 
+class SkipProjection(Module):
+    """1x1 projection of an up-path sequence concatenated with its skip."""
+
+    def __init__(self, channels: int, rng: np.random.Generator) -> None:
+        self.w = ad.param((2 * channels, channels), rng, fan_in=2 * channels)
+        self.b = Tensor(np.zeros(channels), requires_grad=True)
+
+
 class ScanUnet(Module):
     """Scan groups around a 2x pyramid with skip fusion.
 
     Down path: group then 2x average pool, per level. Up path: 2x bilinear
-    upsample, channel concat with the skip, 1x1 projection, group. Masks
-    are max-pooled per level so shadow presence survives reduction.
+    upsample, channel concat with the skip, 1x1 projection, group.
     """
 
     def __init__(
@@ -215,58 +211,37 @@ class ScanUnet(Module):
             DualScanGroup(channels, state_dim, expansion, dropout, rng) for _ in range(depth)
         ]
         self.bottleneck = DualScanGroup(channels, state_dim, expansion, dropout, rng)
-        self.proj_w = [ad.param((2 * channels, channels), rng, fan_in=2 * channels) for _ in range(depth)]
-        self.proj_b = [Tensor(np.zeros(channels), requires_grad=True) for _ in range(depth)]
+        self.proj = [SkipProjection(channels, rng) for _ in range(depth)]
         self.up = [DualScanGroup(channels, state_dim, expansion, dropout, rng) for _ in range(depth)]
         self.depth = depth
 
-    def named_params(self, prefix: str = ""):
-        items = []
-        for i, g in enumerate(self.down):
-            items.extend(g.named_params(f"{prefix}down.{i}."))
-        items.extend(self.bottleneck.named_params(f"{prefix}bottleneck."))
-        for i in range(self.depth):
-            items.append((f"{prefix}proj.{i}.w", self.proj_w[i]))
-            items.append((f"{prefix}proj.{i}.b", self.proj_b[i]))
-        for i, g in enumerate(self.up):
-            items.extend(g.named_params(f"{prefix}up.{i}."))
-        return items
-
     def forward(
-        self,
-        seq: Tensor,
-        mask: np.ndarray,
-        height: int,
-        width: int,
-        patch: int,
-        tau: float,
-        training: bool = False,
+        self, seq: Tensor, orders: list[ScanOrder], height: int, width: int, training: bool = False
     ) -> Tensor:
         cur = seq
         h, w = height, width
-        masks = [mask]
         skips = []
         for level in range(self.depth):
-            cur = self.down[level].forward(cur, level_grid(masks[level], patch, tau), h, w, training)
+            cur = self.down[level].forward(cur, orders[level], h, w, training)
             skips.append(cur)
             cur = ad.map_to_seq(ad.bilinear_downsample2x(ad.seq_to_map(cur, h, w)))
-            masks.append(max_pool_mask2x(masks[level]))
             h, w = h // 2, w // 2
-        cur = self.bottleneck.forward(cur, level_grid(masks[-1], patch, tau), h, w, training)
+        cur = self.bottleneck.forward(cur, orders[self.depth], h, w, training)
         for level in range(self.depth - 1, -1, -1):
             cur = ad.map_to_seq(ad.bilinear_upsample2x(ad.seq_to_map(cur, h, w)))
             h, w = h * 2, w * 2
-            cur = ad.linear(ad.concat_cols(cur, skips[level]), self.proj_w[level], self.proj_b[level])
-            cur = self.up[level].forward(cur, level_grid(masks[level], patch, tau), h, w, training)
+            proj = self.proj[level]
+            cur = ad.linear(ad.concat_cols(cur, skips[level]), proj.w, proj.b)
+            cur = self.up[level].forward(cur, orders[level], h, w, training)
         return cur
 
     def silence(self) -> None:
         for g in self.down:
             g.silence()
         self.bottleneck.silence()
-        for wt, bt in zip(self.proj_w, self.proj_b):
-            wt.data[:] = 0.0
-            bt.data[:] = 0.0
+        for proj in self.proj:
+            proj.w.data[:] = 0.0
+            proj.b.data[:] = 0.0
         for g in self.up:
             g.silence()
 
@@ -305,9 +280,11 @@ class ShadowNet(Module):
         h, w = mask.shape
         cfg = self.config
         cfg.check_spatial(h, w)
+        # the fusion reaches one level below the full size even at depth 0
+        orders = scan_orders(mask, max(cfg.unet_depth, 1) + 1, cfg.patch_size, cfg.tau)
         seq = self.encoder.forward(image, mask)
-        seq = self.fusion.forward(seq, mask, h, w, cfg.patch_size, cfg.tau, training)
-        seq = self.unet.forward(seq, mask, h, w, cfg.patch_size, cfg.tau, training)
+        seq = self.fusion.forward(seq, orders, h, w, training)
+        seq = self.unet.forward(seq, orders, h, w, training)
         residual = ad.conv2d(ad.seq_to_map(seq, h, w), self.dec_w, self.dec_b)
         if cfg.residual_output:
             return ad.clamp01(ad.add(Tensor(image), residual))

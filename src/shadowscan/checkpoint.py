@@ -3,7 +3,7 @@
 Layout: ASCII header lines, then one raw little-endian float64 blob.
 
     SHADOWSCAN CKPT 1
-    config <key>=<value>        (one line per model config field)
+    config <key>=<value>        (exactly one line per model config field)
     param <name> <d0>x<d1>... <byte-offset>
     blob <total-bytes>
     <raw data>
@@ -14,6 +14,7 @@ compatibility contract: loading rejects any mismatch instead of guessing.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 
@@ -71,6 +72,8 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         pos = end + 1
         if line.startswith("config "):
             key, _, value = line[len("config ") :].partition("=")
+            if key in config_values:
+                raise ValidationError(f"config {key} appears twice in the manifest")
             config_values[key] = value
         elif line.startswith("param "):
             fields = line.split(" ")
@@ -104,6 +107,9 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
             covered_to, last = offset + 8 * count, name
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         arrays[name] = arr.reshape(shape).astype(np.float64)
+    missing = [f.name for f in dataclasses.fields(ModelConfig) if f.name not in config_values]
+    if missing:
+        raise ValidationError(f"checkpoint manifest lacks config {', '.join(missing)}")
     try:
         config = ModelConfig.from_dict(config_values)
     except ConfigError as exc:

@@ -41,6 +41,8 @@ class ModelConfig:
             raise ConfigError(f"tau must lie in (0, 1], got {self.tau}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
     def spatial_divisor(self) -> int:

@@ -237,15 +237,11 @@ def pixel_order(path: ScanPath) -> np.ndarray:
     row-major, so a shadow-first patch path yields a shadow-first pixel
     sequence.
     """
-    s = path.patch
-    width = path.cols * s
-    block = (np.arange(s)[:, None] * width + np.arange(s)[None, :]).ravel()
-    idx = np.empty(len(path.coords) * s * s, dtype=np.int64)
-    pos = 0
-    for pr, pc in path.coords:
-        idx[pos : pos + s * s] = pr * s * width + pc * s + block
-        pos += s * s
-    return idx
+    rows, cols, s = path.rows, path.cols, path.patch
+    # pixel (r * s + i, c * s + j) sits at [r, i, c, j]
+    pixels = np.arange(rows * s * cols * s, dtype=np.int64).reshape(rows, s, cols, s)
+    cells = np.array(path.coords, dtype=np.int64).reshape(-1, 2)
+    return pixels.transpose(0, 2, 1, 3)[cells[:, 0], cells[:, 1]].ravel()
 
 
 def mean_adjacent_gap(path: ScanPath, cells) -> float:

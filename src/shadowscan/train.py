@@ -141,6 +141,8 @@ def train(
     the per-step training losses."""
     if not pairs:
         raise ValidationError("training requires at least one image pair")
+    if steps < 0:
+        raise ValidationError(f"steps must be at least 0, got {steps}")
     if batch_size < 1:
         raise ValidationError(f"batch size must be at least 1, got {batch_size}")
     state = init_adam(model.params())
@@ -162,6 +164,8 @@ def train(
 def make_toy_pairs(count: int = 8, size: int = 32, seed: int = 0) -> list[Pair]:
     """Synthetic shadow-removal pairs: colored gradient images with one
     rectangular region multiplied by a darkening factor in [0.3, 0.6]."""
+    if size < 1:
+        raise ValidationError(f"image size must be at least 1, got {size}")
     rng = np.random.default_rng(seed)
     ys = np.linspace(0.0, 1.0, size)[None, :, None]
     xs = np.linspace(0.0, 1.0, size)[None, None, :]

@@ -3,6 +3,8 @@ finite differences for the backward pass."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from helpers import assert_grads_match
@@ -248,8 +250,34 @@ def test_permute_gather_and_inverse():
     assert np.array_equal(out.data, x.data[perm])
     restored = ad.permute_gather(out, ad.invert_permutation(perm))
     assert np.array_equal(restored.data, x.data)
-    with pytest.raises(ValidationError):
-        ad.permute_gather(x, np.array([0, 0, 1, 2, 3, 4]))
+    for bad in ([0, 0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 6], [-1, 0, 1, 2, 3, 4], [0, 1, 2, 3, 4]):
+        with pytest.raises(ValidationError):
+            ad.permute_gather(x, np.array(bad))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    perm=st.integers(1, 40).flatmap(lambda n: st.permutations(range(n))),
+    channels=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_permute_gather_is_bitwise_the_gather_rows_path(perm, channels, seed):
+    # the reference is the generic gather with its scatter-add backward
+    rng = np.random.default_rng(seed)
+    perm = np.array(perm)
+    x = _t(rng, perm.size, channels)
+    weight = rng.normal(size=(perm.size, channels))
+    results = []
+    for op in (ad.permute_gather, ad.gather_rows):
+        x.zero_grad()
+        with GradTape() as tape:
+            out = op(x, perm)
+            loss = ad.sum_all(ad.mul(out, Tensor(weight)))
+        backward(loss, tape)
+        results.append((out.data, x.grad))
+    (out, grad), (ref_out, ref_grad) = results
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(grad, ref_grad)
 
 
 def test_invert_permutation():

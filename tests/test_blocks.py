@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from shadowscan import autodiff as ad
+from shadowscan import blocks
 from shadowscan.autodiff import GradTape, Tensor, backward
 from shadowscan.blocks import (
     DualScaleFusion,
@@ -14,13 +15,14 @@ from shadowscan.blocks import (
     ShadowNet,
     dfmb_interleave,
     fold_back,
-    level_grid,
     level_patch_size,
     max_pool_mask2x,
+    scan_orders,
 )
 from shadowscan.config import ModelConfig
 from shadowscan.errors import ShapeError
 from shadowscan.maskgrid import partition_patches
+from shadowscan.scanorder import mas_order, pixel_order
 
 
 def _shadow_mask(h, w, box):
@@ -47,10 +49,29 @@ def test_level_patch_size_shrinks_to_fit():
     assert level_patch_size(5, 5, 4) == 1
 
 
-def test_level_grid_uses_fitted_patch():
-    grid = level_grid(np.zeros((12, 12)), 8, 0.5)
-    assert grid.patch == 4
-    assert (grid.rows, grid.cols) == (3, 3)
+def test_scan_orders_pool_the_mask_and_fit_the_patch():
+    mask = _shadow_mask(12, 12, (4, 8, 0, 4))
+    orders = scan_orders(mask, 2, 8, 0.5)
+    assert len(orders) == 2
+    # 12x12 tiles by patch 4, its 6x6 max pool by patch 2
+    levels = ((mask, 4), (max_pool_mask2x(mask), 2))
+    for (perm, inverse), (level_mask, patch) in zip(orders, levels):
+        assert np.array_equal(perm, pixel_order(mas_order(partition_patches(level_mask, patch, 0.5))))
+        assert np.array_equal(perm[inverse], np.arange(perm.size))
+
+
+@pytest.mark.parametrize("depth, levels", [(0, 2), (1, 2), (4, 5)])
+def test_forward_builds_each_level_order_once(monkeypatch, depth, levels):
+    calls = []
+
+    def counted(grid):
+        calls.append(grid)
+        return mas_order(grid)
+
+    monkeypatch.setattr(blocks, "mas_order", counted)
+    model = ShadowNet(ModelConfig(channels=2, state_dim=2, unet_depth=depth, patch_size=2))
+    model.forward(np.zeros((3, 16, 16)), _shadow_mask(16, 16, (4, 12, 2, 10)))
+    assert len(calls) == levels
 
 
 def test_encoder_output_layout():
@@ -140,18 +161,17 @@ def test_silenced_group_is_bitwise_identity():
         (np.zeros((8, 8)), 2, 8, 8),
     ]
     for mask, patch, h, w in cases:
-        grid = partition_patches(mask, patch)
         seq = Tensor(rng.normal(size=(h * w, 2)))
-        out = group.forward(seq, grid, h, w)
+        out = group.forward(seq, scan_orders(mask, 1, patch, 0.5)[0], h, w)
         assert np.array_equal(out.data, seq.data)
 
 
 def test_group_grid_must_tile_the_level():
     rng = np.random.default_rng(4)
     group = DualScanGroup(2, 2, 2, 0.0, rng)
-    grid = partition_patches(np.zeros((4, 4)), 2)
+    order = scan_orders(np.zeros((4, 4)), 1, 2, 0.5)[0]
     with pytest.raises(ShapeError):
-        group.forward(Tensor(np.zeros((64, 2))), grid, 8, 8)
+        group.forward(Tensor(np.zeros((64, 2))), order, 8, 8)
 
 
 def test_silenced_fusion_is_bitwise_identity():
@@ -160,7 +180,7 @@ def test_silenced_fusion_is_bitwise_identity():
     fusion.silence()
     mask = _shadow_mask(8, 8, (2, 6, 2, 6))
     seq = Tensor(rng.normal(size=(64, 3)))
-    out = fusion.forward(seq, mask, 8, 8, 4, 0.5)
+    out = fusion.forward(seq, scan_orders(mask, 2, 4, 0.5), 8, 8)
     assert np.array_equal(out.data, seq.data)
 
 
@@ -168,7 +188,7 @@ def test_fusion_output_shape():
     rng = np.random.default_rng(6)
     fusion = DualScaleFusion(2, 2, 2, 0.0, rng)
     mask = _shadow_mask(8, 12, (0, 4, 0, 6))
-    out = fusion.forward(Tensor(rng.normal(size=(96, 2))), mask, 8, 12, 4, 0.5)
+    out = fusion.forward(Tensor(rng.normal(size=(96, 2))), scan_orders(mask, 2, 4, 0.5), 8, 12)
     assert out.shape == (96, 2)
 
 
@@ -178,7 +198,7 @@ def test_silenced_unet_depth_zero_is_identity():
     unet.silence()
     mask = _shadow_mask(4, 4, (0, 2, 0, 2))
     seq = Tensor(rng.normal(size=(16, 2)))
-    out = unet.forward(seq, mask, 4, 4, 2, 0.5)
+    out = unet.forward(seq, scan_orders(mask, 1, 2, 0.5), 4, 4)
     assert np.array_equal(out.data, seq.data)
 
 
@@ -188,7 +208,7 @@ def test_silenced_unet_with_depth_maps_to_zero():
     unet = ScanUnet(2, 2, 2, 1, 0.0, rng)
     unet.silence()
     mask = _shadow_mask(8, 8, (2, 6, 2, 6))
-    out = unet.forward(Tensor(rng.normal(size=(64, 2))), mask, 8, 8, 2, 0.5)
+    out = unet.forward(Tensor(rng.normal(size=(64, 2))), scan_orders(mask, 2, 2, 0.5), 8, 8)
     assert np.array_equal(out.data, np.zeros((64, 2)))
 
 
@@ -196,7 +216,7 @@ def test_unet_depth_two_shapes():
     rng = np.random.default_rng(9)
     unet = ScanUnet(2, 2, 2, 2, 0.0, rng)
     mask = _shadow_mask(16, 16, (4, 12, 4, 12))
-    out = unet.forward(Tensor(rng.normal(size=(256, 2))), mask, 16, 16, 4, 0.5)
+    out = unet.forward(Tensor(rng.normal(size=(256, 2))), scan_orders(mask, 3, 4, 0.5), 16, 16)
     assert out.shape == (256, 2)
 
 
@@ -210,6 +230,19 @@ def test_unet_named_params_cover_everything():
     assert any(n.startswith("bottleneck.") for n in names)
     assert {"proj.0.w", "proj.0.b", "proj.1.w", "proj.1.b"} <= set(names)
     assert any(n.startswith("up.1.") for n in names)
+
+
+def test_unet_param_names_are_pinned():
+    # these names are the checkpoint contract: a change needs a new magic
+    direction = ["a_log", "d", "w_dt", "b_dt", "w_b", "w_c"]
+    stage = ["ln_gain", "ln_bias", *(f"{d}.{p}" for d in ("fwd", "bwd") for p in direction)]
+    stage += [f"mlp.{p}" for p in ("w1", "b1", "dw", "w2", "b2")]
+    group = [f"{s}.{n}" for s in ("row_stage", "mas_stage") for n in stage]
+    expected = [f"{g}.{n}" for g in ("down.0", "down.1", "bottleneck") for n in group]
+    expected += ["proj.0.w", "proj.0.b", "proj.1.w", "proj.1.b"]
+    expected += [f"up.{i}.{n}" for i in (0, 1) for n in group]
+    unet = ScanUnet(2, 2, 2, 2, 0.0, np.random.default_rng(10))
+    assert [n for n, _ in unet.named_params()] == expected
 
 
 def test_silenced_model_identity_and_residual_toggle():

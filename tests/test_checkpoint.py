@@ -131,11 +131,19 @@ def test_load_rejects_malformed_manifest_fields(tmp_path):
         (b"\nparam ", b"\nparam a 2x-1 0\nparam "),  # negative dimension
         (b"\nparam ", b"\nparam a 2xq 0\nparam "),  # non-integer dimension
         (b"\nblob ", b"\nblob -"),  # negative blob size
+        (b"\nconfig seed=", b"\nconfig seed=5\nconfig seed="),  # a config key twice
+        (b"\nconfig seed=5\n", b"\n"),  # a config key missing
+        (b"\nconfig seed=5\n", b"\nconfig seed=-1\n"),  # negative seed
     ]:
         assert old in data
         path.write_bytes(data.replace(old, new, 1))
         with pytest.raises(ValidationError):
             load_checkpoint(str(path))
+    head, sep, rest = data.partition(b"\nparam ")
+    kept = [line for line in head.split(b"\n") if not line.startswith(b"config ")]
+    path.write_bytes(b"\n".join(kept) + sep + rest)  # no config lines at all
+    with pytest.raises(ValidationError):
+        load_checkpoint(str(path))
 
 
 @settings(max_examples=150, deadline=None)

@@ -80,6 +80,12 @@ def test_check_rejects_unknown_suite(tmp_path):
     assert proc.returncode == 2
 
 
+def test_check_rejects_a_negative_seed(tmp_path):
+    proc = run_cli(["check", "interleave", "--seed", "-1"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_train_toy_needs_a_data_source(tmp_path):
     proc = run_cli(["train-toy", "--steps", "1"], tmp_path)
     assert proc.returncode == 2
@@ -92,6 +98,15 @@ def test_train_toy_rejects_an_empty_set_or_batch(tmp_path, flags):
     assert proc.returncode == 2
     assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [["--steps", "-4", "--size", "8"], ["--steps", "1", "--size", "-3"]])
+def test_train_toy_rejects_negative_steps_or_size(tmp_path, flags):
+    proc = run_cli(["train-toy", "--synth", "2", *flags, *_TINY_FLAGS], tmp_path)
+    assert proc.returncode == 2
+    assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "toy.ckpt").exists()
 
 
 # the toy set with NaN in every clean image, so the first training loss is NaN
@@ -248,6 +263,18 @@ def _non_ascii(lines, blob_size):
     return lines
 
 
+def _negative_seed(lines, blob_size):
+    return [b"config seed=-1" if line == b"config seed=0" else line for line in lines]
+
+
+def _missing_config(lines, blob_size):
+    return [line for line in lines if line != b"config seed=0"]
+
+
+def _repeated_config(lines, blob_size):
+    return lines[:2] + lines[1:]
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -259,6 +286,9 @@ def _non_ascii(lines, blob_size):
         _set_field(0, 3, lambda size, _: str(size - 8).encode()),
         _set_field(1, 3, b"8"),
         _non_ascii,
+        _negative_seed,
+        _missing_config,
+        _repeated_config,
     ],
     ids=[
         "offset-not-integer",
@@ -269,6 +299,9 @@ def _non_ascii(lines, blob_size):
         "param-runs-past-blob",
         "overlapping-params",
         "non-ascii-manifest",
+        "negative-seed",
+        "missing-config-line",
+        "repeated-config-line",
     ],
 )
 def test_forward_rejects_malformed_checkpoint(tmp_path, edit):

@@ -208,6 +208,34 @@ def test_pixel_order_lifts_patches_row_major():
     assert np.array_equal(pixel_order(path), np.array([2, 3, 6, 7, 0, 1, 4, 5]))
 
 
+def _pixel_order_loop(path):
+    # the per-patch loop pixel_order replaced, kept as its reference
+    s = path.patch
+    width = path.cols * s
+    block = (np.arange(s)[:, None] * width + np.arange(s)[None, :]).ravel()
+    idx = np.empty(len(path.coords) * s * s, dtype=np.int64)
+    pos = 0
+    for pr, pc in path.coords:
+        idx[pos : pos + s * s] = pr * s * width + pc * s + block
+        pos += s * s
+    return idx
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    grid=st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda rc: st.tuples(st.just(rc), st.permutations([(r, c) for r in range(rc[0]) for c in range(rc[1])]))
+    ),
+    patch=st.integers(1, 4),
+)
+def test_pixel_order_matches_the_per_patch_loop(grid, patch):
+    (rows, cols), coords = grid
+    path = ScanPath(rows, cols, patch, KIND_MAS, tuple(coords))
+    perm = pixel_order(path)
+    assert perm.dtype == np.int64
+    assert np.array_equal(perm, _pixel_order_loop(path))
+
+
 def test_pixel_order_is_permutation():
     rng = np.random.default_rng(1)
     for patch in (1, 2, 4):
