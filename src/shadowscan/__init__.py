@@ -24,11 +24,10 @@ from .scanorder import (
     dump_path,
     horizontal_order,
     mas_order,
-    parse_path,
     pixel_order,
     spiral_in,
 )
-from .ssm import FixedSsmParams, SsmDirection, build_kernel, discretize, selective_scan, ssm_conv_form
+from .ssm import SsmDirection, discretize
 from .train import cosine_lr, dataset_loss, load_dir_pairs, make_toy_pairs, train
 
 __version__ = "0.1.0"
@@ -66,15 +65,10 @@ __all__ = [
     "dump_path",
     "horizontal_order",
     "mas_order",
-    "parse_path",
     "pixel_order",
     "spiral_in",
-    "FixedSsmParams",
     "SsmDirection",
-    "build_kernel",
     "discretize",
-    "selective_scan",
-    "ssm_conv_form",
     "cosine_lr",
     "dataset_loss",
     "load_dir_pairs",

@@ -80,13 +80,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -102,27 +95,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def param(
@@ -280,16 +252,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # reductions
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum(), a.requires_grad)
-
-    def bw(g):
-        a.accumulate(np.full_like(a.data, float(g)))
-
-    _record(out, bw)
-    return out
 
 
 def mean_all(a: Tensor) -> Tensor:

@@ -13,8 +13,6 @@ mask: the model builds each level's order once per forward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -110,18 +108,6 @@ class DualScanGroup(Module):
         self.mas_stage.silence()
 
 
-@dataclass
-class InterleavedSequence:
-    """Fine and coarse tokens woven into 5-token units, one per 2x2 block."""
-
-    tokens: Tensor
-    height: int
-    width: int
-
-    def __len__(self) -> int:
-        return self.tokens.shape[0]
-
-
 def _interleave_index(height: int, width: int) -> np.ndarray:
     units = (height // 2) * (width // 2)
     # pixel (2i + a, 2j + b) sits at [i, a, j, b]; a unit runs a fastest
@@ -130,10 +116,11 @@ def _interleave_index(height: int, width: int) -> np.ndarray:
     return np.concatenate([fine.reshape(units, 4), coarse[:, None]], axis=1).ravel()
 
 
-def dfmb_interleave(fine: Tensor, coarse: Tensor, height: int, width: int) -> InterleavedSequence:
-    """Weave fine and 2x-downsampled tokens: per 2x2 block the four fine
-    tokens (top-left, bottom-left, top-right, bottom-right) then the one
-    coarse token; units follow row-major block order."""
+def dfmb_interleave(fine: Tensor, coarse: Tensor, height: int, width: int) -> Tensor:
+    """Weave fine and 2x-downsampled tokens into 5-token units, one per 2x2
+    block: the four fine tokens (top-left, bottom-left, top-right,
+    bottom-right) then the one coarse token; units follow row-major block
+    order."""
     if height % 2 or width % 2:
         raise ShapeError(f"interleave needs even dims, got {height}x{width}")
     if fine.shape[0] != height * width or coarse.shape[0] != (height // 2) * (width // 2):
@@ -141,13 +128,14 @@ def dfmb_interleave(fine: Tensor, coarse: Tensor, height: int, width: int) -> In
             f"token counts {fine.shape[0]}/{coarse.shape[0]} do not match {height}x{width} and its half"
         )
     source = ad.concat_rows(fine, coarse)
-    return InterleavedSequence(ad.permute_gather(source, _interleave_index(height, width)), height, width)
+    return ad.permute_gather(source, _interleave_index(height, width))
 
 
-def fold_back(seq: InterleavedSequence) -> Tensor:
-    """Drop the coarse tokens and restore fine tokens to row-major order."""
-    woven_at = ad.invert_permutation(_interleave_index(seq.height, seq.width))
-    return ad.gather_rows(seq.tokens, woven_at[: seq.height * seq.width])
+def fold_back(tokens: Tensor, height: int, width: int) -> Tensor:
+    """Drop the coarse tokens of a ``height`` x ``width`` weave and restore
+    the fine tokens to row-major order."""
+    woven_at = ad.invert_permutation(_interleave_index(height, width))
+    return ad.gather_rows(tokens, woven_at[: height * width])
 
 
 class DualScaleFusion(Module):
@@ -174,8 +162,8 @@ class DualScaleFusion(Module):
         down = self.half.forward(down_seq, orders[1], height // 2, width // 2, training)
         woven = dfmb_interleave(big, down, height, width)
         # the 5-token units of one block row tile a (H/2, 5W/2) map exactly
-        fused = self.fusion.forward(woven.tokens, height // 2, 5 * (width // 2), training)
-        return fold_back(InterleavedSequence(fused, height, width))
+        fused = self.fusion.forward(woven, height // 2, 5 * (width // 2), training)
+        return fold_back(fused, height, width)
 
     def silence(self) -> None:
         self.full.silence()

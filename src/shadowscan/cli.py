@@ -31,7 +31,7 @@ from .imageio import read_image, read_mask, write_image, write_ppm
 from .maskgrid import partition_patches
 from .metrics import evaluate, format_report
 from .scanorder import dump_path, mas_order
-from .train import dataset_loss, load_dir_pairs, make_toy_pairs, train
+from .train import check_run, dataset_loss, load_dir_pairs, make_toy_pairs, train
 
 log = logging.getLogger("shadowscan")
 
@@ -176,6 +176,7 @@ def cmd_train_toy(args) -> int:
         pairs = make_toy_pairs(count=args.synth, size=args.size, seed=config.seed)
     else:
         raise ValidationError("need --data DIR or --synth N to train on")
+    check_run(pairs, args.steps, args.batch)
     model = ShadowNet(config)
     initial = dataset_loss(model, pairs)
     rows = []

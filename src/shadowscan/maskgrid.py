@@ -70,10 +70,6 @@ class PatchGrid:
     shadow: np.ndarray
     tau: float
 
-    @property
-    def shadow_count(self) -> int:
-        return int(self.shadow.sum())
-
 
 def partition_patches(mask: np.ndarray, patch_size: int, tau: float = 0.5) -> PatchGrid:
     """Tile the mask into patches and label each by mean coverage >= tau."""

@@ -19,7 +19,6 @@ mask-aware order.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +44,6 @@ class ScanPath:
     coords: tuple[tuple[int, int], ...]
     start_a: tuple[int, int] | None = None
     start_b: tuple[int, int] | None = None
-
-    def __len__(self) -> int:
-        return len(self.coords)
 
     @property
     def flat(self) -> np.ndarray:
@@ -267,39 +263,3 @@ def dump_path(path: ScanPath) -> str:
     lines.extend(f"{r} {c}" for r, c in path.coords)
     return "\n".join(lines) + "\n"
 
-
-def parse_path(text: str) -> ScanPath:
-    """Read a ``dump_path`` dump back; anything but a full permutation of
-    the header's grid raises ValidationError."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValidationError("empty path dump")
-    head = lines[0].split()
-    if len(head) != 4:
-        raise ValidationError(f"bad path header: {lines[0]!r}")
-    rows, cols, patch = (_dump_int(field, lines[0]) for field in head[:3])
-    if rows < 1 or cols < 1 or patch < 1:
-        raise ValidationError(f"path header needs positive rows, cols and patch: {lines[0]!r}")
-    if len(lines) - 1 != rows * cols:
-        raise ValidationError(f"path dump has {len(lines) - 1} cells, header says {rows}x{cols}")
-    coords = []
-    seen = set()
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValidationError(f"bad path line: {ln!r}")
-        cell = (_dump_int(parts[0], ln), _dump_int(parts[1], ln))
-        if not (0 <= cell[0] < rows and 0 <= cell[1] < cols):
-            raise ValidationError(f"path cell outside the {rows}x{cols} grid: {ln!r}")
-        if cell in seen:
-            raise ValidationError(f"path cell visited twice: {ln!r}")
-        seen.add(cell)
-        coords.append(cell)
-    return ScanPath(rows, cols, patch, head[3], tuple(coords))
-
-
-def _dump_int(field: str, line: str) -> int:
-    # at most 18 digits, so every field fits an int64
-    if not re.fullmatch(r"-?[0-9]{1,18}", field):
-        raise ValidationError(f"not an integer of at most 18 digits: {field!r} in {line!r}")
-    return int(field)

@@ -7,28 +7,35 @@ The continuous model per channel is
 
 with diagonal negative A. Zero-order-hold discretization over a step D
 gives Abar = exp(D A) and Bbar = (D A)^-1 (exp(D A) - I) D B, with the
-series limit Bbar -> D B taken once |D A| drops below 1e-8. Token-invariant
-parameters admit an equivalent causal convolution with kernel
-(C Bbar, C Abar Bbar, ..., C Abar^(L-1) Bbar); the selective variant derives
-the step size and the input/output mixing vectors from each token and only
-the sequential recurrence applies.
+series limit Bbar -> D B taken once |D A| drops below 1e-8; ``discretize``
+and the model's ``zoh_factor`` share one implementation of that factor.
+The model's blocks derive the step size and the input/output mixing
+vectors from each token, so only the sequential recurrence applies; the
+convolution form that token-invariant parameters admit lives with the
+``check ssm-equiv`` suite, which cross-checks the recurrence against it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 from .module import Module
 
 ZOH_SERIES_THRESHOLD = 1e-8
 
 # abar at the softplus(0) step size equals this after default init
 _INIT_ABAR = 0.9
+
+
+def _zoh_terms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(exp(u) - 1) / u elementwise, 1 where |u| is below the series
+    threshold; also that mask and u with the masked entries set to 1."""
+    small = np.abs(u) < ZOH_SERIES_THRESHOLD
+    safe = np.where(small, 1.0, u)
+    return np.where(small, 1.0, np.expm1(safe) / safe), small, safe
 
 
 def discretize(a_diag: np.ndarray, b_in: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -45,66 +52,14 @@ def discretize(a_diag: np.ndarray, b_in: np.ndarray, delta: float) -> tuple[np.n
         raise ShapeError(f"diagonal A {a.shape} and B {b.shape} must match")
     da = delta * a
     abar = np.exp(da)
-    small = np.abs(da) < ZOH_SERIES_THRESHOLD
-    safe = np.where(small, 1.0, da)
-    factor = np.where(small, 1.0, np.expm1(safe) / safe)
+    factor, _, _ = _zoh_terms(da)
     return abar, factor * delta * b
-
-
-@dataclass(frozen=True)
-class FixedSsmParams:
-    """Token-invariant scan parameters for one scalar channel."""
-
-    a_diag: np.ndarray
-    b_in: np.ndarray
-    c_out: np.ndarray
-    d: float
-    delta: float
-
-    selective = False
-
-    @property
-    def state_dim(self) -> int:
-        return self.a_diag.shape[0]
-
-
-@dataclass(frozen=True)
-class SsmKernel:
-    """Precomputed convolution view of a token-invariant scan."""
-
-    kernel: np.ndarray
-    abar: np.ndarray
-    bbar: np.ndarray
-
-
-def build_kernel(params: FixedSsmParams, length: int) -> SsmKernel:
-    if params.selective:
-        raise ContractError("convolution form requires token-invariant parameters")
-    if length < 1:
-        raise ConfigError(f"kernel length must be >= 1, got {length}")
-    abar, bbar = discretize(params.a_diag, params.b_in, params.delta)
-    powers = abar[None, :] ** np.arange(length, dtype=np.float64)[:, None]
-    return SsmKernel(powers @ (np.asarray(params.c_out, dtype=np.float64) * bbar), abar, bbar)
-
-
-def ssm_conv_form(x: Tensor | np.ndarray, kernel: SsmKernel, d: float) -> Tensor:
-    """Reference path: y = x (*) kernel + d x, causal and truncated to len(x).
-
-    Not recorded on the tape; this exists to cross-check the recurrence.
-    """
-    data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if data.ndim != 1:
-        raise ShapeError(f"conv form runs on 1-D sequences, got shape {data.shape}")
-    y = np.convolve(data, kernel.kernel)[: data.shape[0]] + d * data
-    return Tensor(y)
 
 
 def zoh_factor(u: Tensor) -> Tensor:
     """(exp(u) - 1) / u elementwise, with the series limit 1 near zero."""
-    ud = u.data
-    small = np.abs(ud) < ZOH_SERIES_THRESHOLD
-    safe = np.where(small, 1.0, ud)
-    out = Tensor(np.where(small, 1.0, np.expm1(safe) / safe), u.requires_grad)
+    factor, small, safe = _zoh_terms(u.data)
+    out = Tensor(factor, u.requires_grad)
 
     def bw(g):
         der = np.where(small, 0.5, (safe * np.exp(safe) - np.expm1(safe)) / (safe * safe))
@@ -185,8 +140,6 @@ class SsmDirection(Module):
         self.channels = channels
         self.state_dim = state_dim
 
-    selective = True
-
     def scan(self, x: Tensor) -> Tensor:
         """Run the selective recurrence over an (L, C) sequence."""
         if x.ndim != 2 or x.shape[1] != self.channels:
@@ -211,24 +164,6 @@ class SsmDirection(Module):
         """Zero the output mixing and the direct term: the scan emits zeros."""
         self.w_c.data[:] = 0.0
         self.d.data[:] = 0.0
-
-
-def selective_scan(x: Tensor, params: FixedSsmParams | SsmDirection) -> Tensor:
-    """Scan a single-channel (L,) sequence with fixed or selective params."""
-    if x.ndim != 1:
-        raise ShapeError(f"selective_scan runs on (L,) sequences, got {x.shape}")
-    length = x.shape[0]
-    if isinstance(params, SsmDirection):
-        if params.channels != 1:
-            raise ShapeError("single-channel scan needs channels == 1 parameters")
-        return ad.reshape(params.scan(ad.reshape(x, (length, 1))), (length,))
-    abar, bbar = discretize(params.a_diag, params.b_in, params.delta)
-    n = abar.shape[0]
-    abar_t = Tensor(np.broadcast_to(abar, (length, 1, n)).copy())
-    bx = ad.mul(Tensor(bbar), ad.reshape(x, (length, 1, 1)))
-    cvec = Tensor(np.broadcast_to(np.asarray(params.c_out, dtype=np.float64), (length, n)).copy())
-    y = ad.reshape(ssm_recurrence(abar_t, bx, cvec), (length,))
-    return ad.add(y, ad.mul(x, params.d))
 
 
 def bidirectional_ssm_block(

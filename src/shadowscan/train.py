@@ -128,6 +128,17 @@ def _check_finite(named: list[tuple[str, Tensor]], loss: float, step: int) -> No
             raise ValidationError(f"training step {step}: gradient of {name} is not finite")
 
 
+def check_run(pairs: list[Pair], steps: int, batch_size: int) -> None:
+    """Raise ValidationError for a run ``train`` cannot make; cheap, so
+    callers can reject bad arguments before any forward pass."""
+    if not pairs:
+        raise ValidationError("training requires at least one image pair")
+    if steps < 0:
+        raise ValidationError(f"steps must be at least 0, got {steps}")
+    if batch_size < 1:
+        raise ValidationError(f"batch size must be at least 1, got {batch_size}")
+
+
 def train(
     model: ShadowNet,
     pairs: list[Pair],
@@ -139,12 +150,7 @@ def train(
 ) -> list[float]:
     """Run `steps` updates, cycling through `pairs` in fixed order. Returns
     the per-step training losses."""
-    if not pairs:
-        raise ValidationError("training requires at least one image pair")
-    if steps < 0:
-        raise ValidationError(f"steps must be at least 0, got {steps}")
-    if batch_size < 1:
-        raise ValidationError(f"batch size must be at least 1, got {batch_size}")
+    check_run(pairs, steps, batch_size)
     state = init_adam(model.params())
     losses = []
     cursor = 0

@@ -12,12 +12,16 @@ from shadowscan.autodiff import GradTape, Tensor
 
 
 def tape_grads(fn, tensors, weight):
-    """Gradients of sum(fn(*tensors) * weight) from one backward pass."""
+    """Gradients of sum(fn(*tensors) * weight) from one backward pass.
+
+    The sum is the mean seeded with the element count n: every element gets
+    the cotangent n / n = 1.0 exactly, as from a plain sum.
+    """
     for t in tensors:
         t.zero_grad()
     with GradTape() as tape:
-        loss = ad.sum_all(ad.mul(fn(*tensors), Tensor(weight)))
-    ad.backward(loss, tape)
+        loss = ad.mean_all(ad.mul(fn(*tensors), Tensor(weight)))
+    ad.backward(loss, tape, seed=np.size(weight))
     return [t.grad for t in tensors]
 
 

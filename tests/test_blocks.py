@@ -94,8 +94,8 @@ def test_interleave_single_unit_order():
     fine = Tensor(np.arange(4.0)[:, None])
     coarse = Tensor(np.array([[10.0]]))
     woven = dfmb_interleave(fine, coarse, 2, 2)
-    assert len(woven) == 5
-    assert np.array_equal(woven.tokens.data[:, 0], np.array([0.0, 2.0, 1.0, 3.0, 10.0]))
+    assert woven.shape[0] == 5
+    assert np.array_equal(woven.data[:, 0], np.array([0.0, 2.0, 1.0, 3.0, 10.0]))
 
 
 def test_interleave_length_and_unit_structure():
@@ -103,8 +103,8 @@ def test_interleave_length_and_unit_structure():
     fine = Tensor(np.arange(h * w, dtype=float)[:, None])
     coarse = Tensor(100.0 + np.arange(h * w // 4, dtype=float)[:, None])
     woven = dfmb_interleave(fine, coarse, h, w)
-    assert len(woven) == 5 * h * w // 4
-    tok = woven.tokens.data[:, 0]
+    assert woven.shape[0] == 5 * h * w // 4
+    tok = woven.data[:, 0]
     for i in range(h // 2):
         for j in range(w // 2):
             unit = i * (w // 2) + j
@@ -124,7 +124,7 @@ def test_interleave_round_trip_bitwise():
         fine = Tensor(rng.normal(size=(h * w, 3)))
         coarse = Tensor(rng.normal(size=(h * w // 4, 3)))
         woven = dfmb_interleave(fine, coarse, h, w)
-        assert np.array_equal(fold_back(woven).data, fine.data)
+        assert np.array_equal(fold_back(woven, h, w).data, fine.data)
 
 
 def test_interleave_validation():
@@ -142,8 +142,8 @@ def test_interleave_grads_flow_to_both_scales():
     coarse = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
     with GradTape() as tape:
         woven = dfmb_interleave(fine, coarse, 2, 4)
-        loss = ad.sum_all(ad.mul(woven.tokens, Tensor(np.ones((10, 2)))))
-    backward(loss, tape)
+        loss = ad.mean_all(ad.mul(woven, Tensor(np.ones((10, 2)))))
+    backward(loss, tape, seed=20)
     assert np.array_equal(fine.grad, np.ones((8, 2)))
     assert np.array_equal(coarse.grad, np.ones((2, 2)))
 

@@ -1,4 +1,5 @@
-"""End-to-end command runs in a subprocess: files in, files out, exit codes."""
+"""End-to-end command runs: files in, files out, exit codes. Each run is a
+separate process, except where a test patches the CLI module in-process."""
 
 import os
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import SRC, run_cli, run_python
+from shadowscan import cli
 from shadowscan.blocks import ShadowNet
 from shadowscan.checkpoint import load_checkpoint, save_checkpoint
 from shadowscan.config import ModelConfig
@@ -106,6 +108,18 @@ def test_train_toy_rejects_negative_steps_or_size(tmp_path, flags):
     assert proc.returncode == 2
     assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "toy.ckpt").exists()
+
+
+@pytest.mark.parametrize("flags", [["--steps", "-4"], ["--batch", "0"], ["--batch", "-2"]])
+def test_train_toy_rejects_bad_steps_or_batch_before_any_forward(tmp_path, monkeypatch, capsys, flags):
+    def no_forward(*args, **kwargs):
+        raise AssertionError("dataset_loss ran before the arguments were checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "dataset_loss", no_forward)
+    assert cli.main(["train-toy", "--synth", "8", *flags, "--size", "8", *_TINY_FLAGS]) == 2
+    assert len([line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]) == 1
     assert not (tmp_path / "toy.ckpt").exists()
 
 

@@ -30,7 +30,7 @@ def test_partition_means_and_labels():
     assert np.array_equal(grid.mean_mask, np.array([[1.0, 0.5], [0.0, 0.0]]))
     # the threshold is inclusive: mean exactly tau counts as shadow
     assert np.array_equal(grid.shadow, np.array([[True, True], [False, False]]))
-    assert grid.shadow_count == 2
+    assert int(grid.shadow.sum()) == 2
 
 
 def test_partition_patch_one_is_thresholded_mask():

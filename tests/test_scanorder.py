@@ -22,7 +22,6 @@ from shadowscan.scanorder import (
     horizontal_order,
     mas_order,
     mean_adjacent_gap,
-    parse_path,
     pixel_order,
     select_start_a,
     spiral_in,
@@ -282,56 +281,4 @@ def test_dump_and_parse_round_trip():
     lines = text.splitlines()
     assert lines[0] == "4 8 1 mas"
     assert len(lines) == 1 + 32
-    parsed = parse_path(text)
-    assert parsed.coords == path.coords
-    assert (parsed.rows, parsed.cols, parsed.patch, parsed.kind) == (4, 8, 1, KIND_MAS)
-
-
-def test_parse_path_rejects_garbage():
-    with pytest.raises(ValidationError):
-        parse_path("")
-    with pytest.raises(ValidationError):
-        parse_path("4 4 1\n0 0\n")
-    with pytest.raises(ValidationError):
-        parse_path("2 2 1 mas\n0 0 0\n")
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "2 x 1 mas\n0 0\n0 1\n",  # non-numeric header field
-        "1 2 1 mas\n0 0\n0 1.0\n",  # non-integer cell
-        "1 2 1 mas\n0 0\n0 \u0661\n",  # non-ASCII digit
-        "1 2 1 mas\n0 0\n0 1_0\n",
-        "1 99999999999999999999 1 mas\n0 0\n",  # beyond int64
-        "-2 2 1 s",
-        "0 1 1 mas\n",
-        "1 1 0 mas\n0 0\n",  # patch not positive
-        "2 2 1 spiral\n0 9\n",  # out of range and incomplete
-        "2 2 1 mas\n0 0\n0 1\n1 0\n",  # one cell short
-        "1 2 1 mas\n0 0\n0 1\n0 0\n",  # one cell too many
-        "2 2 1 mas\n0 0\n0 1\n1 0\n1 -1\n",  # negative column
-        "2 2 1 mas\n0 0\n0 1\n1 0\n2 0\n",  # row out of range
-        "2 2 1 mas\n0 0\n0 1\n1 0\n0 1\n",  # repeated cell
-    ],
-)
-def test_parse_path_rejects_malformed_dumps(text):
-    with pytest.raises(ValidationError):
-        parse_path(text)
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_parse_path_fuzz_parses_a_permutation_or_raises_validation_error(data):
-    grid = partition_patches(_rect_mask(6, 8, RegionRect(2, 3, 2, 5)), 2)
-    raw = bytearray(dump_path(mas_order(grid)).encode("ascii"))
-    for at, value in data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)), max_size=4)):
-        raw[at] = value
-    raw = raw[: data.draw(st.integers(0, len(raw)))]
-    try:
-        path = parse_path(raw.decode("latin-1"))
-    except ValidationError:
-        return
-    assert path.rows >= 1 and path.cols >= 1 and path.patch >= 1
-    assert len(path) == path.rows * path.cols
-    assert path.is_permutation()
+    assert [tuple(map(int, line.split())) for line in lines[1:]] == list(path.coords)

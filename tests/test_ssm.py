@@ -10,32 +10,19 @@ from hypothesis.extra.numpy import arrays
 from helpers import assert_grads_match, tape_grads
 from shadowscan import autodiff as ad
 from shadowscan.autodiff import GradTape, Tensor, backward
-from shadowscan.errors import ConfigError, ContractError, ShapeError
+from shadowscan.checks import _conv_and_recurrence
+from shadowscan.errors import ConfigError, ShapeError
 from shadowscan.ssm import (
     ConvMlp,
-    FixedSsmParams,
     SsmDirection,
     SsmStage,
     bidirectional_ssm_block,
-    build_kernel,
     discretize,
-    selective_scan,
-    ssm_conv_form,
     ssm_recurrence,
     zoh_factor,
 )
 
 LN2 = float(np.log(2.0))
-
-
-def _params(a, b, c, d, delta):
-    return FixedSsmParams(
-        a_diag=np.atleast_1d(np.asarray(a, dtype=float)),
-        b_in=np.atleast_1d(np.asarray(b, dtype=float)),
-        c_out=np.atleast_1d(np.asarray(c, dtype=float)),
-        d=float(d),
-        delta=float(delta),
-    )
 
 
 def test_discretize_half_life_step():
@@ -74,6 +61,19 @@ def test_discretize_validation():
         discretize(np.array([-1.0]), np.array([1.0, 2.0]), 1.0)
 
 
+def test_discretize_runs_the_model_zoh_factor():
+    # the checked step and the model's scan share one ZOH factor, series
+    # branch included: bbar is bitwise zoh_factor(delta a) * delta * b
+    rng = np.random.default_rng(16)
+    a = np.concatenate([-np.exp(rng.normal(size=20)), [-1e-12, 0.0, -2e-8]])
+    b = rng.normal(size=a.size)
+    for delta in (1e-3, 0.37, 1.0):
+        abar, bbar = discretize(a, b, delta)
+        da = delta * a
+        assert np.array_equal(abar, np.exp(da))
+        assert np.array_equal(bbar, zoh_factor(Tensor(da)).data * delta * b)
+
+
 def test_zoh_factor_values_and_grads():
     u = Tensor(np.array([-2.0, -0.5, 0.5, 2.0]), requires_grad=True)
     expect = np.expm1(u.data) / u.data
@@ -83,8 +83,8 @@ def test_zoh_factor_values_and_grads():
     z = Tensor(np.array([0.0]), requires_grad=True)
     assert zoh_factor(z).data[0] == 1.0
     with GradTape() as tape:
-        out = ad.sum_all(zoh_factor(z))
-    backward(out, tape)
+        out = ad.mean_all(zoh_factor(z))
+    backward(out, tape, seed=z.data.size)
     assert z.grad[0] == pytest.approx(0.5, abs=1e-9)
 
 
@@ -186,29 +186,24 @@ def test_recurrence_shape_validation():
         )
 
 
+def _one(value):
+    return np.array([value], dtype=float)
+
+
 def test_kernel_two_tap_example():
-    # abar 0.5, bbar 1, C 1: kernel taps (1, 1/2)
-    params = _params(-1.0, 2.0, 1.0, 0.0, LN2)
-    kern = build_kernel(params, 2)
-    assert np.abs(kern.kernel - np.array([1.0, 0.5])).max() <= 1e-12
-    y = ssm_conv_form(np.array([1.0, 0.0]), kern, params.d)
-    assert np.abs(y.data - np.array([1.0, 0.5])).max() <= 1e-12
-
-
-def test_kernel_validation():
-    params = _params(-1.0, 1.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ConfigError):
-        build_kernel(params, 0)
-    with pytest.raises(ShapeError):
-        ssm_conv_form(np.ones((2, 2)), build_kernel(params, 2), 0.0)
+    # abar 0.5, bbar 1, C 1: kernel taps (1, 1/2), so the impulse response
+    # is (1, 1/2) by either form
+    y_conv, y_rec = _conv_and_recurrence(_one(-1.0), _one(2.0), _one(1.0), 0.0, LN2, np.array([1.0, 0.0]))
+    assert np.abs(y_conv - np.array([1.0, 0.5])).max() <= 1e-12
+    assert np.abs(y_rec - np.array([1.0, 0.5])).max() <= 1e-12
 
 
 def test_direct_term_passthrough():
     # C = 0 with d = 1 leaves the sequence untouched
-    params = _params(-1.0, 2.0, 0.0, 1.0, LN2)
-    x = Tensor(np.random.default_rng(2).normal(size=11))
-    y = selective_scan(x, params)
-    assert np.array_equal(y.data, x.data)
+    x = np.random.default_rng(2).normal(size=11)
+    y_conv, y_rec = _conv_and_recurrence(_one(-1.0), _one(2.0), _one(0.0), 1.0, LN2, x)
+    assert np.array_equal(y_rec, x)
+    assert np.array_equal(y_conv, x)
 
 
 def test_conv_form_matches_recurrence():
@@ -216,23 +211,14 @@ def test_conv_form_matches_recurrence():
     for _ in range(10):
         n = int(rng.integers(1, 5))
         length = int(rng.integers(1, 30))
-        params = _params(
-            -np.exp(rng.normal(size=n)),
-            rng.normal(size=n),
-            rng.normal(size=n),
-            float(rng.normal()),
-            float(np.exp(rng.uniform(np.log(0.01), 0.0))),
-        )
-        x = Tensor(rng.normal(size=length))
-        via_conv = ssm_conv_form(x, build_kernel(params, length), params.d)
-        via_scan = selective_scan(x, params)
-        assert np.abs(via_conv.data - via_scan.data).max() <= 1e-10
-
-
-def test_conv_form_rejects_selective_params():
-    direction = SsmDirection(1, 2, np.random.default_rng(4))
-    with pytest.raises(ContractError):
-        build_kernel(direction, 8)
+        a = -np.exp(rng.normal(size=n))
+        b = rng.normal(size=n)
+        c = rng.normal(size=n)
+        d = float(rng.normal())
+        delta = float(np.exp(rng.uniform(np.log(0.01), 0.0)))
+        x = rng.normal(size=length)
+        via_conv, via_scan = _conv_and_recurrence(a, b, c, d, delta, x)
+        assert np.abs(via_conv - via_scan).max() <= 1e-10
 
 
 def test_selective_direction_init():
@@ -253,8 +239,6 @@ def test_selective_scan_channels_must_match():
     direction = SsmDirection(2, 2, rng)
     with pytest.raises(ShapeError):
         direction.scan(Tensor(rng.normal(size=(5, 3))))
-    with pytest.raises(ShapeError):
-        selective_scan(Tensor(rng.normal(size=5)), direction)
 
 
 def test_selective_scan_oracle():
