@@ -8,8 +8,9 @@ Layout: ASCII header lines, then one raw little-endian float64 blob.
     blob <total-bytes>
     <raw data>
 
-Offsets index into the blob. The manifest (names, shapes, config) is the
-compatibility contract: loading rejects any mismatch instead of guessing.
+Offsets index into the blob and are multiples of 8. The manifest (names,
+shapes, config) is the compatibility contract: loading rejects any mismatch
+instead of guessing.
 """
 
 from __future__ import annotations
@@ -83,7 +84,10 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
             if name in entries:
                 raise ValidationError(f"param {name} appears twice in the manifest")
             shape = tuple(_count(d, f"dimension of {name}") for d in shape_text.split("x"))
-            entries[name] = (shape, _count(offset, f"offset of {name}"))
+            start = _count(offset, f"offset of {name}")
+            if start % 8:
+                raise ValidationError(f"offset of {name} must be a multiple of 8, got {start}")
+            entries[name] = (shape, start)
         elif line.startswith("blob "):
             fields = line.split(" ")
             if len(fields) != 2:
@@ -107,6 +111,11 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
             covered_to, last = offset + 8 * count, name
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         arrays[name] = arr.reshape(shape).astype(np.float64)
+    # every param is 8-byte aligned, so one pass over the blob sees each value
+    if not np.isfinite(np.frombuffer(blob, dtype="<f8", count=blob_size // 8)).all():
+        for name, arr in arrays.items():
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"param {name} holds a non-finite value")
     missing = [f.name for f in dataclasses.fields(ModelConfig) if f.name not in config_values]
     if missing:
         raise ValidationError(f"checkpoint manifest lacks config {', '.join(missing)}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -35,18 +36,6 @@ from .train import check_run, dataset_loss, load_dir_pairs, make_toy_pairs, trai
 
 log = logging.getLogger("shadowscan")
 
-_CONFIG_FLAGS = (
-    "channels",
-    "state_dim",
-    "expansion",
-    "unet_depth",
-    "patch_size",
-    "tau",
-    "dropout",
-    "residual_output",
-    "seed",
-)
-
 
 def _read_config_file(path: str) -> dict[str, str]:
     try:
@@ -62,19 +51,20 @@ def _read_config_file(path: str) -> dict[str, str]:
         key, sep, value = text.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: {key} is set twice")
+        values[key] = value.strip()
     return values
 
 
 def _collect_overrides(args) -> dict[str, str]:
     """Merge config-file values and explicit flags, flags winning."""
-    values: dict[str, str] = {}
-    if args.config:
-        values.update(_read_config_file(args.config))
-    for key in _CONFIG_FLAGS:
-        flag = getattr(args, key, None)
+    values = _read_config_file(args.config) if args.config else {}
+    for f in fields(ModelConfig):
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            values[key] = str(flag)
+            values[f.name] = flag
     return values
 
 
@@ -125,10 +115,9 @@ def render_scan_viz(mask: np.ndarray, patch: int, tau: float) -> tuple[str, np.n
 def cmd_scan_viz(args) -> int:
     config = _resolve_config(args)
     mask = read_mask(args.mask)
-    prefix = args.out if args.out else "scan"
     text, img = render_scan_viz(mask, config.patch_size, config.tau)
-    path_file = f"{prefix}_path.txt"
-    viz_file = f"{prefix}_viz.ppm"
+    path_file = f"{args.out}_path.txt"
+    viz_file = f"{args.out}_viz.ppm"
     with open(path_file, "w", encoding="ascii") as f:
         f.write(text)
     write_ppm(viz_file, img)
@@ -162,9 +151,8 @@ def cmd_forward(args) -> int:
     image = read_image(args.image)
     mask = read_mask(args.mask)
     pred = model.forward(image, mask)
-    out = args.out if args.out else "pred.ppm"
-    write_image(out, pred.data)
-    log.info("wrote %s", out)
+    write_image(args.out, pred.data)
+    log.info("wrote %s", args.out)
     return 0
 
 
@@ -188,21 +176,19 @@ def cmd_train_toy(args) -> int:
         log_fn=lambda step, lr, loss: rows.append((step, loss, lr)),
     )
     final = dataset_loss(model, pairs)
-    out = args.out if args.out else "toy.ckpt"
-    save_checkpoint(out, model)
-    log_path = args.log if args.log else out + ".log"
+    save_checkpoint(args.out, model)
+    log_path = args.log if args.log else args.out + ".log"
     with open(log_path, "w", encoding="ascii") as f:
         f.write("step,loss,lr\n")
         for step, loss, lr in rows:
             f.write(f"{step},{loss!r},{lr!r}\n")
     print(f"initial_loss={initial!r}")
     print(f"final_loss={final!r}")
-    log.info("wrote %s and %s", out, log_path)
+    log.info("wrote %s and %s", args.out, log_path)
     return 0
 
 
 def cmd_eval(args) -> int:
-    _resolve_config(args)
     pred = read_image(args.pred)
     gt = read_image(args.gt)
     mask = read_mask(args.mask)
@@ -217,19 +203,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, names: tuple[str, ...] | None = None) -> None:
+    """``--config`` plus one string-valued flag per named ``ModelConfig``
+    field (every field when names is None), for ``ModelConfig.from_dict``."""
     parser.add_argument("--config", metavar="PATH", help="key=value config file")
-    parser.add_argument("--seed", type=int, metavar="N", help="RNG seed / config seed")
-    parser.add_argument("--out", metavar="PATH", help="output path (or prefix)")
     group = parser.add_argument_group("model overrides")
-    group.add_argument("--channels", type=int)
-    group.add_argument("--state-dim", dest="state_dim", type=int)
-    group.add_argument("--expansion", type=int)
-    group.add_argument("--unet-depth", dest="unet_depth", type=int)
-    group.add_argument("--patch-size", dest="patch_size", type=int)
-    group.add_argument("--tau", type=float)
-    group.add_argument("--dropout", type=float)
-    group.add_argument("--residual-output", dest="residual_output", choices=("true", "false"))
+    for f in fields(ModelConfig):
+        if names is None or f.name in names:
+            group.add_argument(
+                "--" + f.name.replace("_", "-"), dest=f.name, metavar=f.type.upper(), help=f"default {f.default}"
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,18 +224,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-viz", help="dump and render the mask-aware scan order")
     p.add_argument("mask", help="shadow mask (PGM or PNG)")
-    _add_config_flags(p)
+    p.add_argument("--out", default="scan", metavar="PREFIX", help="writes PREFIX_path.txt and PREFIX_viz.ppm")
+    _add_config_flags(p, ("patch_size", "tau"))
     p.set_defaults(func=cmd_scan_viz)
 
     p = sub.add_parser("check", help="run self-check suites")
     p.add_argument("suite", nargs="?", default="all", choices=SUITES + ("all",))
-    _add_config_flags(p)
+    _add_config_flags(p, ("seed",))
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("forward", help="run the model on one image")
     p.add_argument("image", help="shadowed image (PPM or PNG)")
     p.add_argument("mask", help="shadow mask (PGM or PNG)")
     p.add_argument("--checkpoint", required=True, metavar="PATH")
+    p.add_argument("--out", default="pred.ppm", metavar="PATH")
     _add_config_flags(p)
     p.set_defaults(func=cmd_forward)
 
@@ -263,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=4)
     p.add_argument("--size", type=int, default=32, help="synthetic image side")
     p.add_argument("--log", metavar="PATH", help="loss log path (default: <out>.log)")
+    p.add_argument("--out", default="toy.ckpt", metavar="PATH", help="checkpoint path")
     _add_config_flags(p)
     p.set_defaults(func=cmd_train_toy)
 
@@ -271,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gt")
     p.add_argument("mask")
     p.add_argument("--resize256", action="store_true", help="rescale everything to 256x256 first")
-    _add_config_flags(p)
+    p.add_argument("--out", metavar="PATH", help="report path (default: stdout)")
     p.set_defaults(func=cmd_eval)
     return parser
 

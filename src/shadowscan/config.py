@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, ShapeError
@@ -45,12 +46,9 @@ class ModelConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
-    def spatial_divisor(self) -> int:
-        # the dual-scale fusion needs one halving even at depth 0
-        return 2 ** max(self.unet_depth, 1)
-
     def check_spatial(self, height: int, width: int) -> None:
-        div = self.spatial_divisor()
+        # the dual-scale fusion needs one halving even at depth 0
+        div = 2 ** max(self.unet_depth, 1)
         if height % div or width % div or height < div or width < div:
             raise ShapeError(
                 f"input {height}x{width} must be divisible by {div} for unet_depth={self.unet_depth}"
@@ -61,32 +59,40 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "ModelConfig":
-        known = {f.name: f.type for f in fields(cls)}
-        unknown = set(values) - set(known)
+        """Parse each value by its field's type (flags, config files and checkpoints alike), then validate."""
+        unknown = set(values) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in values:
-                continue
-            raw = values[f.name]
-            if f.name == "residual_output":
-                kwargs[f.name] = _parse_bool(raw)
-                continue
-            parse, kind = (float, "a number") if f.name in ("tau", "dropout") else (int, "an integer")
-            try:
-                kwargs[f.name] = parse(raw)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{f.name} must be {kind}, got {raw!r}") from None
-        return cls(**kwargs).validate()
+        return cls(
+            **{f.name: _PARSERS[f.type](f.name, values[f.name]) for f in fields(cls) if f.name in values}
+        ).validate()
 
 
-def _parse_bool(raw) -> bool:
-    if isinstance(raw, bool):
-        return raw
+def _parse_int(name: str, raw) -> int:
+    # int() would also take "1_6", "+4" and non-ASCII digits
+    if not re.fullmatch(r"-?[0-9]+", str(raw)):
+        raise ConfigError(f"{name} must be an integer, got {raw!r}")
+    return int(raw)
+
+
+def _parse_float(name: str, raw) -> float:
+    text = str(raw)
+    if "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise ConfigError(f"{name} must be a number, got {raw!r}")
+
+
+def _parse_bool(name: str, raw) -> bool:
     text = str(raw).strip().lower()
     if text in ("1", "true", "yes", "on"):
         return True
     if text in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {raw!r}")
+    raise ConfigError(f"{name} must be a boolean, got {raw!r}")
+
+
+# keyed by the field annotations, which stay strings under `from __future__ import annotations`
+_PARSERS = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool}

@@ -49,27 +49,29 @@ def _check_pair(pred: np.ndarray, gt: np.ndarray) -> None:
         raise ShapeError(f"image shapes differ: {pred.shape} vs {gt.shape}")
 
 
-def _region_values(stack: np.ndarray, region: np.ndarray | None) -> np.ndarray:
-    """Select per-pixel values (any leading channel axis) under a boolean
-    region, flattened. With region=None the whole frame is used."""
+def _region_mean(stack: np.ndarray, region: np.ndarray | None) -> float:
+    """Mean of per-pixel values (any leading channel axis) under a boolean
+    region. With region=None the whole frame is used."""
     if region is None:
-        return stack.reshape(-1)
+        return float(stack.reshape(-1).mean())
     if region.shape != stack.shape[-2:]:
         raise ShapeError(f"region shape {region.shape} does not match image {stack.shape[-2:]}")
     if not region.any():
         raise EmptyRegionError("metric region is empty")
-    return stack[..., region].reshape(-1)
+    return float(stack[..., region].reshape(-1).mean())
+
+
+def _psnr_from_mse(mse: float) -> float:
+    if mse <= 0.0:
+        return PSNR_CAP
+    return min(PSNR_CAP, 10.0 * math.log10(1.0 / mse))
 
 
 def psnr(pred: np.ndarray, gt: np.ndarray, region: np.ndarray | None = None) -> float:
     """Peak signal-to-noise ratio in dB against a peak of 1.0, capped at
     100 dB so identical images stay finite."""
     _check_pair(pred, gt)
-    sq = (pred - gt) ** 2
-    mse = float(_region_values(sq, region).mean())
-    if mse <= 0.0:
-        return PSNR_CAP
-    return min(PSNR_CAP, 10.0 * math.log10(1.0 / mse))
+    return _psnr_from_mse(_region_mean((pred - gt) ** 2, region))
 
 
 def _gauss_kernel() -> np.ndarray:
@@ -115,7 +117,7 @@ def ssim_map(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
 
 
 def ssim(pred: np.ndarray, gt: np.ndarray, region: np.ndarray | None = None) -> float:
-    return float(_region_values(ssim_map(pred, gt), region).mean())
+    return _region_mean(ssim_map(pred, gt), region)
 
 
 def srgb_to_lab(img: np.ndarray) -> np.ndarray:
@@ -130,12 +132,15 @@ def srgb_to_lab(img: np.ndarray) -> np.ndarray:
     return lab
 
 
+def _lab_sq_error(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    return (srgb_to_lab(pred) - srgb_to_lab(gt)) ** 2
+
+
 def rmse_lab(pred: np.ndarray, gt: np.ndarray, region: np.ndarray | None = None) -> float:
     """Root-mean-square error in CIELAB; the mean runs over pixels times the
     three Lab channels."""
     _check_pair(pred, gt)
-    sq = (srgb_to_lab(pred) - srgb_to_lab(gt)) ** 2
-    return float(math.sqrt(_region_values(sq, region).mean()))
+    return math.sqrt(_region_mean(_lab_sq_error(pred, gt), region))
 
 
 @dataclass(frozen=True)
@@ -176,12 +181,17 @@ def evaluate(
     shadow = mask >= 0.5
     clear = ~shadow
     smap = ssim_map(pred, gt)
+    sq = (pred - gt) ** 2
+    lab_sq = _lab_sq_error(pred, gt)
 
     def scores(region: np.ndarray | None) -> RegionScores | None:
         if region is not None and not region.any():
             return None
-        s = float(_region_values(smap, region).mean())
-        return RegionScores(psnr(pred, gt, region), s, rmse_lab(pred, gt, region))
+        return RegionScores(
+            _psnr_from_mse(_region_mean(sq, region)),
+            _region_mean(smap, region),
+            math.sqrt(_region_mean(lab_sq, region)),
+        )
 
     return EvalReport(shadow=scores(shadow), clear=scores(clear), full=scores(None))
 

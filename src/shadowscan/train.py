@@ -213,6 +213,10 @@ def load_dir_pairs(data_dir: str) -> list[Pair]:
         shadowed = read_image(os.path.join(data_dir, shadow_name))
         mask = read_mask(_find(data_dir, stem + "_mask", ("pgm", "png")))
         clean = read_image(_find(data_dir, stem + "_gt", ("ppm", "png")))
+        sizes = [shadowed.shape[1:], mask.shape, clean.shape[1:]]
+        if len(set(sizes)) > 1:
+            shown = ", ".join(f"{kind} {h}x{w}" for kind, (h, w) in zip(("shadow", "mask", "gt"), sizes))
+            raise ValidationError(f"{stem}: files differ in size ({shown})")
         pairs.append((shadowed, mask, clean))
     return pairs
 

@@ -146,6 +146,30 @@ def test_load_rejects_malformed_manifest_fields(tmp_path):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_rejects_a_non_finite_param(tmp_path, value):
+    model = ShadowNet(_CFG)
+    dict(model.named_params())["dec_b"].data[0] = value
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, model)
+    with pytest.raises(ValidationError, match="param dec_b holds a non-finite value"):
+        load_checkpoint(path)
+
+
+def test_load_rejects_an_offset_off_the_8_byte_grid(tmp_path):
+    head, sep, rest = _saved_bytes(tmp_path).partition(b"\nblob ")
+    size, _, blob = rest.partition(b"\n")
+    lines = head.split(b"\n")
+    for i, line in enumerate(lines):
+        if line.startswith(b"param "):
+            name, shape, offset = line.split(b" ")[1:]
+            lines[i] = b" ".join([b"param", name, shape, str(int(offset) + 4).encode()])
+    path = tmp_path / "shifted.ckpt"
+    path.write_bytes(b"\n".join(lines) + sep + str(int(size) + 4).encode() + b"\n" + bytes(4) + blob)
+    with pytest.raises(ValidationError, match="multiple of 8"):
+        load_checkpoint(str(path))
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_load_checkpoint_fuzz_loads_or_raises_validation_error(tmp_path_factory, data):

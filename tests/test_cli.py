@@ -1,6 +1,7 @@
 """End-to-end command runs: files in, files out, exit codes. Each run is a
 separate process, except where a test patches the CLI module in-process."""
 
+import argparse
 import os
 
 import numpy as np
@@ -25,6 +26,60 @@ _GOLDEN_COORDS = [
 _GOLDEN_DUMP = "4 4 8 mas\n" + "".join(f"{r} {c}\n" for r, c in _GOLDEN_COORDS)
 
 _TINY_FLAGS = ["--channels", "2", "--state-dim", "2", "--unet-depth", "1", "--patch-size", "2"]
+
+
+_MODEL_FLAGS = [
+    "--channels", "--state-dim", "--expansion", "--unet-depth", "--patch-size",
+    "--tau", "--dropout", "--residual-output", "--seed",
+]
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for name, p in sub.choices.items()
+    }
+    assert got == {
+        "scan-viz": sorted(["--out", "--config", "--patch-size", "--tau"]),
+        "check": sorted(["--config", "--seed"]),
+        "forward": sorted(["--checkpoint", "--out", "--config", *_MODEL_FLAGS]),
+        "train-toy": sorted(
+            ["--data", "--synth", "--steps", "--batch", "--size", "--log", "--out", "--config", *_MODEL_FLAGS]
+        ),
+        "eval": sorted(["--resize256", "--out"]),
+    }
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "pred.ppm", "gt.ppm", "mask.pgm", "--channels", "8"],
+        ["check", "interleave", "--patch-size", "4"],
+        ["scan-viz", "mask.pgm", "--seed", "1"],
+    ],
+)
+def test_a_model_flag_the_subcommand_does_not_read_is_rejected(tmp_path, args):
+    proc = run_cli(args, tmp_path)
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "flag, value, kind",
+    [
+        ("--channels", "banana", "channels must be an integer"),
+        ("--channels", "1_6", "channels must be an integer"),
+        ("--tau", "0_5", "tau must be a number"),
+        ("--residual-output", "maybe", "residual_output must be a boolean"),
+    ],
+)
+def test_train_toy_rejects_a_malformed_flag_value(tmp_path, flag, value, kind):
+    proc = run_cli(["train-toy", "--synth", "1", "--steps", "0", "--size", "8", flag, value], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {kind}, got {value!r}\n"
+    assert not (tmp_path / "toy.ckpt").exists()
 
 
 def test_child_imports_the_checkout_src(tmp_path):
@@ -167,14 +222,26 @@ def test_config_file_flags_precedence(tmp_path):
         [
             "train-toy", "--synth", "1", "--steps", "0", "--size", "8",
             "--config", "model.cfg", "--channels", "2",
-            "--unet-depth", "1", "--patch-size", "2",
+            "--unet-depth", "1", "--patch-size", "2", "--residual-output", "no",
         ],
         tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     config, _ = load_checkpoint(str(tmp_path / "toy.ckpt"))
-    assert config.channels == 2 and config.state_dim == 2
+    assert config.channels == 2 and config.state_dim == 2 and config.residual_output is False
     assert "config channels=2" in proc.stderr
+
+
+def test_train_toy_rejects_a_data_triple_of_mixed_sizes(tmp_path):
+    (tmp_path / "pairs").mkdir()
+    write_ppm(str(tmp_path / "pairs" / "a_shadow.ppm"), np.zeros((3, 16, 16)))
+    write_pgm(str(tmp_path / "pairs" / "a_mask.pgm"), np.zeros((16, 16)))
+    write_ppm(str(tmp_path / "pairs" / "a_gt.ppm"), np.zeros((3, 8, 8)))
+    proc = run_cli(["train-toy", "--data", "pairs", "--steps", "1", *_TINY_FLAGS], tmp_path)
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: a: files differ in size (shadow 16x16, mask 16x16, gt 8x8)"]
+    assert "Traceback" not in proc.stderr
 
 
 def test_forward_with_silenced_checkpoint_copies_the_input(tmp_path):
@@ -208,6 +275,18 @@ def test_forward_rejects_conflicting_overrides(tmp_path):
     )
     assert proc.returncode == 2
     assert "error:" in proc.stderr and "conflicts" in proc.stderr
+
+
+def test_forward_rejects_a_non_finite_checkpoint_param(tmp_path):
+    model = ShadowNet(ModelConfig(channels=2, state_dim=2, expansion=2, unet_depth=1, patch_size=4))
+    dict(model.named_params())["dec_b"].data[0] = np.nan
+    save_checkpoint(str(tmp_path / "m.ckpt"), model)
+    write_ppm(str(tmp_path / "in.ppm"), np.zeros((3, 16, 16)))
+    write_pgm(str(tmp_path / "mask.pgm"), np.zeros((16, 16)))
+    proc = run_cli(["forward", "in.ppm", "mask.pgm", "--checkpoint", "m.ckpt"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: param dec_b holds a non-finite value\n"
+    assert not (tmp_path / "pred.ppm").exists()
 
 
 def test_eval_mismatched_sizes_need_resize(tmp_path):
@@ -346,7 +425,11 @@ def test_forward_and_eval_reject_non_numeric_netpbm_header(tmp_path):
         assert proc.stderr.splitlines()[-1].startswith("error:") and "width" in proc.stderr
 
 
-@pytest.mark.parametrize("text", [b"channels=banana\n", b"channels=\xe9\n"], ids=["non-integer", "non-ascii"])
+@pytest.mark.parametrize(
+    "text",
+    [b"channels=banana\n", b"channels=\xe9\n", b"channels=4\nchannels=2\n", b"channels=1_6\n"],
+    ids=["non-integer", "non-ascii", "repeated-key", "digit-separator"],
+)
 def test_check_reads_its_config_file(tmp_path, text):
     (tmp_path / "bad.cfg").write_bytes(text)
     proc = run_cli(["check", "interleave", "--config", "bad.cfg"], tmp_path)

@@ -131,8 +131,11 @@ def test_evaluate_regions_and_report():
     report = evaluate(pred, gt, mask)
     assert report.shadow is not None and report.clear is not None
     region = mask >= 0.5
-    assert report.shadow.psnr == psnr(pred, gt, region)
-    assert report.full.rmse == rmse_lab(pred, gt)
+    # evaluate builds each map once; its region means match the single metrics bitwise
+    for scores, where in ((report.shadow, region), (report.clear, ~region), (report.full, None)):
+        assert scores.psnr == psnr(pred, gt, where)
+        assert scores.ssim == ssim(pred, gt, where)
+        assert scores.rmse == rmse_lab(pred, gt, where)
     text = format_report(report)
     lines = text.splitlines()
     assert lines[0] == "region psnr ssim rmse"
