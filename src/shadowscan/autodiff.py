@@ -219,16 +219,6 @@ def mul(a: Tensor, b) -> Tensor:
     return out
 
 
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data, a.requires_grad)
-
-    def bw(g):
-        a.accumulate(-g)
-
-    _record(out, bw)
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul needs (m,k) @ (k,n), got {a.shape} @ {b.shape}")
@@ -278,27 +268,6 @@ def absolute(a: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # activations
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    out = Tensor(y, a.requires_grad)
-
-    def bw(g):
-        a.accumulate(g * y)
-
-    _record(out, bw)
-    return out
-
-
-def softplus(a: Tensor) -> Tensor:
-    out = Tensor(np.logaddexp(0.0, a.data), a.requires_grad)
-
-    def bw(g):
-        a.accumulate(g * special.expit(a.data))
-
-    _record(out, bw)
-    return out
 
 
 def gelu(a: Tensor) -> Tensor:

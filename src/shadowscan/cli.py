@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import fields
 
@@ -157,6 +158,9 @@ def cmd_forward(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
+    log_path = args.log if args.log else args.out + ".log"
+    if os.path.realpath(log_path) == os.path.realpath(args.out):
+        raise ValidationError(f"--log {log_path} names the same file as --out {args.out}")
     config = _resolve_config(args)
     if args.data:
         pairs = load_dir_pairs(args.data)
@@ -177,7 +181,6 @@ def cmd_train_toy(args) -> int:
     )
     final = dataset_loss(model, pairs)
     save_checkpoint(args.out, model)
-    log_path = args.log if args.log else args.out + ".log"
     with open(log_path, "w", encoding="ascii") as f:
         f.write("step,loss,lr\n")
         for step, loss, lr in rows:

@@ -8,16 +8,23 @@ The continuous model per channel is
 with diagonal negative A. Zero-order-hold discretization over a step D
 gives Abar = exp(D A) and Bbar = (D A)^-1 (exp(D A) - I) D B, with the
 series limit Bbar -> D B taken once |D A| drops below 1e-8; ``discretize``
-and the model's ``zoh_factor`` share one implementation of that factor.
+and the model's scan share one implementation of that factor.
 The model's blocks derive the step size and the input/output mixing
 vectors from each token, so only the sequential recurrence applies; the
 convolution form that token-invariant parameters admit lives with the
 ``check ssm-equiv`` suite, which cross-checks the recurrence against it.
+
+Each scan direction records four tape closures: one for the whole
+per-token discretization, which keeps only (L, C) and (L, N) inputs and
+recomputes the (L, C, N) terms in its backward (recompute instead of
+store, as in Mamba, arXiv 2312.00752, section 3.3), one for the
+recurrence, and two for the direct term.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import special
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -30,12 +37,16 @@ ZOH_SERIES_THRESHOLD = 1e-8
 _INIT_ABAR = 0.9
 
 
-def _zoh_terms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _zoh_terms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(exp(u) - 1) / u elementwise, 1 where |u| is below the series
-    threshold; also that mask and u with the masked entries set to 1."""
+    threshold; also that mask, u with the masked entries set to 1, and
+    expm1 of the latter, which the factor's derivative reuses."""
     small = np.abs(u) < ZOH_SERIES_THRESHOLD
     safe = np.where(small, 1.0, u)
-    return np.where(small, 1.0, np.expm1(safe) / safe), small, safe
+    em1 = np.expm1(safe)
+    factor = em1 / safe
+    np.copyto(factor, 1.0, where=small)
+    return factor, small, safe, em1
 
 
 def discretize(a_diag: np.ndarray, b_in: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -52,21 +63,8 @@ def discretize(a_diag: np.ndarray, b_in: np.ndarray, delta: float) -> tuple[np.n
         raise ShapeError(f"diagonal A {a.shape} and B {b.shape} must match")
     da = delta * a
     abar = np.exp(da)
-    factor, _, _ = _zoh_terms(da)
+    factor = _zoh_terms(da)[0]
     return abar, factor * delta * b
-
-
-def zoh_factor(u: Tensor) -> Tensor:
-    """(exp(u) - 1) / u elementwise, with the series limit 1 near zero."""
-    factor, small, safe = _zoh_terms(u.data)
-    out = Tensor(factor, u.requires_grad)
-
-    def bw(g):
-        der = np.where(small, 0.5, (safe * np.exp(safe) - np.expm1(safe)) / (safe * safe))
-        u.accumulate(g * der)
-
-    ad._record(out, bw)
-    return out
 
 
 def _linear_recurrence(coef: np.ndarray, x: np.ndarray) -> None:
@@ -117,6 +115,96 @@ def ssm_recurrence(abar: Tensor, bx: Tensor, cvec: Tensor) -> Tensor:
     return out
 
 
+def _discretized_inputs(
+    x: Tensor, a_log: Tensor, w_dt: Tensor, b_dt: Tensor, w_b: Tensor, w_c: Tensor
+) -> tuple[Tensor, Tensor, Tensor]:
+    """The recurrence's inputs (abar, bx, cvec) from (L, C) tokens, as one
+    tape node.
+
+    Per token, the step is dt = softplus(x @ w_dt + b_dt) per channel,
+    B = x @ w_b and cvec = x @ w_c per state, and with A = -exp(a_log)
+    abar = exp(dt A) and bx = zoh(dt A) (dt B) x, both (L, C, N).
+
+    The node keeps x, the (L, C) logits and steps, the (L, N) B and the
+    (C, N) exp(a_log); its backward recomputes dt A, the ZOH factor and
+    dt B rather than holding (L, C, N) arrays on the tape until replay.
+    The backward rounds as the chain of single ops it replaces did: the
+    same products and the same reductions, and one ``x.accumulate`` per
+    path in replay order (bx, cvec, B, step), since x may already hold
+    gradient from elsewhere and a pre-summed update rounds differently.
+    """
+    xd = x.data
+    logits = xd @ w_dt.data + b_dt.data
+    dt = np.logaddexp(0.0, logits)
+    b_proj = xd @ w_b.data
+    exp_a = np.exp(a_log.data)
+    dt3 = dt[:, :, None]
+    b3 = b_proj[:, None, :]
+    x3 = xd[:, :, None]
+    da = dt3 * -exp_a
+    # bbar and bx are built in place in the factor: fresh (L, C, N)
+    # temporaries here cost page faults on every forward
+    factor = _zoh_terms(da)[0]
+    factor *= dt3 * b3
+    factor *= x3
+    requires = any(t.requires_grad for t in (x, a_log, w_dt, b_dt, w_b, w_c))
+    abar = Tensor(np.exp(da, out=da), requires)
+    bx = Tensor(factor, requires)
+    cvec = Tensor(xd @ w_c.data, requires)
+    tape = ad.active_tape()
+    if tape is None or not requires:
+        return abar, bx, cvec
+
+    def replay():
+        # ssm_recurrence hands all three outputs a gradient, or none; the
+        # first two are owned copies, so they double as scratch
+        g_ab, g_bx, g_c = abar.grad, bx.grad, cvec.grad
+        if g_ab is None:
+            return
+        neg_a = -exp_a
+        buf = np.multiply(dt3, neg_a)
+        factor, small, safe, em1 = _zoh_terms(buf)
+        # d factor / d u = (u exp(u) - expm1(u)) / u^2, 1/2 on the series
+        # branch; exp(u) is abar wherever the exact branch applies
+        der = np.multiply(safe, abar.data, out=buf)
+        der -= em1
+        safe *= safe
+        der /= safe
+        np.copyto(der, 0.5, where=small)
+        step_b = np.multiply(dt3, b3, out=safe)
+        bbar = np.multiply(factor, step_b, out=em1)
+        if x.requires_grad:
+            x.accumulate(np.multiply(g_bx, bbar, out=bbar).sum(axis=2))
+        g_bbar = np.multiply(g_bx, x3, out=g_bx)
+        g_da = np.multiply(g_bbar, step_b, out=bbar)
+        g_step_b = np.multiply(g_bbar, factor, out=g_bx)
+        g_da *= der
+        d_dt = np.multiply(g_step_b, b3, out=der).sum(axis=2)
+        g_step_b *= dt3
+        d_b = g_step_b.sum(axis=1)
+        g_ab *= abar.data
+        g_da += g_ab
+        d_dt += np.multiply(g_da, neg_a, out=der).sum(axis=2)
+        g_da *= dt3
+        if a_log.requires_grad:
+            a_log.accumulate(-g_da.sum(axis=0) * exp_a)
+        for grad, w in ((g_c, w_c), (d_b, w_b)):
+            if x.requires_grad:
+                x.accumulate(grad @ w.data.T)
+            if w.requires_grad:
+                w.accumulate(xd.T @ grad)
+        d_logits = d_dt * special.expit(logits)
+        if b_dt.requires_grad:
+            b_dt.accumulate(d_logits.sum(axis=0))
+        if x.requires_grad:
+            x.accumulate(d_logits @ w_dt.data.T)
+        if w_dt.requires_grad:
+            w_dt.accumulate(xd.T @ d_logits)
+
+    tape.record(replay)
+    return abar, bx, cvec
+
+
 class SsmDirection(Module):
     """Selective scan parameters for one direction over a C-channel sequence.
 
@@ -144,20 +232,8 @@ class SsmDirection(Module):
         """Run the selective recurrence over an (L, C) sequence."""
         if x.ndim != 2 or x.shape[1] != self.channels:
             raise ShapeError(f"expected (L,{self.channels}) sequence, got {x.shape}")
-        length = x.shape[0]
-        dt = ad.softplus(ad.linear(x, self.w_dt, self.b_dt))
-        b_t = ad.matmul(x, self.w_b)
-        c_t = ad.matmul(x, self.w_c)
-        a = ad.neg(ad.exp(self.a_log))
-        da = ad.mul(ad.reshape(dt, (length, self.channels, 1)), a)
-        abar = ad.exp(da)
-        step_b = ad.mul(
-            ad.reshape(dt, (length, self.channels, 1)),
-            ad.reshape(b_t, (length, 1, self.state_dim)),
-        )
-        bbar = ad.mul(zoh_factor(da), step_b)
-        bx = ad.mul(bbar, ad.reshape(x, (length, self.channels, 1)))
-        y = ssm_recurrence(abar, bx, c_t)
+        abar, bx, cvec = _discretized_inputs(x, self.a_log, self.w_dt, self.b_dt, self.w_b, self.w_c)
+        y = ssm_recurrence(abar, bx, cvec)
         return ad.add(y, ad.mul(x, self.d))
 
     def silence(self) -> None:

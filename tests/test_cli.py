@@ -166,6 +166,19 @@ def test_train_toy_rejects_negative_steps_or_size(tmp_path, flags):
     assert not (tmp_path / "toy.ckpt").exists()
 
 
+@pytest.mark.parametrize("out,log_path", [("same", "same"), ("a.ckpt", "./a.ckpt")])
+def test_train_toy_rejects_a_log_that_is_the_checkpoint(tmp_path, out, log_path):
+    proc = run_cli(
+        ["train-toy", "--synth", "1", "--steps", "1", "--size", "8", "--out", out, "--log", log_path, *_TINY_FLAGS],
+        tmp_path,
+    )
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "same file" in errors[0], proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / out).exists()
+
+
 @pytest.mark.parametrize("flags", [["--steps", "-4"], ["--batch", "0"], ["--batch", "-2"]])
 def test_train_toy_rejects_bad_steps_or_batch_before_any_forward(tmp_path, monkeypatch, capsys, flags):
     def no_forward(*args, **kwargs):

@@ -1,11 +1,14 @@
 """State-space kernels: discretization, recurrence vs convolution, the
 selective path, and the stage blocks around them."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import special
 
 from helpers import assert_grads_match, tape_grads
 from shadowscan import autodiff as ad
@@ -13,13 +16,14 @@ from shadowscan.autodiff import GradTape, Tensor, backward
 from shadowscan.checks import _conv_and_recurrence
 from shadowscan.errors import ConfigError, ShapeError
 from shadowscan.ssm import (
+    ZOH_SERIES_THRESHOLD,
     ConvMlp,
     SsmDirection,
     SsmStage,
+    _discretized_inputs,
     bidirectional_ssm_block,
     discretize,
     ssm_recurrence,
-    zoh_factor,
 )
 
 LN2 = float(np.log(2.0))
@@ -63,29 +67,22 @@ def test_discretize_validation():
 
 def test_discretize_runs_the_model_zoh_factor():
     # the checked step and the model's scan share one ZOH factor, series
-    # branch included: bbar is bitwise zoh_factor(delta a) * delta * b
+    # branch included: at step 1 and B = 1 discretize returns the factor
+    # itself, and the scan's abar and bx are built from it bitwise
     rng = np.random.default_rng(16)
-    a = np.concatenate([-np.exp(rng.normal(size=20)), [-1e-12, 0.0, -2e-8]])
-    b = rng.normal(size=a.size)
-    for delta in (1e-3, 0.37, 1.0):
-        abar, bbar = discretize(a, b, delta)
-        da = delta * a
-        assert np.array_equal(abar, np.exp(da))
-        assert np.array_equal(bbar, zoh_factor(Tensor(da)).data * delta * b)
-
-
-def test_zoh_factor_values_and_grads():
-    u = Tensor(np.array([-2.0, -0.5, 0.5, 2.0]), requires_grad=True)
-    expect = np.expm1(u.data) / u.data
-    assert np.allclose(zoh_factor(u).data, expect, atol=1e-14)
-    assert_grads_match(zoh_factor, [u])
-    # the series branch: value 1, slope 1/2, both matching the limit
-    z = Tensor(np.array([0.0]), requires_grad=True)
-    assert zoh_factor(z).data[0] == 1.0
-    with GradTape() as tape:
-        out = ad.mean_all(zoh_factor(z))
-    backward(out, tape, seed=z.data.size)
-    assert z.grad[0] == pytest.approx(0.5, abs=1e-9)
+    direction = SsmDirection(3, 4, rng)
+    direction.a_log.data[0] = [-40.0, -19.0, -18.4, 0.5]
+    x = rng.normal(size=(6, 3))
+    params = (direction.a_log, direction.w_dt, direction.b_dt, direction.w_b, direction.w_c)
+    abar, bx, _ = _discretized_inputs(Tensor(x), *params)
+    dt = np.logaddexp(0.0, x @ direction.w_dt.data + direction.b_dt.data)[:, :, None]
+    da = dt * -np.exp(direction.a_log.data)
+    small = np.abs(da) < ZOH_SERIES_THRESHOLD
+    assert small.any() and not small.all()
+    exp_da, factor = discretize(da.ravel(), np.ones(da.size), 1.0)
+    assert np.array_equal(abar.data, exp_da.reshape(da.shape))
+    step_b = dt * (x @ direction.w_b.data)[:, None, :]
+    assert np.array_equal(bx.data, factor.reshape(da.shape) * step_b * x[:, :, None])
 
 
 def test_recurrence_two_step_example():
@@ -271,6 +268,129 @@ def test_selective_scan_grads():
         return direction.scan(x_)
 
     assert_grads_match(fn, params)
+
+
+def _frozen_op(x, value, slope):
+    """One taped elementwise op of the replaced chain: value, and the
+    local derivative its backward multiplies the cotangent by."""
+    out = Tensor(value, x.requires_grad)
+    ad._record(out, lambda g: x.accumulate(g * slope()))
+    return out
+
+
+def _frozen_zoh_factor(u):
+    small = np.abs(u.data) < ZOH_SERIES_THRESHOLD
+    safe = np.where(small, 1.0, u.data)
+    factor = np.where(small, 1.0, np.expm1(safe) / safe)
+    return _frozen_op(
+        u, factor, lambda: np.where(small, 0.5, (safe * np.exp(safe) - np.expm1(safe)) / (safe * safe))
+    )
+
+
+def _frozen_chain(x, a_log, w_dt, b_dt, w_b, w_c):
+    """The scan's discretization as the 17 single tape ops it was recorded
+    as before it became one node, kept verbatim as the bitwise reference."""
+    length, channels = x.shape
+    state = w_b.shape[1]
+    lin = ad.linear(x, w_dt, b_dt)
+    dt = _frozen_op(lin, np.logaddexp(0.0, lin.data), lambda: special.expit(lin.data))
+    b_t = ad.matmul(x, w_b)
+    c_t = ad.matmul(x, w_c)
+    exp_a = np.exp(a_log.data)
+    e = _frozen_op(a_log, exp_a, lambda: exp_a)
+    a = _frozen_op(e, -e.data, lambda: -1.0)
+    da = ad.mul(ad.reshape(dt, (length, channels, 1)), a)
+    abar_d = np.exp(da.data)
+    abar = _frozen_op(da, abar_d, lambda: abar_d)
+    step_b = ad.mul(ad.reshape(dt, (length, channels, 1)), ad.reshape(b_t, (length, 1, state)))
+    bbar = ad.mul(_frozen_zoh_factor(da), step_b)
+    bx = ad.mul(bbar, ad.reshape(x, (length, channels, 1)))
+    return abar, bx, c_t
+
+
+@st.composite
+def _scan_case(draw):
+    length = draw(st.integers(1, 9))
+    channels = draw(st.integers(1, 4))
+    state = draw(st.integers(1, 4))
+    unit = st.floats(-2.0, 2.0, allow_nan=False)
+    # far below the init range |dt A| < 1e-8 takes the series branch
+    a_log = st.one_of(st.floats(-3.0, 2.0), st.floats(-45.0, -19.0))
+    shapes = {
+        "x": (length, channels),
+        "prior": (length, channels),
+        "weight": (length, channels),
+        "d": (channels,),
+        "w_dt": (channels, channels),
+        "b_dt": (channels,),
+        "w_b": (channels, state),
+        "w_c": (channels, state),
+    }
+    case = {name: draw(arrays(np.float64, shape, elements=unit)) for name, shape in shapes.items()}
+    case["a_log"] = draw(arrays(np.float64, (channels, state), elements=a_log))
+    return case
+
+
+_PARAMS = ("a_log", "d", "w_dt", "b_dt", "w_b", "w_c")
+
+
+def _scan_and_grads(case, scan):
+    """y, x.grad and the six parameter gradients of sum(y * weight), with
+    x already holding the prior gradient when the tape replays."""
+    x = Tensor(case["x"], requires_grad=True)
+    params = {name: Tensor(case[name], requires_grad=True) for name in _PARAMS}
+    with GradTape() as tape:
+        y = scan(x, params)
+        loss = ad.mean_all(ad.mul(y, Tensor(case["weight"])))
+    x.accumulate(case["prior"])
+    backward(loss, tape, seed=case["weight"].size)
+    return [y.data, x.grad] + [params[name].grad for name in _PARAMS]
+
+
+def _direction_scan(x, p):
+    channels, state = p["w_b"].shape
+    direction = SsmDirection(channels, state, np.random.default_rng(0))
+    for name in _PARAMS:
+        setattr(direction, name, p[name])
+    return direction.scan(x)
+
+
+def _frozen_scan(x, p):
+    abar, bx, c_t = _frozen_chain(x, p["a_log"], p["w_dt"], p["b_dt"], p["w_b"], p["w_c"])
+    return ad.add(ssm_recurrence(abar, bx, c_t), ad.mul(x, p["d"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scan_case())
+def test_discretization_node_bitwise_matches_frozen_chain(case):
+    inputs = [Tensor(case[name]) for name in ("x", "a_log", "w_dt", "b_dt", "w_b", "w_c")]
+    node = _discretized_inputs(*inputs)
+    chain = _frozen_chain(*inputs)
+    for got, want in zip(node, chain):
+        assert np.array_equal(got.data, want.data)
+    got = _scan_and_grads(case, _direction_scan)
+    want = _scan_and_grads(case, _frozen_scan)
+    for name, g, w in zip(["y", "x"] + list(_PARAMS), got, want):
+        assert np.array_equal(g, w), name
+
+
+def test_scan_records_four_closures_and_holds_no_chain():
+    # at full size one direction used to hold about eight (L, C, N)
+    # arrays on the tape (34.8 MB); the node keeps (L, C) and (L, N)
+    # inputs, leaving abar, bx and the recurrence's history
+    rng = np.random.default_rng(17)
+    direction = SsmDirection(32, 16, rng)
+    x = Tensor(rng.normal(size=(1024, 32)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with GradTape() as tape:
+            y = direction.scan(x)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (1024, 32)
+    assert len(tape) == 4  # the node, the recurrence, mul and add
+    assert held <= 17.4e6, held
 
 
 def test_silenced_direction_emits_zeros():
