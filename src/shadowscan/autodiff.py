@@ -6,7 +6,9 @@ small same-padded convolutions, 2x bilinear resampling, row gather/scatter and
 shape moves. Every differentiable op appends one backward closure to the
 active GradTape; replaying the tape in reverse visits each recorded op once
 (execution order is a topological order of the graph). Gradients accumulate
-into ``Tensor.grad`` with ``+=`` and are cleared only by ``zero_grad``.
+into ``Tensor.grad`` with ``+=`` and are cleared only by ``zero_grad``; the
+first gradient is copied in, unless the op hands over a fresh array it
+drops (``accumulate(g, owned=True)``), which then becomes the gradient.
 
 Replay consumes the tape: ``backward`` pops each closure before it runs it,
 so once an op has handed its gradient down, the activations it captured and
@@ -83,9 +85,14 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate(self, g: np.ndarray) -> None:
+    def accumulate(self, g: np.ndarray, *, owned: bool = False) -> None:
         if self.grad is None:
-            # copy: callers may hand over reused buffers
+            if owned:
+                # handed over: a fresh float64 array of this shape that the
+                # caller drops, so it becomes the gradient without a copy
+                self.grad = g
+                return
+            # copy: callers may pass reused buffers, views or broadcasts
             self.grad = np.array(g, dtype=np.float64)
             if self.grad.shape != self.data.shape:
                 self.grad = np.broadcast_to(self.grad, self.data.shape).copy()
@@ -355,16 +362,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 # ---------------------------------------------------------------------------
 # convolutions (channels-first, odd kernels, zero-padded same output)
+#
+# The closures keep the input map, not its im2col columns (k*k times
+# larger): conv2d rebuilds the columns in backward for its weight
+# gradient, depthwise_conv2d sums its weight gradient one window at a time.
+
+
+def _windows(x: np.ndarray, k: int):
+    """The k*k shifted (C, H, W) views of the zero-padded map, with their
+    kernel offsets (di, dj), in row-major kernel order."""
+    _, h, w = x.shape
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    for di in range(k):
+        for dj in range(k):
+            yield di, dj, xp[:, di : di + h, dj : dj + w]
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     c, h, w = x.shape
-    pad = k // 2
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
     cols = np.empty((c, k, k, h, w), dtype=np.float64)
-    for di in range(k):
-        for dj in range(k):
-            cols[:, di, dj] = xp[:, di : di + h, dj : dj + w]
+    for di, dj, window in _windows(x, k):
+        cols[:, di, dj] = window
     return cols
 
 
@@ -388,8 +407,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if c_in != x.shape[0]:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs weights {w.shape}")
     _, h, wd = x.shape
-    cols = _im2col(x.data, k).reshape(c_in * k * k, h * wd)
-    y = (w.data.reshape(c_out, -1) @ cols).reshape(c_out, h, wd)
+
+    def columns():
+        return _im2col(x.data, k).reshape(c_in * k * k, h * wd)
+
+    y = (w.data.reshape(c_out, -1) @ columns()).reshape(c_out, h, wd)
     if b is not None:
         if b.data.shape != (c_out,):
             raise ShapeError(f"conv2d bias must be ({c_out},), got {b.shape}")
@@ -399,7 +421,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def bw(g):
         g2 = g.reshape(c_out, h * wd)
         if w.requires_grad:
-            w.accumulate((g2 @ cols.T).reshape(w.data.shape))
+            w.accumulate((g2 @ columns().T).reshape(w.data.shape))
         if b is not None and b.requires_grad:
             b.accumulate(g.sum(axis=(1, 2)))
         if x.requires_grad:
@@ -427,7 +449,12 @@ def depthwise_conv2d(x: Tensor, w: Tensor) -> Tensor:
     def bw(g):
         g2 = g.reshape(c, 1, h * wd)
         if w.requires_grad:
-            w.accumulate((cols * g2).sum(axis=2).reshape(c, k, k))
+            # one window at a time: each tap's sum runs over the same
+            # contiguous H*W products as a row of the column array did
+            dw = np.empty_like(w.data)
+            for di, dj, window in _windows(x.data, k):
+                dw[:, di, dj] = (window * g).reshape(c, h * wd).sum(axis=1)
+            w.accumulate(dw)
         if x.requires_grad:
             dcols = (w.data.reshape(c, k * k, 1) * g2).reshape(c, k, k, h, wd)
             x.accumulate(_col2im(dcols, x.data.shape, k))

@@ -29,7 +29,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .imageio import read_image, read_mask, write_image, write_ppm
+from .imageio import image_writer, read_image, read_mask, write_image, write_ppm
 from .maskgrid import partition_patches
 from .metrics import evaluate, format_report
 from .scanorder import dump_path, mas_order
@@ -138,7 +138,18 @@ def cmd_check(args) -> int:
     return 1 if failed else 0
 
 
+def _check_out_dirs(*paths: str) -> None:
+    """Each output's directory must exist, so a command that would fail to
+    write its result fails before any work, with nothing written."""
+    for path in paths:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ValidationError(f"{path}: directory {parent} does not exist")
+
+
 def cmd_forward(args) -> int:
+    image_writer(args.out)
+    _check_out_dirs(args.out)
     model = model_from_checkpoint(args.checkpoint)
     stored = model.config.to_dict()
     for key, value in _collect_overrides(args).items():
@@ -161,6 +172,7 @@ def cmd_train_toy(args) -> int:
     log_path = args.log if args.log else args.out + ".log"
     if os.path.realpath(log_path) == os.path.realpath(args.out):
         raise ValidationError(f"--log {log_path} names the same file as --out {args.out}")
+    _check_out_dirs(args.out, log_path)
     config = _resolve_config(args)
     if args.data:
         pairs = load_dir_pairs(args.data)

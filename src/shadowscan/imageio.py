@@ -8,6 +8,8 @@ channel-first (3, H, W), masks are (H, W).
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from .errors import ShapeError, ValidationError
@@ -128,20 +130,32 @@ def read_mask(path: str) -> np.ndarray:
     raise ValidationError(f"unsupported mask format: {path}")
 
 
-def write_image(path: str, img: np.ndarray) -> None:
-    lower = path.lower()
-    if lower.endswith(".ppm"):
-        write_ppm(path, img)
-    elif lower.endswith(".pgm"):
-        write_pgm(path, img)
-    elif lower.endswith(".png"):
-        Image = _require_pillow()
-        if img.ndim == 2:
-            Image.fromarray(_quantize(img), mode="L").save(path)
-        else:
-            Image.fromarray(_quantize(img).transpose(1, 2, 0), mode="RGB").save(path)
+def _write_png(path: str, img: np.ndarray) -> None:
+    Image = _require_pillow()
+    if img.ndim == 2:
+        Image.fromarray(_quantize(img), mode="L").save(path)
     else:
-        raise ValidationError(f"unsupported image format: {path}")
+        Image.fromarray(_quantize(img).transpose(1, 2, 0), mode="RGB").save(path)
+
+
+_WRITERS = {".ppm": write_ppm, ".pgm": write_pgm, ".png": _write_png}
+
+
+def image_writer(path: str) -> Callable[[str, np.ndarray], None]:
+    """The writer for path's extension. Raises ValidationError for an
+    extension with no writer, or for PNG when Pillow is missing, so a
+    command can reject its output path before doing any work."""
+    lower = path.lower()
+    for ext, writer in _WRITERS.items():
+        if lower.endswith(ext):
+            if writer is _write_png:
+                _require_pillow()
+            return writer
+    raise ValidationError(f"unsupported image format: {path}")
+
+
+def write_image(path: str, img: np.ndarray) -> None:
+    image_writer(path)(path, img)
 
 
 def _lin_taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

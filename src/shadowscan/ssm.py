@@ -18,7 +18,9 @@ Each scan direction records four tape closures: one for the whole
 per-token discretization, which keeps only (L, C) and (L, N) inputs and
 recomputes the (L, C, N) terms in its backward (recompute instead of
 store, as in Mamba, arXiv 2312.00752, section 3.3), one for the
-recurrence, and two for the direct term.
+recurrence, and two for the direct term. The recurrence consumes bx: it
+runs in place over bx's buffer, so until replay a direction holds two
+(L, C, N) arrays, abar and the state history, the ones a backward reads.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from scipy import special
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .module import Module
 
 ZOH_SERIES_THRESHOLD = 1e-8
@@ -79,20 +81,27 @@ def ssm_recurrence(abar: Tensor, bx: Tensor, cvec: Tensor) -> Tensor:
     Shapes: abar and bx are (L, C, N), cvec is (L, N). Computes
     h[t] = bx[t] + abar[t] * h[t-1] with h[-1] = 0 and
     y[t, c] = sum_n h[t, c, n] cvec[t, n]. Both passes run the one
-    sequential primitive, _linear_recurrence: forward over a copy of bx
-    with abar[1:], backward over the time-reversed adjoint
+    sequential primitive, _linear_recurrence: forward with abar[1:],
+    backward over the time-reversed adjoint
     adj[t] = g[t] c[t] + abar[t+1] adj[t+1], i.e. with abar shifted one
     step. Everything else, the output mix and the gradients, is
     vectorized. No parallel-scan shortcut: each element rounds as the
     plain sequential loop does.
+
+    bx is consumed: the forward runs in place over bx.data, which holds
+    the state history h afterwards, so bx must own its buffer and share
+    none with abar or cvec. The closure keeps abar, cvec and that history,
+    the arrays its backward reads; the backward hands the (L, C, N)
+    gradients of abar and bx over without a copy.
     """
     if abar.ndim != 3 or abar.shape != bx.shape:
         raise ShapeError(f"abar {abar.shape} and bx {bx.shape} must be equal (L,C,N)")
     length, _, state = abar.shape
     if cvec.shape != (length, state):
         raise ShapeError(f"cvec must be ({length},{state}), got {cvec.shape}")
-    a_d, c_d = abar.data, cvec.data
-    hist = bx.data.copy()
+    a_d, c_d, hist = abar.data, cvec.data, bx.data
+    if np.may_share_memory(hist, a_d) or np.may_share_memory(hist, c_d):
+        raise ContractError("bx is consumed by the scan and must not share memory with abar or cvec")
     _linear_recurrence(a_d[1:], hist)
     y = np.einsum("tcn,tn->tc", hist, c_d)
     out = Tensor(y, abar.requires_grad or bx.requires_grad or cvec.requires_grad)
@@ -103,11 +112,12 @@ def ssm_recurrence(abar: Tensor, bx: Tensor, cvec: Tensor) -> Tensor:
         adj = g[:, :, None] * c_d[:, None, :]
         _linear_recurrence(a_d[:0:-1], adj[::-1])
         if abar.requires_grad:
-            d_ab = np.zeros_like(adj)
+            d_ab = np.empty_like(adj)
+            d_ab[0] = 0.0
             np.multiply(adj[1:], hist[:-1], out=d_ab[1:])
-            abar.accumulate(d_ab)
+            abar.accumulate(d_ab, owned=True)
         if bx.requires_grad:
-            bx.accumulate(adj)
+            bx.accumulate(adj, owned=True)
         if d_cv is not None:
             cvec.accumulate(d_cv)
 
@@ -127,7 +137,8 @@ def _discretized_inputs(
 
     The node keeps x, the (L, C) logits and steps, the (L, N) B and the
     (C, N) exp(a_log); its backward recomputes dt A, the ZOH factor and
-    dt B rather than holding (L, C, N) arrays on the tape until replay.
+    dt B rather than holding (L, C, N) arrays on the tape until replay,
+    and reuses bx's buffer, which no later reader needs by then.
     The backward rounds as the chain of single ops it replaces did: the
     same products and the same reductions, and one ``x.accumulate`` per
     path in replay order (bx, cvec, B, step), since x may already hold
@@ -157,12 +168,15 @@ def _discretized_inputs(
 
     def replay():
         # ssm_recurrence hands all three outputs a gradient, or none; the
-        # first two are owned copies, so they double as scratch
+        # first two are arrays it handed over (or accumulate's copies),
+        # owned by abar and bx alone, so they double as scratch
         g_ab, g_bx, g_c = abar.grad, bx.grad, cvec.grad
         if g_ab is None:
             return
         neg_a = -exp_a
-        buf = np.multiply(dt3, neg_a)
+        # every reader of bx has replayed, and the recurrence left only its
+        # history in bx's buffer: dt A is rebuilt there, not in a fresh one
+        buf = np.multiply(dt3, neg_a, out=bx.data)
         factor, small, safe, em1 = _zoh_terms(buf)
         # d factor / d u = (u exp(u) - expm1(u)) / u^2, 1/2 on the series
         # branch; exp(u) is abar wherever the exact branch applies

@@ -1,10 +1,13 @@
 """Tape engine tests: every op against a numpy forward oracle and central
 finite differences for the backward pass."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import special
 
 from helpers import assert_grads_match
@@ -180,6 +183,120 @@ def test_depthwise_conv2d_matches_loop():
     assert_grads_match(ad.depthwise_conv2d, [x, w])
     with pytest.raises(ShapeError):
         ad.depthwise_conv2d(x, _t(rng, 2, 3, 3))
+
+
+def _frozen_conv2d(x, w, b=None):
+    """conv2d as it was when its closure kept the im2col columns, kept
+    verbatim as the bitwise reference."""
+    c_out, c_in, k, _ = w.shape
+    _, h, wd = x.shape
+    cols = ad._im2col(x.data, k).reshape(c_in * k * k, h * wd)
+    y = (w.data.reshape(c_out, -1) @ cols).reshape(c_out, h, wd)
+    if b is not None:
+        y = y + b.data[:, None, None]
+    out = Tensor(y, x.requires_grad or w.requires_grad or (b is not None and b.requires_grad))
+
+    def bw(g):
+        g2 = g.reshape(c_out, h * wd)
+        if w.requires_grad:
+            w.accumulate((g2 @ cols.T).reshape(w.data.shape))
+        if b is not None and b.requires_grad:
+            b.accumulate(g.sum(axis=(1, 2)))
+        if x.requires_grad:
+            dcols = (w.data.reshape(c_out, -1).T @ g2).reshape(c_in, k, k, h, wd)
+            x.accumulate(ad._col2im(dcols, x.data.shape, k))
+
+    ad._record(out, bw)
+    return out
+
+
+def _frozen_depthwise_conv2d(x, w):
+    """depthwise_conv2d as it was when its closure kept the columns."""
+    c, h, wd = x.shape
+    k = w.shape[1]
+    cols = ad._im2col(x.data, k).reshape(c, k * k, h * wd)
+    y = (cols * w.data.reshape(c, k * k, 1)).sum(axis=1).reshape(c, h, wd)
+    out = Tensor(y, x.requires_grad or w.requires_grad)
+
+    def bw(g):
+        g2 = g.reshape(c, 1, h * wd)
+        if w.requires_grad:
+            w.accumulate((cols * g2).sum(axis=2).reshape(c, k, k))
+        if x.requires_grad:
+            dcols = (w.data.reshape(c, k * k, 1) * g2).reshape(c, k, k, h, wd)
+            x.accumulate(ad._col2im(dcols, x.data.shape, k))
+
+    ad._record(out, bw)
+    return out
+
+
+@st.composite
+def _conv_case(draw):
+    c_in = draw(st.integers(1, 3))
+    c_out = draw(st.integers(1, 3))
+    # up to 144 pixels: each tap's sum crosses numpy's 128-element
+    # pairwise-summation block
+    h = draw(st.integers(1, 12))
+    w = draw(st.integers(1, 12))
+    k = draw(st.sampled_from([1, 3, 5]))
+    depthwise = draw(st.booleans())
+    finite = st.floats(-10.0, 10.0, allow_nan=False)
+    shapes = {
+        "x": (c_in, h, w),
+        "prior": (c_in, h, w),
+        "w": (c_in, k, k) if depthwise else (c_out, c_in, k, k),
+        "b": (c_out,),
+    }
+    case = {name: draw(arrays(np.float64, shape, elements=finite)) for name, shape in shapes.items()}
+    case["weight"] = draw(arrays(np.float64, (c_in if depthwise else c_out, h, w), elements=finite))
+    case["depthwise"] = depthwise
+    case["bias"] = not depthwise and draw(st.booleans())
+    case["with_prior"] = draw(st.booleans())
+    return case
+
+
+def _conv_and_grads(case, conv, depthwise_conv):
+    """Output and the x, w, b gradients of sum(out * weight), with x
+    optionally holding a prior gradient when the tape replays."""
+    x, w, b = (Tensor(case[name], requires_grad=True) for name in ("x", "w", "b"))
+    with GradTape() as tape:
+        if case["depthwise"]:
+            out = depthwise_conv(x, w)
+        else:
+            out = conv(x, w, b if case["bias"] else None)
+        loss = ad.mean_all(ad.mul(out, Tensor(case["weight"])))
+    if case["with_prior"]:
+        x.accumulate(case["prior"])
+    backward(loss, tape, seed=case["weight"].size)
+    return out.data, x.grad, w.grad, b.grad
+
+
+@settings(max_examples=200, deadline=None)
+@given(_conv_case())
+def test_convs_bitwise_match_the_column_keeping_copies(case):
+    got = _conv_and_grads(case, ad.conv2d, ad.depthwise_conv2d)
+    want = _conv_and_grads(case, _frozen_conv2d, _frozen_depthwise_conv2d)
+    for name, g, w in zip(("out", "x", "w", "b"), got, want):
+        assert (g is None) == (w is None), name
+        assert g is None or np.array_equal(g, w), name
+
+
+@pytest.mark.parametrize("depthwise", [False, True])
+def test_taped_conv_holds_no_column_array(depthwise):
+    # the columns of a 3x3 kernel are nine times the input map; the
+    # closure keeps the map itself and rebuilds them in backward
+    rng = np.random.default_rng(14)
+    x = _t(rng, 8, 32, 32)
+    w = _t(rng, 8, 3, 3) if depthwise else _t(rng, 8, 8, 3, 3)
+    tracemalloc.start()
+    try:
+        with GradTape() as tape:
+            out = ad.depthwise_conv2d(x, w) if depthwise else ad.conv2d(x, w)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1
+    assert held < out.data.nbytes + x.data.nbytes, held
 
 
 def test_bilinear_downsample2x():

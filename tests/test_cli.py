@@ -2,6 +2,7 @@
 separate process, except where a test patches the CLI module in-process."""
 
 import argparse
+import importlib.util
 import os
 
 import numpy as np
@@ -191,6 +192,23 @@ def test_train_toy_rejects_bad_steps_or_batch_before_any_forward(tmp_path, monke
     assert not (tmp_path / "toy.ckpt").exists()
 
 
+@pytest.mark.parametrize(
+    "flags", [["--out", "nodir/x.ckpt"], ["--out", "y.ckpt", "--log", "nodir/y.log"]]
+)
+def test_train_toy_rejects_an_output_in_a_missing_directory_before_any_forward(
+    tmp_path, monkeypatch, capsys, flags
+):
+    def no_forward(*args, **kwargs):
+        raise AssertionError("dataset_loss ran before the output paths were checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "dataset_loss", no_forward)
+    assert cli.main(["train-toy", "--synth", "4", "--steps", "6", "--size", "8", *flags, *_TINY_FLAGS]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "nodir" in errors[0] and "does not exist" in errors[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 # the toy set with NaN in every clean image, so the first training loss is NaN
 _NAN_TRAIN_TOY = """
 import sys
@@ -274,6 +292,29 @@ def test_forward_with_silenced_checkpoint_copies_the_input(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out.ppm").read_bytes() == (tmp_path / "in.ppm").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "out,message",
+    [
+        ("pred.jpg", "unsupported image format: pred.jpg"),
+        ("nodir/pred.ppm", "nodir/pred.ppm: directory nodir does not exist"),
+        pytest.param(
+            "pred.png",
+            "PNG support needs the Pillow package",
+            marks=pytest.mark.skipif(importlib.util.find_spec("PIL") is not None, reason="Pillow writes PNG"),
+        ),
+    ],
+)
+def test_forward_rejects_an_unwritable_out_before_loading_the_checkpoint(tmp_path, out, message):
+    # no checkpoint exists: the --out check must fail first
+    write_ppm(str(tmp_path / "in.ppm"), np.zeros((3, 8, 8)))
+    write_pgm(str(tmp_path / "mask.pgm"), np.zeros((8, 8)))
+    proc = run_cli(["forward", "in.ppm", "mask.pgm", "--checkpoint", "missing.ckpt", "--out", out], tmp_path)
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {message}"], proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ppm", "mask.pgm"]
 
 
 def test_forward_rejects_conflicting_overrides(tmp_path):
