@@ -57,9 +57,6 @@ class GradTape:
         _TAPE_STACK.pop()
         return False
 
-    def __len__(self) -> int:
-        return len(self._ops)
-
     def record(self, replay) -> None:
         self._ops.append(replay)
 
@@ -365,7 +362,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 #
 # The closures keep the input map, not its im2col columns (k*k times
 # larger): conv2d rebuilds the columns in backward for its weight
-# gradient, depthwise_conv2d sums its weight gradient one window at a time.
+# gradient; depthwise_conv2d builds none and runs its forward and both
+# gradients one shifted window at a time.
 
 
 def _windows(x: np.ndarray, k: int):
@@ -387,13 +385,16 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     return cols
 
 
-def _col2im(dcols: np.ndarray, shape: tuple[int, int, int], k: int) -> np.ndarray:
+def _scatter_windows(tap, shape: tuple[int, int, int], k: int) -> np.ndarray:
+    """The adjoint of _windows: adds tap(di, dj), one (C, H, W) array per
+    kernel offset in row-major kernel order, into the zero-padded map's
+    window at that offset, and returns the unpadded part."""
     c, h, w = shape
     pad = k // 2
     dxp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
     for di in range(k):
         for dj in range(k):
-            dxp[:, di : di + h, dj : dj + w] += dcols[:, di, dj]
+            dxp[:, di : di + h, dj : dj + w] += tap(di, dj)
     return dxp[:, pad : pad + h, pad : pad + w]
 
 
@@ -426,7 +427,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             b.accumulate(g.sum(axis=(1, 2)))
         if x.requires_grad:
             dcols = (w.data.reshape(c_out, -1).T @ g2).reshape(c_in, k, k, h, wd)
-            x.accumulate(_col2im(dcols, x.data.shape, k))
+            x.accumulate(_scatter_windows(lambda di, dj: dcols[:, di, dj], x.data.shape, k))
 
     _record(out, bw)
     return out
@@ -442,12 +443,14 @@ def depthwise_conv2d(x: Tensor, w: Tensor) -> Tensor:
         raise ConfigError(f"depthwise kernel must be square and odd, got {k}x{k2}")
     if ck != c:
         raise ShapeError(f"depthwise channel mismatch: input {x.shape} vs kernels {w.shape}")
-    cols = _im2col(x.data, k).reshape(c, k * k, h * wd)
-    y = (cols * w.data.reshape(c, k * k, 1)).sum(axis=1).reshape(c, h, wd)
+    # tap by tap in kernel order, from +0.0 as numpy's sum over the taps
+    # starts: the same rounding and signed zeros as that sum
+    y = np.zeros_like(x.data)
+    for di, dj, window in _windows(x.data, k):
+        y += w.data[:, di, dj, None, None] * window
     out = Tensor(y, x.requires_grad or w.requires_grad)
 
     def bw(g):
-        g2 = g.reshape(c, 1, h * wd)
         if w.requires_grad:
             # one window at a time: each tap's sum runs over the same
             # contiguous H*W products as a row of the column array did
@@ -456,8 +459,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor) -> Tensor:
                 dw[:, di, dj] = (window * g).reshape(c, h * wd).sum(axis=1)
             w.accumulate(dw)
         if x.requires_grad:
-            dcols = (w.data.reshape(c, k * k, 1) * g2).reshape(c, k, k, h, wd)
-            x.accumulate(_col2im(dcols, x.data.shape, k))
+            x.accumulate(_scatter_windows(lambda di, dj: w.data[:, di, dj, None, None] * g, x.data.shape, k))
 
     _record(out, bw)
     return out

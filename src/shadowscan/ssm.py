@@ -14,16 +14,22 @@ vectors from each token, so only the sequential recurrence applies; the
 convolution form that token-invariant parameters admit lives with the
 ``check ssm-equiv`` suite, which cross-checks the recurrence against it.
 
-Each scan direction records four tape closures: one for the whole
+Each scan direction records five tape closures: one for the whole
 per-token discretization, which keeps only (L, C) and (L, N) inputs and
 recomputes the (L, C, N) terms in its backward (recompute instead of
 store, as in Mamba, arXiv 2312.00752, section 3.3), one for the
-recurrence, and two for the direct term. The recurrence consumes bx: it
-runs in place over bx's buffer, so until replay a direction holds two
-(L, C, N) arrays, abar and the state history, the ones a backward reads.
+recurrence, one that rebuilds abar = exp(dt A) just before the
+recurrence's backward, and two for the direct term. The recurrence
+consumes bx: it runs in place over bx's buffer, which then holds the
+state history. abar is dropped once the recurrence has run, so until
+replay a direction holds one (L, C, N) array, the history. The
+discretization runs over row blocks of about 256 KB per array, so its
+temporaries stay block-sized, forward and backward.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 from scipy import special
@@ -34,6 +40,9 @@ from .errors import ConfigError, ContractError, ShapeError
 from .module import Module
 
 ZOH_SERIES_THRESHOLD = 1e-8
+
+# bytes per (rows, C, N) array in the discretization's row blocks
+_BLOCK_BYTES = 1 << 18
 
 # abar at the softplus(0) step size equals this after default init
 _INIT_ABAR = 0.9
@@ -90,23 +99,26 @@ def ssm_recurrence(abar: Tensor, bx: Tensor, cvec: Tensor) -> Tensor:
 
     bx is consumed: the forward runs in place over bx.data, which holds
     the state history h afterwards, so bx must own its buffer and share
-    none with abar or cvec. The closure keeps abar, cvec and that history,
-    the arrays its backward reads; the backward hands the (L, C, N)
-    gradients of abar and bx over without a copy.
+    none with abar or cvec. The closure keeps cvec and that history, and
+    reads abar.data only when it replays, so a caller may drop abar's
+    array in between if a closure recorded after this one (which replays
+    before it) puts it back; SsmDirection.scan does. The backward hands
+    the (L, C, N) gradients of abar and bx over without a copy.
     """
     if abar.ndim != 3 or abar.shape != bx.shape:
         raise ShapeError(f"abar {abar.shape} and bx {bx.shape} must be equal (L,C,N)")
     length, _, state = abar.shape
     if cvec.shape != (length, state):
         raise ShapeError(f"cvec must be ({length},{state}), got {cvec.shape}")
-    a_d, c_d, hist = abar.data, cvec.data, bx.data
-    if np.may_share_memory(hist, a_d) or np.may_share_memory(hist, c_d):
+    c_d, hist = cvec.data, bx.data
+    if np.may_share_memory(hist, abar.data) or np.may_share_memory(hist, c_d):
         raise ContractError("bx is consumed by the scan and must not share memory with abar or cvec")
-    _linear_recurrence(a_d[1:], hist)
+    _linear_recurrence(abar.data[1:], hist)
     y = np.einsum("tcn,tn->tc", hist, c_d)
     out = Tensor(y, abar.requires_grad or bx.requires_grad or cvec.requires_grad)
 
     def bw(g):
+        a_d = abar.data
         d_cv = np.einsum("tc,tcn->tn", g, hist) if cvec.requires_grad else None
         # adj[t] is the adjoint of h[t], which is also the gradient of bx[t]
         adj = g[:, :, None] * c_d[:, None, :]
@@ -125,46 +137,70 @@ def ssm_recurrence(abar: Tensor, bx: Tensor, cvec: Tensor) -> Tensor:
     return out
 
 
+def _row_blocks(length: int, channels: int, state: int) -> list[slice]:
+    """Row slices of about _BLOCK_BYTES per (rows, C, N) float64 array,
+    the last one ragged."""
+    rows = max(1, _BLOCK_BYTES // (8 * channels * state))
+    return [slice(start, start + rows) for start in range(0, length, rows)]
+
+
 def _discretized_inputs(
     x: Tensor, a_log: Tensor, w_dt: Tensor, b_dt: Tensor, w_b: Tensor, w_c: Tensor
-) -> tuple[Tensor, Tensor, Tensor]:
+) -> tuple[Tensor, Tensor, Tensor, Callable[[], None] | None]:
     """The recurrence's inputs (abar, bx, cvec) from (L, C) tokens, as one
-    tape node.
+    tape node, and a closure that rebuilds abar's data.
 
     Per token, the step is dt = softplus(x @ w_dt + b_dt) per channel,
     B = x @ w_b and cvec = x @ w_c per state, and with A = -exp(a_log)
     abar = exp(dt A) and bx = zoh(dt A) (dt B) x, both (L, C, N).
 
+    The (L, C, N) chain runs over row blocks (_row_blocks), forward and
+    backward, so its temporaries are block-sized; every op is elementwise
+    or reduces within a row, so the blocks round as whole arrays would.
     The node keeps x, the (L, C) logits and steps, the (L, N) B and the
     (C, N) exp(a_log); its backward recomputes dt A, the ZOH factor and
-    dt B rather than holding (L, C, N) arrays on the tape until replay,
-    and reuses bx's buffer, which no later reader needs by then.
+    dt B rather than holding (L, C, N) arrays on the tape until replay.
     The backward rounds as the chain of single ops it replaces did: the
-    same products and the same reductions, and one ``x.accumulate`` per
-    path in replay order (bx, cvec, B, step), since x may already hold
-    gradient from elsewhere and a pre-summed update rounds differently.
+    same products and the same reductions, the a_log gradient's sum over
+    L still one reduction over a full-length array, and one
+    ``x.accumulate`` per path in replay order (bx, cvec, B, step), since
+    x may already hold gradient from elsewhere and a pre-summed update
+    rounds differently.
+
+    The rebuild closure (None when nothing is taped) sets abar.data to
+    exp(dt A) again with the forward's ops, so the caller may drop abar's
+    array until a backward needs it.
     """
     xd = x.data
     logits = xd @ w_dt.data + b_dt.data
     dt = np.logaddexp(0.0, logits)
     b_proj = xd @ w_b.data
     exp_a = np.exp(a_log.data)
+    neg_a = -exp_a
     dt3 = dt[:, :, None]
     b3 = b_proj[:, None, :]
     x3 = xd[:, :, None]
-    da = dt3 * -exp_a
-    # bbar and bx are built in place in the factor: fresh (L, C, N)
-    # temporaries here cost page faults on every forward
-    factor = _zoh_terms(da)[0]
-    factor *= dt3 * b3
-    factor *= x3
+    length, channels = xd.shape
+    blocks = _row_blocks(length, channels, exp_a.shape[1])
+    abar_d = np.empty((length,) + exp_a.shape)
+    bx_d = np.empty_like(abar_d)
+    for rows in blocks:
+        da = np.multiply(dt3[rows], neg_a, out=abar_d[rows])
+        factor = _zoh_terms(da)[0]
+        factor *= dt3[rows] * b3[rows]
+        np.multiply(factor, x3[rows], out=bx_d[rows])
+        np.exp(da, out=da)
     requires = any(t.requires_grad for t in (x, a_log, w_dt, b_dt, w_b, w_c))
-    abar = Tensor(np.exp(da, out=da), requires)
-    bx = Tensor(factor, requires)
+    abar = Tensor(abar_d, requires)
+    bx = Tensor(bx_d, requires)
     cvec = Tensor(xd @ w_c.data, requires)
     tape = ad.active_tape()
     if tape is None or not requires:
-        return abar, bx, cvec
+        return abar, bx, cvec, None
+
+    def rebuild_abar():
+        da = np.multiply(dt3, neg_a)
+        abar.data = np.exp(da, out=da)
 
     def replay():
         # ssm_recurrence hands all three outputs a gradient, or none; the
@@ -173,35 +209,42 @@ def _discretized_inputs(
         g_ab, g_bx, g_c = abar.grad, bx.grad, cvec.grad
         if g_ab is None:
             return
-        neg_a = -exp_a
-        # every reader of bx has replayed, and the recurrence left only its
-        # history in bx's buffer: dt A is rebuilt there, not in a fresh one
-        buf = np.multiply(dt3, neg_a, out=bx.data)
-        factor, small, safe, em1 = _zoh_terms(buf)
-        # d factor / d u = (u exp(u) - expm1(u)) / u^2, 1/2 on the series
-        # branch; exp(u) is abar wherever the exact branch applies
-        der = np.multiply(safe, abar.data, out=buf)
-        der -= em1
-        safe *= safe
-        der /= safe
-        np.copyto(der, 0.5, where=small)
-        step_b = np.multiply(dt3, b3, out=safe)
-        bbar = np.multiply(factor, step_b, out=em1)
-        if x.requires_grad:
-            x.accumulate(np.multiply(g_bx, bbar, out=bbar).sum(axis=2))
-        g_bbar = np.multiply(g_bx, x3, out=g_bx)
-        g_da = np.multiply(g_bbar, step_b, out=bbar)
-        g_step_b = np.multiply(g_bbar, factor, out=g_bx)
-        g_da *= der
-        d_dt = np.multiply(g_step_b, b3, out=der).sum(axis=2)
-        g_step_b *= dt3
-        d_b = g_step_b.sum(axis=1)
-        g_ab *= abar.data
-        g_da += g_ab
-        d_dt += np.multiply(g_da, neg_a, out=der).sum(axis=2)
-        g_da *= dt3
+        a_d = abar.data
+        d_x = np.empty_like(xd) if x.requires_grad else None
+        d_dt = np.empty_like(dt)
+        d_b = np.empty_like(b_proj)
+        for rows in blocks:
+            dt_r, b_r = dt3[rows], b3[rows]
+            factor, small, safe, em1 = _zoh_terms(dt_r * neg_a)
+            # d factor / d u = (u exp(u) - expm1(u)) / u^2, 1/2 on the
+            # series branch; exp(u) is abar wherever the exact branch applies
+            der = np.multiply(safe, a_d[rows])
+            der -= em1
+            safe *= safe
+            der /= safe
+            np.copyto(der, 0.5, where=small)
+            step_b = np.multiply(dt_r, b_r, out=safe)
+            bbar = np.multiply(factor, step_b, out=em1)
+            g_bx_r = g_bx[rows]
+            if d_x is not None:
+                np.multiply(g_bx_r, bbar, out=bbar).sum(axis=2, out=d_x[rows])
+            g_bbar = np.multiply(g_bx_r, x3[rows], out=g_bx_r)
+            g_da = np.multiply(g_bbar, step_b, out=bbar)
+            g_step_b = np.multiply(g_bbar, factor, out=g_bx_r)
+            g_da *= der
+            np.multiply(g_step_b, b_r, out=der).sum(axis=2, out=d_dt[rows])
+            g_step_b *= dt_r
+            g_step_b.sum(axis=1, out=d_b[rows])
+            g_ab_r = g_ab[rows]
+            g_ab_r *= a_d[rows]
+            g_da += g_ab_r
+            d_dt[rows] += np.multiply(g_da, neg_a, out=der).sum(axis=2)
+            # g_ab's rows are dead: they keep dt * d(dt A) for a_log's sum
+            np.multiply(g_da, dt_r, out=g_ab_r)
+        if d_x is not None:
+            x.accumulate(d_x, owned=True)
         if a_log.requires_grad:
-            a_log.accumulate(-g_da.sum(axis=0) * exp_a)
+            a_log.accumulate(-g_ab.sum(axis=0) * exp_a)
         for grad, w in ((g_c, w_c), (d_b, w_b)):
             if x.requires_grad:
                 x.accumulate(grad @ w.data.T)
@@ -216,7 +259,7 @@ def _discretized_inputs(
             w_dt.accumulate(xd.T @ d_logits)
 
     tape.record(replay)
-    return abar, bx, cvec
+    return abar, bx, cvec, rebuild_abar
 
 
 class SsmDirection(Module):
@@ -246,8 +289,14 @@ class SsmDirection(Module):
         """Run the selective recurrence over an (L, C) sequence."""
         if x.ndim != 2 or x.shape[1] != self.channels:
             raise ShapeError(f"expected (L,{self.channels}) sequence, got {x.shape}")
-        abar, bx, cvec = _discretized_inputs(x, self.a_log, self.w_dt, self.b_dt, self.w_b, self.w_c)
+        params = (self.a_log, self.w_dt, self.b_dt, self.w_b, self.w_c)
+        abar, bx, cvec, rebuild_abar = _discretized_inputs(x, *params)
         y = ssm_recurrence(abar, bx, cvec)
+        if rebuild_abar is not None:
+            # the recurrence reads abar only in its backward: drop the array
+            # until then, and rebuild it in the closure that replays first
+            abar.data = None
+            ad.active_tape().record(rebuild_abar)
         return ad.add(y, ad.mul(x, self.d))
 
     def silence(self) -> None:

@@ -276,9 +276,10 @@ def test_model_output_shape_and_range():
     assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
 
-def test_taped_forward_of_one_image_holds_at_most_42_mb():
+def test_taped_forward_of_one_image_holds_at_most_33_mb():
     # one default 32 px image's tape held 58.7 MB while each scan kept bx
-    # beside its history and each depthwise conv kept its im2col columns
+    # beside its history and each depthwise conv kept its im2col columns,
+    # and 39.5 MB while each scan direction held abar until replay
     model = ShadowNet(ModelConfig())
     image, mask, _ = make_toy_pairs(1, 32, seed=0)[0]
     tracemalloc.start()
@@ -288,8 +289,8 @@ def test_taped_forward_of_one_image_holds_at_most_42_mb():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert out.shape == (3, 32, 32) and len(tape) > 0
-    assert held <= 42e6, held
+    assert out.shape == (3, 32, 32) and len(tape._ops) > 0
+    assert held <= 33e6, held
 
 
 def test_model_same_seed_same_output():

@@ -2,6 +2,7 @@
 selective path, and the stage blocks around them."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy import special
 
 from helpers import assert_grads_match, tape_grads
 from shadowscan import autodiff as ad
+from shadowscan import ssm
 from shadowscan.autodiff import GradTape, Tensor, backward
 from shadowscan.checks import _conv_and_recurrence
 from shadowscan.errors import ConfigError, ContractError, ShapeError
@@ -74,7 +76,7 @@ def test_discretize_runs_the_model_zoh_factor():
     direction.a_log.data[0] = [-40.0, -19.0, -18.4, 0.5]
     x = rng.normal(size=(6, 3))
     params = (direction.a_log, direction.w_dt, direction.b_dt, direction.w_b, direction.w_c)
-    abar, bx, _ = _discretized_inputs(Tensor(x), *params)
+    abar, bx, _, _ = _discretized_inputs(Tensor(x), *params)
     dt = np.logaddexp(0.0, x @ direction.w_dt.data + direction.b_dt.data)[:, :, None]
     da = dt * -np.exp(direction.a_log.data)
     small = np.abs(da) < ZOH_SERIES_THRESHOLD
@@ -407,25 +409,30 @@ def _frozen_scan(x, p):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_scan_case())
-def test_discretization_node_bitwise_matches_frozen_chain(case):
-    inputs = [Tensor(case[name]) for name in ("x", "a_log", "w_dt", "b_dt", "w_b", "w_c")]
-    node = _discretized_inputs(*inputs)
-    chain = _frozen_chain(*inputs)
-    for got, want in zip(node, chain):
-        assert np.array_equal(got.data, want.data)
-    got = _scan_and_grads(case, _direction_scan)
+@given(_scan_case(), st.integers(1, 3))
+def test_discretization_node_bitwise_matches_frozen_chain(case, rows):
+    # row blocks of 1-3 rows over up to 9 tokens: ragged last blocks, and
+    # blocks that mix the series and exact branches
+    channels, state = case["w_b"].shape
+    with mock.patch.object(ssm, "_BLOCK_BYTES", rows * 8 * channels * state):
+        assert len(ssm._row_blocks(len(case["x"]), channels, state)) == -(-len(case["x"]) // rows)
+        inputs = [Tensor(case[name]) for name in ("x", "a_log", "w_dt", "b_dt", "w_b", "w_c")]
+        abar, bx, cvec, _ = _discretized_inputs(*inputs)
+        for got, want in zip((abar, bx, cvec), _frozen_chain(*inputs)):
+            assert np.array_equal(got.data, want.data)
+        got = _scan_and_grads(case, _direction_scan)
     want = _scan_and_grads(case, _frozen_scan)
     for name, g, w in zip(["y", "x"] + list(_PARAMS), got, want):
         assert np.array_equal(g, w), name
 
 
-def test_scan_records_four_closures_and_holds_no_chain():
+def test_scan_records_five_closures_and_holds_no_chain():
     # at full size one direction used to hold about eight (L, C, N)
     # arrays on the tape (34.8 MB); the node keeps (L, C) and (L, N)
-    # inputs, and the recurrence keeps its history in bx's buffer, so
-    # abar and that history are the two 4.2 MB arrays left (10.0 MB
-    # held; 14.2 MB when the history was a copy beside bx)
+    # inputs, the recurrence keeps its history in bx's buffer, and abar
+    # is dropped until its rebuild replays, so the 4.2 MB history is the
+    # one (L, C, N) array left (5.8 MB held; 10.0 MB while abar was held,
+    # 14.2 MB when the history was a copy beside bx)
     rng = np.random.default_rng(17)
     direction = SsmDirection(32, 16, rng)
     x = Tensor(rng.normal(size=(1024, 32)), requires_grad=True)
@@ -437,8 +444,9 @@ def test_scan_records_four_closures_and_holds_no_chain():
     finally:
         tracemalloc.stop()
     assert y.shape == (1024, 32)
-    assert len(tape) == 4  # the node, the recurrence, mul and add
-    assert held <= 11e6, held
+    # the node, the recurrence, the abar rebuild, mul and add
+    assert len(tape._ops) == 5
+    assert held <= 6.5e6, held
 
 
 def test_silenced_direction_emits_zeros():
