@@ -2,13 +2,14 @@
 
 The engine covers exactly the operations the scanning network needs: matmul,
 broadcast elementwise arithmetic, the activations from the block definitions,
-small same-padded convolutions, 2x bilinear resampling, row gather/scatter and
-shape moves. Every differentiable op appends one backward closure to the
-active GradTape; replaying the tape in reverse visits each recorded op once
-(execution order is a topological order of the graph). Gradients accumulate
-into ``Tensor.grad`` with ``+=`` and are cleared only by ``zero_grad``; the
-first gradient is copied in, unless the op hands over a fresh array it
-drops (``accumulate(g, owned=True)``), which then becomes the gradient.
+small same-padded convolutions and 2x bilinear resampling of (H*W, C) token
+sequences, row gather/scatter and concatenation. Every differentiable op
+appends one backward closure to the active GradTape; replaying the tape in
+reverse visits each recorded op once (execution order is a topological order
+of the graph). Gradients accumulate into ``Tensor.grad`` with ``+=`` and are
+cleared only by ``zero_grad``; the first gradient is copied in, unless the op
+hands over a fresh array it drops (``accumulate(g, owned=True)``), which then
+becomes the gradient.
 
 Replay consumes the tape: ``backward`` pops each closure before it runs it,
 so once an op has handed its gradient down, the activations it captured and
@@ -358,12 +359,36 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 # ---------------------------------------------------------------------------
-# convolutions (channels-first, odd kernels, zero-padded same output)
+# spatial ops: (H*W, C) sequences in and out, run channels-first on the
+# (C, H, W) map each folds inside itself. Arrays handed on keep the memory
+# order later reductions round by: outputs are C-contiguous sequences, and
+# x's gradient is the transposed view ``dx.reshape(c, -1).T`` of the map's.
 #
-# The closures keep the input map, not its im2col columns (k*k times
-# larger): conv2d rebuilds the columns in backward for its weight
+# The convolutions keep the input sequence, not its im2col columns (k*k
+# times larger): conv2d rebuilds the columns in backward for its weight
 # gradient; depthwise_conv2d builds none and runs its forward and both
 # gradients one shifted window at a time.
+
+
+def _check_fold(x: Tensor, height: int, width: int, op: str) -> None:
+    if x.ndim != 2 or x.shape[0] != height * width:
+        raise ShapeError(f"{op} needs an (H*W, C) sequence that folds to {height}x{width}, got {x.shape}")
+
+
+def _map(a: np.ndarray, height: int, width: int) -> np.ndarray:
+    """The (C, H, W) view of an (H*W, C) sequence."""
+    return a.T.reshape(-1, height, width)
+
+
+def _seq(m: np.ndarray) -> np.ndarray:
+    """A (C, H, W) map as a C-contiguous (H*W, C) sequence."""
+    return np.ascontiguousarray(m.reshape(m.shape[0], -1).T)
+
+
+def _hand_back(x: Tensor, dx: np.ndarray) -> None:
+    """Give x the gradient of its folded map, dx, a fresh (C, H, W) array
+    or a view into one."""
+    x.accumulate(np.ascontiguousarray(dx.reshape(dx.shape[0], -1)).T, owned=True)
 
 
 def _windows(x: np.ndarray, k: int):
@@ -398,68 +423,76 @@ def _scatter_windows(tap, shape: tuple[int, int, int], k: int) -> np.ndarray:
     return dxp[:, pad : pad + h, pad : pad + w]
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Same-padded 2D convolution: (C_in,H,W) with (C_out,C_in,k,k) weights."""
-    if x.ndim != 3 or w.ndim != 4:
-        raise ShapeError(f"conv2d needs (C,H,W) input and (O,C,k,k) weights, got {x.shape}, {w.shape}")
+def conv2d(x: Tensor, height: int, width: int, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Same-padded 2D convolution of an (H*W, C_in) sequence with
+    (C_out, C_in, k, k) weights, to an (H*W, C_out) sequence."""
+    _check_fold(x, height, width, "conv2d")
+    if w.ndim != 4:
+        raise ShapeError(f"conv2d needs (O,C,k,k) weights, got {w.shape}")
     c_out, c_in, k, k2 = w.shape
     if k != k2 or k % 2 == 0:
         raise ConfigError(f"conv2d kernel must be square and odd, got {k}x{k2}")
-    if c_in != x.shape[0]:
+    if c_in != x.shape[1]:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs weights {w.shape}")
-    _, h, wd = x.shape
+    if b is not None and b.data.shape != (c_out,):
+        raise ShapeError(f"conv2d bias must be ({c_out},), got {b.shape}")
 
     def columns():
-        return _im2col(x.data, k).reshape(c_in * k * k, h * wd)
+        return _im2col(_map(x.data, height, width), k).reshape(c_in * k * k, -1)
 
-    y = (w.data.reshape(c_out, -1) @ columns()).reshape(c_out, h, wd)
+    y = _seq(w.data.reshape(c_out, -1) @ columns())
     if b is not None:
-        if b.data.shape != (c_out,):
-            raise ShapeError(f"conv2d bias must be ({c_out},), got {b.shape}")
-        y = y + b.data[:, None, None]
+        y += b.data
     out = Tensor(y, x.requires_grad or w.requires_grad or (b is not None and b.requires_grad))
 
     def bw(g):
-        g2 = g.reshape(c_out, h * wd)
+        g2 = np.ascontiguousarray(g.T)
         if w.requires_grad:
             w.accumulate((g2 @ columns().T).reshape(w.data.shape))
         if b is not None and b.requires_grad:
-            b.accumulate(g.sum(axis=(1, 2)))
+            b.accumulate(g2.sum(axis=1))
         if x.requires_grad:
-            dcols = (w.data.reshape(c_out, -1).T @ g2).reshape(c_in, k, k, h, wd)
-            x.accumulate(_scatter_windows(lambda di, dj: dcols[:, di, dj], x.data.shape, k))
+            dcols = (w.data.reshape(c_out, -1).T @ g2).reshape(c_in, k, k, height, width)
+            _hand_back(x, _scatter_windows(lambda di, dj: dcols[:, di, dj], (c_in, height, width), k))
 
     _record(out, bw)
     return out
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor) -> Tensor:
-    """Per-channel same-padded convolution: (C,H,W) with (C,k,k) kernels."""
-    if x.ndim != 3 or w.ndim != 3:
-        raise ShapeError(f"depthwise_conv2d needs (C,H,W) and (C,k,k), got {x.shape}, {w.shape}")
-    c, h, wd = x.shape
+def depthwise_conv2d(x: Tensor, height: int, width: int, w: Tensor) -> Tensor:
+    """Per-channel same-padded convolution of an (H*W, C) sequence, (C,k,k) kernels."""
+    _check_fold(x, height, width, "depthwise_conv2d")
+    if w.ndim != 3:
+        raise ShapeError(f"depthwise_conv2d needs (C,k,k) kernels, got {w.shape}")
+    c = x.shape[1]
     ck, k, k2 = w.shape
     if k != k2 or k % 2 == 0:
         raise ConfigError(f"depthwise kernel must be square and odd, got {k}x{k2}")
     if ck != c:
         raise ShapeError(f"depthwise channel mismatch: input {x.shape} vs kernels {w.shape}")
+
+    def windows():
+        # C-ordered padding for every shape, so the dw sums reduce alike
+        return _windows(np.ascontiguousarray(_map(x.data, height, width)), k)
+
     # tap by tap in kernel order, from +0.0 as numpy's sum over the taps
     # starts: the same rounding and signed zeros as that sum
-    y = np.zeros_like(x.data)
-    for di, dj, window in _windows(x.data, k):
+    y = np.zeros((c, height, width))
+    for di, dj, window in windows():
         y += w.data[:, di, dj, None, None] * window
-    out = Tensor(y, x.requires_grad or w.requires_grad)
+    out = Tensor(_seq(y), x.requires_grad or w.requires_grad)
 
     def bw(g):
+        g = _map(g, height, width)
         if w.requires_grad:
             # one window at a time: each tap's sum runs over the same
             # contiguous H*W products as a row of the column array did
             dw = np.empty_like(w.data)
-            for di, dj, window in _windows(x.data, k):
-                dw[:, di, dj] = (window * g).reshape(c, h * wd).sum(axis=1)
+            for di, dj, window in windows():
+                dw[:, di, dj] = (window * g).reshape(c, -1).sum(axis=1)
             w.accumulate(dw)
         if x.requires_grad:
-            x.accumulate(_scatter_windows(lambda di, dj: w.data[:, di, dj, None, None] * g, x.data.shape, k))
+            _hand_back(x, _scatter_windows(lambda di, dj: w.data[:, di, dj, None, None] * g, (c, height, width), k))
 
     _record(out, bw)
     return out
@@ -469,23 +502,24 @@ def depthwise_conv2d(x: Tensor, w: Tensor) -> Tensor:
 # 2x resampling
 
 
-def bilinear_downsample2x(x: Tensor) -> Tensor:
-    """Halve a (C,H,W) map; with aligned centers this is the 2x2 block mean."""
-    c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"downsample needs even spatial dims, got {x.shape}")
-    d = x.data
+def bilinear_downsample2x(x: Tensor, height: int, width: int) -> Tensor:
+    """Halve an (H*W, C) sequence's map: the 2x2 block mean (aligned centers)."""
+    _check_fold(x, height, width, "downsample")
+    if height % 2 or width % 2:
+        raise ShapeError(f"downsample needs even spatial dims, got {height}x{width}")
+    c = x.shape[1]
+    d = _map(x.data, height, width)
     y = 0.25 * (d[:, ::2, ::2] + d[:, 1::2, ::2] + d[:, ::2, 1::2] + d[:, 1::2, 1::2])
-    out = Tensor(y, x.requires_grad)
+    out = Tensor(_seq(y), x.requires_grad)
 
     def bw(g):
-        dx = np.zeros_like(d)
-        q = 0.25 * g
+        dx = np.zeros((c, height, width))
+        q = 0.25 * _map(g, height // 2, width // 2)
         dx[:, ::2, ::2] += q
         dx[:, 1::2, ::2] += q
         dx[:, ::2, 1::2] += q
         dx[:, 1::2, 1::2] += q
-        x.accumulate(dx)
+        _hand_back(x, dx)
 
     _record(out, bw)
     return out
@@ -499,20 +533,22 @@ def _up_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.clip(i0, 0, n - 1), np.clip(i0 + 1, 0, n - 1), frac
 
 
-def bilinear_upsample2x(x: Tensor) -> Tensor:
-    """Double a (C,H,W) map with bilinear interpolation, edge-replicated."""
-    c, h, w = x.shape
-    r0, r1, fr = _up_indices(h)
-    c0, c1, fc = _up_indices(w)
-    d = x.data
+def bilinear_upsample2x(x: Tensor, height: int, width: int) -> Tensor:
+    """Double an (H*W, C) sequence's map bilinearly, edge-replicated."""
+    _check_fold(x, height, width, "upsample")
+    c = x.shape[1]
+    r0, r1, fr = _up_indices(height)
+    c0, c1, fc = _up_indices(width)
+    d = _map(x.data, height, width)
     fr_ = fr[None, :, None]
     fc_ = fc[None, None, :]
     top = (1.0 - fc_) * d[:, r0][:, :, c0] + fc_ * d[:, r0][:, :, c1]
     bot = (1.0 - fc_) * d[:, r1][:, :, c0] + fc_ * d[:, r1][:, :, c1]
-    out = Tensor((1.0 - fr_) * top + fr_ * bot, x.requires_grad)
+    out = Tensor(_seq((1.0 - fr_) * top + fr_ * bot), x.requires_grad)
 
     def bw(g):
-        dx = np.zeros_like(d)
+        g = _map(g, 2 * height, 2 * width)
+        dx = np.zeros((c, height, width))
         rows = (r0, r1)
         cols = (c0, c1)
         wr = (1.0 - fr_, fr_)
@@ -520,14 +556,14 @@ def bilinear_upsample2x(x: Tensor) -> Tensor:
         for a in range(2):
             for b_ in range(2):
                 np.add.at(dx, (slice(None), rows[a][:, None], cols[b_][None, :]), wr[a] * wc[b_] * g)
-        x.accumulate(dx)
+        _hand_back(x, dx)
 
     _record(out, bw)
     return out
 
 
 # ---------------------------------------------------------------------------
-# row gather / scatter and shape moves
+# row gather / scatter, concatenation and the output fold
 
 
 def invert_permutation(perm: np.ndarray) -> np.ndarray:
@@ -586,69 +622,30 @@ def reverse_rows(x: Tensor) -> Tensor:
     return out
 
 
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != b.ndim or a.shape[1:] != b.shape[1:]:
-        raise ShapeError(f"concat_rows needs matching trailing dims, got {a.shape}, {b.shape}")
-    na = a.shape[0]
-    out = Tensor(np.concatenate([a.data, b.data], axis=0), a.requires_grad or b.requires_grad)
+def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
+    """Join two tensors along ``axis``; every other dim must match."""
+    if a.ndim != b.ndim or a.shape[:axis] + a.shape[axis + 1 :] != b.shape[:axis] + b.shape[axis + 1 :]:
+        raise ShapeError(f"concat on axis {axis} needs matching other dims, got {a.shape}, {b.shape}")
+    out = Tensor(np.concatenate([a.data, b.data], axis=axis), a.requires_grad or b.requires_grad)
 
     def bw(g):
+        ga, gb = np.split(g, [a.shape[axis]], axis=axis)
         if a.requires_grad:
-            a.accumulate(g[:na])
+            a.accumulate(ga)
         if b.requires_grad:
-            b.accumulate(g[na:])
+            b.accumulate(gb)
 
     _record(out, bw)
     return out
 
 
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Join two (L, C) sequences along the channel axis."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols needs matching row counts, got {a.shape}, {b.shape}")
-    na = a.shape[1]
-    out = Tensor(np.concatenate([a.data, b.data], axis=1), a.requires_grad or b.requires_grad)
+def seq_to_map(x: Tensor, height: int, width: int) -> Tensor:
+    """(H*W, C) token sequence to a C-contiguous (C, H, W) map."""
+    _check_fold(x, height, width, "seq_to_map")
+    out = Tensor(np.ascontiguousarray(_map(x.data, height, width)), x.requires_grad)
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(g[:, :na])
-        if b.requires_grad:
-            b.accumulate(g[:, na:])
+        x.accumulate(g.reshape(g.shape[0], -1).T)
 
     _record(out, bw)
     return out
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(x.data.reshape(shape), x.requires_grad)
-
-    def bw(g):
-        x.accumulate(g.reshape(x.data.shape))
-
-    _record(out, bw)
-    return out
-
-
-def permute_dims(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)), x.requires_grad)
-    inverse = tuple(np.argsort(axes))
-
-    def bw(g):
-        x.accumulate(g.transpose(inverse))
-
-    _record(out, bw)
-    return out
-
-
-def map_to_seq(x: Tensor) -> Tensor:
-    """(C,H,W) map to (H*W, C) row-major token sequence."""
-    c, h, w = x.shape
-    return reshape(permute_dims(x, (1, 2, 0)), (h * w, c))
-
-
-def seq_to_map(x: Tensor, h: int, w: int) -> Tensor:
-    """(H*W, C) token sequence back to a (C,H,W) map."""
-    l, c = x.shape
-    if l != h * w:
-        raise ShapeError(f"sequence length {l} does not fold to {h}x{w}")
-    return permute_dims(reshape(x, (h, w, c)), (2, 0, 1))

@@ -4,11 +4,12 @@ The model maps a shadow image plus its mask to a restored image:
 
     encode -> dual-scale fusion -> scan UNet -> decode (-> residual add)
 
-Features live as (L, C) token sequences in row-major pixel order and are
-folded to (C, H, W) maps only where a convolution or resampling needs the
-geometry. Every scan group runs a row-major stage followed by a
-mask-aware stage in its level's order, which depends only on the level's
-mask: the model builds each level's order once per forward.
+Features live as (L, C) token sequences in row-major pixel order; the
+convolutions and resampling ops take them with the level's height and
+width, and only the decoder's (3, H, W) output is a map. Every scan group
+runs a row-major stage followed by a mask-aware stage in its level's
+order, which depends only on the level's mask: the model builds each
+level's order once per forward.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def scan_orders(mask: np.ndarray, levels: int, patch: int, tau: float) -> list[S
 
 
 class Encoder(Module):
-    """3x3 convolution over the image+mask stack, slope-0.2 LeakyReLU, flatten."""
+    """3x3 convolution over the image+mask stack, slope-0.2 LeakyReLU."""
 
     def __init__(self, channels: int, rng: np.random.Generator) -> None:
         fan_in = 4 * 9
@@ -67,9 +68,9 @@ class Encoder(Module):
         self.b = Tensor(np.zeros(channels), requires_grad=True)
 
     def forward(self, image: np.ndarray, mask: np.ndarray) -> Tensor:
-        x = Tensor(np.concatenate([image, mask[None]], axis=0))
-        m = ad.leaky_relu(ad.conv2d(x, self.w, self.b), 0.2)
-        return ad.map_to_seq(m)
+        h, w = mask.shape
+        x = Tensor(np.concatenate([image, mask[None]], axis=0).reshape(4, h * w).T)
+        return ad.leaky_relu(ad.conv2d(x, h, w, self.w, self.b), 0.2)
 
 
 class DualScanGroup(Module):
@@ -127,7 +128,7 @@ def dfmb_interleave(fine: Tensor, coarse: Tensor, height: int, width: int) -> Te
         raise ShapeError(
             f"token counts {fine.shape[0]}/{coarse.shape[0]} do not match {height}x{width} and its half"
         )
-    source = ad.concat_rows(fine, coarse)
+    source = ad.concat(fine, coarse, 0)
     return ad.permute_gather(source, _interleave_index(height, width))
 
 
@@ -158,7 +159,7 @@ class DualScaleFusion(Module):
         self, seq: Tensor, orders: list[ScanOrder], height: int, width: int, training: bool = False
     ) -> Tensor:
         big = self.full.forward(seq, orders[0], height, width, training)
-        down_seq = ad.map_to_seq(ad.bilinear_downsample2x(ad.seq_to_map(seq, height, width)))
+        down_seq = ad.bilinear_downsample2x(seq, height, width)
         down = self.half.forward(down_seq, orders[1], height // 2, width // 2, training)
         woven = dfmb_interleave(big, down, height, width)
         # the 5-token units of one block row tile a (H/2, 5W/2) map exactly
@@ -212,14 +213,14 @@ class ScanUnet(Module):
         for level in range(self.depth):
             cur = self.down[level].forward(cur, orders[level], h, w, training)
             skips.append(cur)
-            cur = ad.map_to_seq(ad.bilinear_downsample2x(ad.seq_to_map(cur, h, w)))
+            cur = ad.bilinear_downsample2x(cur, h, w)
             h, w = h // 2, w // 2
         cur = self.bottleneck.forward(cur, orders[self.depth], h, w, training)
         for level in range(self.depth - 1, -1, -1):
-            cur = ad.map_to_seq(ad.bilinear_upsample2x(ad.seq_to_map(cur, h, w)))
+            cur = ad.bilinear_upsample2x(cur, h, w)
             h, w = h * 2, w * 2
             proj = self.proj[level]
-            cur = ad.linear(ad.concat_cols(cur, skips[level]), proj.w, proj.b)
+            cur = ad.linear(ad.concat(cur, skips[level], 1), proj.w, proj.b)
             cur = self.up[level].forward(cur, orders[level], h, w, training)
         return cur
 
@@ -273,7 +274,7 @@ class ShadowNet(Module):
         seq = self.encoder.forward(image, mask)
         seq = self.fusion.forward(seq, orders, h, w, training)
         seq = self.unet.forward(seq, orders, h, w, training)
-        residual = ad.conv2d(ad.seq_to_map(seq, h, w), self.dec_w, self.dec_b)
+        residual = ad.seq_to_map(ad.conv2d(seq, h, w, self.dec_w, self.dec_b), h, w)
         if cfg.residual_output:
             return ad.clamp01(ad.add(Tensor(image), residual))
         return ad.clamp01(residual)

@@ -55,7 +55,8 @@ def _read_netpbm(path: str, magic: bytes, channels: int) -> np.ndarray:
     if maxval != 255:
         raise ValidationError(f"{path}: only maxval 255 is supported, got {maxval}")
     count = width * height * channels
-    data = raw[data_at : data_at + count]
+    # one image per file: a byte past the raster is as malformed as a missing one
+    data = raw[data_at:]
     if len(data) != count:
         raise ValidationError(f"{path}: raster has {len(data)} bytes, expected {count}")
     arr = np.frombuffer(data, dtype=np.uint8).astype(np.float64) / 255.0

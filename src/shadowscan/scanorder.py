@@ -42,8 +42,6 @@ class ScanPath:
     patch: int
     kind: str
     coords: tuple[tuple[int, int], ...]
-    start_a: tuple[int, int] | None = None
-    start_b: tuple[int, int] | None = None
 
     @property
     def flat(self) -> np.ndarray:
@@ -223,7 +221,7 @@ def mas_order(grid: PatchGrid) -> ScanPath:
     path_b = list(reversed(spiral_in(rect, start_b)))
     path_a = gbs_traverse(grid, rect, start_a)
     coords = tuple(path_b + path_a)
-    return ScanPath(grid.rows, grid.cols, grid.patch, KIND_MAS, coords, start_a, start_b)
+    return ScanPath(grid.rows, grid.cols, grid.patch, KIND_MAS, coords)
 
 
 def pixel_order(path: ScanPath) -> np.ndarray:

@@ -324,7 +324,7 @@ def bidirectional_ssm_block(
 
 
 class ConvMlp(Module):
-    """Pointwise expand, 3x3 depthwise mix on the folded map, exact GELU,
+    """Pointwise expand, 3x3 depthwise mix over the token grid, exact GELU,
     pointwise contract, dropout, plus the residual."""
 
     def __init__(
@@ -349,11 +349,8 @@ class ConvMlp(Module):
         self._rng = rng
 
     def forward(self, x: Tensor, height: int, width: int, training: bool = False) -> Tensor:
-        if x.shape[0] != height * width:
-            raise ShapeError(f"sequence of {x.shape[0]} tokens does not fold to {height}x{width}")
         t = ad.linear(x, self.w1, self.b1)
-        m = ad.depthwise_conv2d(ad.seq_to_map(t, height, width), self.dw)
-        t = ad.gelu(ad.map_to_seq(m))
+        t = ad.gelu(ad.depthwise_conv2d(t, height, width, self.dw))
         t = ad.linear(t, self.w2, self.b2)
         t = ad.dropout(t, self.rate, self._rng, training)
         return ad.add(x, t)

@@ -147,42 +147,96 @@ def _conv_loop(x, w, b):
     return out
 
 
+def _seq(m):
+    """A (C, H, W) array as the C-contiguous (H*W, C) token sequence."""
+    return np.ascontiguousarray(m.reshape(m.shape[0], -1).T)
+
+
+def _ts(rng, c, h, w):
+    """A random (H*W, C) sequence with a gradient."""
+    return Tensor(rng.normal(size=(h * w, c)), requires_grad=True)
+
+
 def test_conv2d_matches_nested_loop():
     rng = np.random.default_rng(11)
-    x = _t(rng, 2, 5, 4)
+    x = _ts(rng, 2, 5, 4)
     w = _t(rng, 3, 2, 3, 3)
     b = _t(rng, 3)
-    out = ad.conv2d(x, w, b)
-    assert np.allclose(out.data, _conv_loop(x.data, w.data, b.data), atol=1e-12)
-    assert_grads_match(ad.conv2d, [x, w, b])
+    out = ad.conv2d(x, 5, 4, w, b)
+    ref = _conv_loop(x.data.T.reshape(2, 5, 4), w.data, b.data)
+    assert np.allclose(out.data, _seq(ref), atol=1e-12)
+    assert_grads_match(lambda x_, w_, b_: ad.conv2d(x_, 5, 4, w_, b_), [x, w, b])
 
 
 def test_conv2d_validation():
     rng = np.random.default_rng(12)
-    x = _t(rng, 2, 4, 4)
+    x = _ts(rng, 2, 4, 4)
     with pytest.raises(ConfigError):
-        ad.conv2d(x, _t(rng, 3, 2, 2, 2))
+        ad.conv2d(x, 4, 4, _t(rng, 3, 2, 2, 2))
     with pytest.raises(ShapeError):
-        ad.conv2d(x, _t(rng, 3, 5, 3, 3))
+        ad.conv2d(x, 4, 4, _t(rng, 3, 5, 3, 3))
     with pytest.raises(ShapeError):
-        ad.conv2d(x, _t(rng, 3, 2, 3, 3), _t(rng, 4))
+        ad.conv2d(x, 4, 4, _t(rng, 3, 2, 3, 3), _t(rng, 4))
+    with pytest.raises(ShapeError):
+        ad.conv2d(x, 4, 5, _t(rng, 3, 2, 3, 3))
+    with pytest.raises(ShapeError):
+        ad.conv2d(_t(rng, 2, 4, 4), 4, 4, _t(rng, 3, 2, 3, 3))
 
 
 def test_depthwise_conv2d_matches_loop():
     rng = np.random.default_rng(13)
-    x = _t(rng, 3, 4, 5)
+    x = _ts(rng, 3, 4, 5)
     w = _t(rng, 3, 3, 3)
-    out = ad.depthwise_conv2d(x, w)
+    out = ad.depthwise_conv2d(x, 4, 5, w)
+    xm = x.data.T.reshape(3, 4, 5)
     ref = np.stack(
         [
-            _conv_loop(x.data[c : c + 1], w.data[c][None, None], np.zeros(1))[0]
+            _conv_loop(xm[c : c + 1], w.data[c][None, None], np.zeros(1))[0]
             for c in range(3)
         ]
     )
-    assert np.allclose(out.data, ref, atol=1e-12)
-    assert_grads_match(ad.depthwise_conv2d, [x, w])
+    assert np.allclose(out.data, _seq(ref), atol=1e-12)
+    assert_grads_match(lambda x_, w_: ad.depthwise_conv2d(x_, 4, 5, w_), [x, w])
     with pytest.raises(ShapeError):
-        ad.depthwise_conv2d(x, _t(rng, 2, 3, 3))
+        ad.depthwise_conv2d(x, 4, 5, _t(rng, 2, 3, 3))
+    with pytest.raises(ShapeError):
+        ad.depthwise_conv2d(x, 5, 5, w)
+
+
+# The layout ops the model folded sequences with before the spatial ops
+# took sequences themselves, kept verbatim: the frozen convolutions run
+# between them, as the model ran them.
+
+
+def _frozen_reshape(x, shape):
+    out = Tensor(x.data.reshape(shape), x.requires_grad)
+
+    def bw(g):
+        x.accumulate(g.reshape(x.data.shape))
+
+    ad._record(out, bw)
+    return out
+
+
+def _frozen_permute_dims(x, axes):
+    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)), x.requires_grad)
+    inverse = tuple(np.argsort(axes))
+
+    def bw(g):
+        x.accumulate(g.transpose(inverse))
+
+    ad._record(out, bw)
+    return out
+
+
+def _frozen_map_to_seq(x):
+    c, h, w = x.shape
+    return _frozen_reshape(_frozen_permute_dims(x, (1, 2, 0)), (h * w, c))
+
+
+def _frozen_seq_to_map(x, h, w):
+    l, c = x.shape
+    return _frozen_permute_dims(_frozen_reshape(x, (h, w, c)), (2, 0, 1))
 
 
 def _col2im(dcols, shape, k):
@@ -242,6 +296,73 @@ def _frozen_depthwise_conv2d(x, w):
     return out
 
 
+def _folding(op):
+    """A frozen map op run on a sequence through the frozen layout ops."""
+
+    def run(x, h, w, *args):
+        return _frozen_map_to_seq(op(_frozen_seq_to_map(x, h, w), *args))
+
+    return run
+
+
+def _frozen_downsample(x):
+    d = x.data
+    y = 0.25 * (d[:, ::2, ::2] + d[:, 1::2, ::2] + d[:, ::2, 1::2] + d[:, 1::2, 1::2])
+    out = Tensor(y, x.requires_grad)
+
+    def bw(g):
+        dx = np.zeros_like(d)
+        q = 0.25 * g
+        dx[:, ::2, ::2] += q
+        dx[:, 1::2, ::2] += q
+        dx[:, ::2, 1::2] += q
+        dx[:, 1::2, 1::2] += q
+        x.accumulate(dx)
+
+    ad._record(out, bw)
+    return out
+
+
+def _frozen_upsample(x):
+    c, h, w = x.shape
+    r0, r1, fr = ad._up_indices(h)
+    c0, c1, fc = ad._up_indices(w)
+    d = x.data
+    fr_ = fr[None, :, None]
+    fc_ = fc[None, None, :]
+    top = (1.0 - fc_) * d[:, r0][:, :, c0] + fc_ * d[:, r0][:, :, c1]
+    bot = (1.0 - fc_) * d[:, r1][:, :, c0] + fc_ * d[:, r1][:, :, c1]
+    out = Tensor((1.0 - fr_) * top + fr_ * bot, x.requires_grad)
+
+    def bw(g):
+        dx = np.zeros_like(d)
+        rows = (r0, r1)
+        cols = (c0, c1)
+        wr = (1.0 - fr_, fr_)
+        wc = (1.0 - fc_, fc_)
+        for a in range(2):
+            for b_ in range(2):
+                np.add.at(dx, (slice(None), rows[a][:, None], cols[b_][None, :]), wr[a] * wc[b_] * g)
+        x.accumulate(dx)
+
+    ad._record(out, bw)
+    return out
+
+
+# signed zeros: a per-window sum must start from +0.0 as numpy's
+# reduction does, or an all-(-0.0) tap sum keeps its sign
+_FINITE = st.one_of(st.floats(-10.0, 10.0, allow_nan=False), st.sampled_from([0.0, -0.0]))
+
+
+def _draw_sequences(draw, c_in, h, w, out_shape, **params):
+    """x and its prior gradient as (h*w, c_in) sequences, the loss weight
+    in the output's shape, and the named parameter arrays."""
+    shapes = {"x": (h * w, c_in), "prior": (h * w, c_in), "weight": out_shape, **params}
+    case = {name: draw(arrays(np.float64, shape, elements=_FINITE)) for name, shape in shapes.items()}
+    case.update(h=h, w=w, with_prior=draw(st.booleans()))
+    return case
+
+
 @st.composite
 def _conv_case(draw):
     c_in = draw(st.integers(1, 3))
@@ -252,60 +373,100 @@ def _conv_case(draw):
     w = draw(st.integers(1, 12))
     k = draw(st.sampled_from([1, 3, 5]))
     depthwise = draw(st.booleans())
-    # signed zeros: a per-window sum must start from +0.0 as numpy's
-    # reduction does, or an all-(-0.0) tap sum keeps its sign
-    finite = st.one_of(st.floats(-10.0, 10.0, allow_nan=False), st.sampled_from([0.0, -0.0]))
-    shapes = {
-        "x": (c_in, h, w),
-        "prior": (c_in, h, w),
-        "w": (c_in, k, k) if depthwise else (c_out, c_in, k, k),
-        "b": (c_out,),
-    }
-    case = {name: draw(arrays(np.float64, shape, elements=finite)) for name, shape in shapes.items()}
-    case["weight"] = draw(arrays(np.float64, (c_in if depthwise else c_out, h, w), elements=finite))
+    kernel = (c_in, k, k) if depthwise else (c_out, c_in, k, k)
+    out_shape = (h * w, c_in) if depthwise else (c_out, h, w)
+    case = _draw_sequences(draw, c_in, h, w, out_shape, kernel=kernel, b=(c_out,))
     case["depthwise"] = depthwise
     case["bias"] = not depthwise and draw(st.booleans())
-    case["with_prior"] = draw(st.booleans())
     return case
 
 
-def _conv_and_grads(case, conv, depthwise_conv):
-    """Output and the x, w, b gradients of sum(out * weight), with x
-    optionally holding a prior gradient when the tape replays."""
-    x, w, b = (Tensor(case[name], requires_grad=True) for name in ("x", "w", "b"))
+def _op_and_grads(case, op, names):
+    """Output and the gradients of the named tensors under
+    sum(out * weight), with x optionally holding a prior gradient when the
+    tape replays."""
+    tensors = {name: Tensor(case[name], requires_grad=True) for name in names}
     with GradTape() as tape:
-        if case["depthwise"]:
-            out = depthwise_conv(x, w)
-        else:
-            out = conv(x, w, b if case["bias"] else None)
+        out = op(tensors)
         loss = ad.mean_all(ad.mul(out, Tensor(case["weight"])))
     if case["with_prior"]:
-        x.accumulate(case["prior"])
+        tensors["x"].accumulate(case["prior"])
     backward(loss, tape, seed=case["weight"].size)
-    return out.data, x.grad, w.grad, b.grad
+    return [out.data] + [tensors[name].grad for name in names]
+
+
+def _assert_bitwise(got, want, names):
+    """Equal bits and the same memory order: a later reduction rounds by
+    the order of the array it is handed."""
+    for name, g, w in zip(names, got, want):
+        assert (g is None) == (w is None), name
+        if g is not None:
+            assert np.array_equal(g.view(np.int64), w.view(np.int64)), name
+            assert (g.flags.c_contiguous, g.flags.f_contiguous) == (w.flags.c_contiguous, w.flags.f_contiguous), name
+
+
+def _decoder_conv(x, h, w, kernel, b):
+    return ad.seq_to_map(ad.conv2d(x, h, w, kernel, b), h, w)
+
+
+def _frozen_decoder_conv(x, h, w, kernel, b):
+    return _frozen_conv2d(_frozen_seq_to_map(x, h, w), kernel, b)
+
+
+def _conv_runner(conv, depthwise_conv, case):
+    h, w = case["h"], case["w"]
+    if case["depthwise"]:
+        return lambda t: depthwise_conv(t["x"], h, w, t["kernel"])
+    return lambda t: conv(t["x"], h, w, t["kernel"], t["b"] if case["bias"] else None)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_conv_case())
 def test_convs_bitwise_match_the_column_keeping_copies(case):
-    got = _conv_and_grads(case, ad.conv2d, ad.depthwise_conv2d)
-    want = _conv_and_grads(case, _frozen_conv2d, _frozen_depthwise_conv2d)
-    for name, g, w in zip(("out", "x", "w", "b"), got, want):
-        assert (g is None) == (w is None), name
-        assert g is None or np.array_equal(g.view(np.int64), w.view(np.int64)), name
+    # the model's depthwise conv sits between sequence ops, so it is
+    # compared between the frozen layout ops; its conv2d output gradient
+    # was a C-contiguous map (the decoder's output, the encoder's
+    # activation), so conv2d is compared as the decoder runs it, into a map
+    names = ("x", "kernel", "b")
+    got = _op_and_grads(case, _conv_runner(_decoder_conv, ad.depthwise_conv2d, case), names)
+    frozen = _conv_runner(_frozen_decoder_conv, _folding(_frozen_depthwise_conv2d), case)
+    want = _op_and_grads(case, frozen, names)
+    _assert_bitwise(got, want, ("out",) + names)
+
+
+@st.composite
+def _resample_case(draw):
+    up = draw(st.booleans())
+    h = draw(st.integers(1, 6)) * (1 if up else 2)
+    w = draw(st.integers(1, 6)) * (1 if up else 2)
+    c = draw(st.integers(1, 3))
+    out_pixels = h * w * 4 if up else h * w // 4
+    case = _draw_sequences(draw, c, h, w, (out_pixels, c))
+    case["up"] = up
+    return case
+
+
+@settings(max_examples=100, deadline=None)
+@given(_resample_case())
+def test_resampling_bitwise_matches_the_map_ops_between_layout_ops(case):
+    h, w = case["h"], case["w"]
+    new, frozen = (ad.bilinear_upsample2x, _frozen_upsample) if case["up"] else (ad.bilinear_downsample2x, _frozen_downsample)
+    got = _op_and_grads(case, lambda t: new(t["x"], h, w), ("x",))
+    want = _op_and_grads(case, lambda t: _folding(frozen)(t["x"], h, w), ("x",))
+    _assert_bitwise(got, want, ("out", "x"))
 
 
 @pytest.mark.parametrize("depthwise", [False, True])
 def test_taped_conv_holds_no_column_array(depthwise):
-    # the columns of a 3x3 kernel are nine times the input map; the
-    # closure keeps the map itself and rebuilds them in backward
+    # the columns of a 3x3 kernel are nine times the input; the closure
+    # keeps the input sequence itself and rebuilds them in backward
     rng = np.random.default_rng(14)
-    x = _t(rng, 8, 32, 32)
+    x = _ts(rng, 8, 32, 32)
     w = _t(rng, 8, 3, 3) if depthwise else _t(rng, 8, 8, 3, 3)
     tracemalloc.start()
     try:
         with GradTape() as tape:
-            out = ad.depthwise_conv2d(x, w) if depthwise else ad.conv2d(x, w)
+            out = ad.depthwise_conv2d(x, 32, 32, w) if depthwise else ad.conv2d(x, 32, 32, w)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -315,20 +476,22 @@ def test_taped_conv_holds_no_column_array(depthwise):
 
 def test_bilinear_downsample2x():
     rng = np.random.default_rng(14)
-    x = _t(rng, 2, 4, 6)
-    out = ad.bilinear_downsample2x(x)
-    d = x.data
+    x = _ts(rng, 2, 4, 6)
+    out = ad.bilinear_downsample2x(x, 4, 6)
+    d = x.data.T.reshape(2, 4, 6)
     ref = 0.25 * (d[:, ::2, ::2] + d[:, 1::2, ::2] + d[:, ::2, 1::2] + d[:, 1::2, 1::2])
-    assert np.array_equal(out.data, ref)
-    assert_grads_match(ad.bilinear_downsample2x, [x])
+    assert np.array_equal(out.data, _seq(ref))
+    assert_grads_match(lambda t: ad.bilinear_downsample2x(t, 4, 6), [x])
     with pytest.raises(ShapeError):
-        ad.bilinear_downsample2x(_t(rng, 2, 3, 4))
+        ad.bilinear_downsample2x(_ts(rng, 2, 3, 4), 3, 4)
+    with pytest.raises(ShapeError):
+        ad.bilinear_downsample2x(x, 4, 4)
 
 
 def test_bilinear_upsample2x_hand_case():
     # one channel, 2x2 -> 4x4; taps clamp at the borders
-    x = Tensor(np.array([[[0.0, 1.0], [2.0, 3.0]]]), requires_grad=True)
-    out = ad.bilinear_upsample2x(x).data[0]
+    x = Tensor(np.array([[0.0], [1.0], [2.0], [3.0]]), requires_grad=True)
+    out = ad.bilinear_upsample2x(x, 2, 2).data[:, 0].reshape(4, 4)
     row = np.array([0.0, 0.25, 0.75, 1.0])
     expect = row[None, :] + 2.0 * row[:, None]
     assert np.allclose(out, expect, atol=1e-12)
@@ -336,11 +499,13 @@ def test_bilinear_upsample2x_hand_case():
 
 def test_bilinear_upsample2x_properties_and_grads():
     rng = np.random.default_rng(15)
-    const = Tensor(np.full((2, 4, 4), 0.7))
-    assert np.allclose(ad.bilinear_upsample2x(const).data, 0.7, atol=1e-15)
-    x = _t(rng, 1, 4, 6)
-    assert ad.bilinear_upsample2x(x).shape == (1, 8, 12)
-    assert_grads_match(ad.bilinear_upsample2x, [x])
+    const = Tensor(np.full((16, 2), 0.7))
+    assert np.allclose(ad.bilinear_upsample2x(const, 4, 4).data, 0.7, atol=1e-15)
+    x = _ts(rng, 1, 4, 6)
+    assert ad.bilinear_upsample2x(x, 4, 6).shape == (96, 1)
+    assert_grads_match(lambda t: ad.bilinear_upsample2x(t, 4, 6), [x])
+    with pytest.raises(ShapeError):
+        ad.bilinear_upsample2x(x, 4, 5)
 
 
 def test_gather_rows():
@@ -410,39 +575,39 @@ def test_reverse_rows():
     assert_grads_match(ad.reverse_rows, [x])
 
 
-def test_concats():
+@pytest.mark.parametrize("axis", [0, 1])
+def test_concat(axis):
     rng = np.random.default_rng(20)
     a = _t(rng, 3, 4)
-    b = _t(rng, 2, 4)
-    assert np.array_equal(ad.concat_rows(a, b).data, np.concatenate([a.data, b.data]))
-    assert_grads_match(ad.concat_rows, [a, b])
-    c = _t(rng, 3, 2)
-    assert np.array_equal(ad.concat_cols(a, c).data, np.concatenate([a.data, c.data], axis=1))
-    assert_grads_match(ad.concat_cols, [a, c])
+    b = _t(rng, 2, 4) if axis == 0 else _t(rng, 3, 2)
+    assert np.array_equal(ad.concat(a, b, axis).data, np.concatenate([a.data, b.data], axis=axis))
+    assert_grads_match(lambda a_, b_: ad.concat(a_, b_, axis), [a, b])
+    # each operand's gradient is its slice of the output's, bit for bit
+    # and in C order, as a later reduction over it rounds by that order
+    g = rng.normal(size=ad.concat(a, b, axis).shape)
+    a.zero_grad()
+    b.zero_grad()
+    with GradTape() as tape:
+        loss = ad.mean_all(ad.mul(ad.concat(a, b, axis), Tensor(g)))
+    backward(loss, tape, seed=g.size)
+    head, tail = (g[:3], g[3:]) if axis == 0 else (g[:, :4], g[:, 4:])
+    assert np.array_equal(a.grad, head) and np.array_equal(b.grad, tail)
+    assert a.grad.flags.c_contiguous and b.grad.flags.c_contiguous
     with pytest.raises(ShapeError):
-        ad.concat_rows(a, c)
+        ad.concat(a, _t(rng, 2, 5) if axis == 0 else _t(rng, 4, 2), axis)
     with pytest.raises(ShapeError):
-        ad.concat_cols(a, b)
-
-
-def test_reshape_and_permute_dims():
-    rng = np.random.default_rng(21)
-    x = _t(rng, 2, 3, 4)
-    assert np.array_equal(ad.reshape(x, (6, 4)).data, x.data.reshape(6, 4))
-    assert np.array_equal(ad.permute_dims(x, (2, 0, 1)).data, x.data.transpose(2, 0, 1))
-    assert_grads_match(lambda t: ad.reshape(t, (4, 6)), [x])
-    assert_grads_match(lambda t: ad.permute_dims(t, (1, 2, 0)), [x])
+        ad.concat(a, _t(rng, 3), axis)
 
 
 def test_map_seq_round_trip():
+    # a (C, H, W) map flattened row-major into an (H*W, C) sequence by
+    # hand folds back to itself, values and gradients
     rng = np.random.default_rng(22)
-    x = _t(rng, 3, 4, 5)
-    seq = ad.map_to_seq(x)
-    assert seq.shape == (20, 3)
-    for r in range(4):
-        for c in range(5):
-            assert np.array_equal(seq.data[r * 5 + c], x.data[:, r, c])
-    assert np.array_equal(ad.seq_to_map(seq, 4, 5).data, x.data)
+    m = rng.normal(size=(3, 4, 5))
+    seq = Tensor(np.array([m[:, r, c] for r in range(4) for c in range(5)]), requires_grad=True)
+    folded = ad.seq_to_map(seq, 4, 5)
+    assert np.array_equal(folded.data, m) and folded.data.flags.c_contiguous
+    assert_grads_match(lambda t: ad.seq_to_map(t, 4, 5), [seq])
     with pytest.raises(ShapeError):
         ad.seq_to_map(seq, 4, 4)
 

@@ -2,11 +2,15 @@
 separate process, except where a test patches the CLI module in-process."""
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import SRC, run_cli, run_python
 from shadowscan import cli
@@ -490,3 +494,90 @@ def test_check_reads_its_config_file(tmp_path, text):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
     assert proc.stdout == ""
+
+
+def _run_in_process(argv):
+    """Exit code and stderr of ``cli.main(argv)``; argparse exits count as
+    codes. Any other exception escapes to the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A directory to run in, and valid inputs at three sizes as bytes."""
+    work = tmp_path_factory.mktemp("cli_fuzz")
+    rng = np.random.default_rng(0)
+    config = ModelConfig(channels=2, state_dim=2, expansion=2, unet_depth=1, patch_size=2)
+    save_checkpoint(str(work / "m.ckpt"), ShadowNet(config))
+    blobs = {}
+    for size in (8, 12, 16):
+        for name in ("img.ppm", "gt.ppm"):
+            write_ppm(str(work / name), rng.uniform(size=(3, size, size)))
+        write_pgm(str(work / "mask.pgm"), (rng.uniform(size=(size, size)) < 0.4).astype(float))
+        (work / "run.cfg").write_bytes(b"patch_size=2\ntau=0.5\n")
+        names = ("img.ppm", "gt.ppm", "mask.pgm", "m.ckpt", "run.cfg")
+        blobs[size] = {name: (work / name).read_bytes() for name in names}
+    return work, blobs
+
+
+# each command line, with {d} for the run directory, and the inputs it reads
+_FUZZ_COMMANDS = {
+    "eval": ("eval {d}/img.ppm {d}/gt.ppm {d}/mask.pgm", ["img.ppm", "gt.ppm", "mask.pgm"]),
+    "scan-viz": ("scan-viz {d}/mask.pgm --out {d}/scan --config {d}/run.cfg", ["mask.pgm", "run.cfg"]),
+    "forward": (
+        "forward {d}/img.ppm {d}/mask.pgm --checkpoint {d}/m.ckpt --out {d}/out.ppm --config {d}/run.cfg",
+        ["img.ppm", "mask.pgm", "m.ckpt", "run.cfg"],
+    ),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_FUZZ_COMMANDS)),
+    size=st.sampled_from([8, 12, 16]),
+    target=st.integers(0, 11),  # a multiple of every command's input count
+    flips=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), max_size=3),
+    keep=st.one_of(st.none(), st.integers(0, 1 << 16)),
+    tail=st.binary(max_size=4),
+)
+def test_malformed_inputs_exit_2_with_one_error_line(fuzz_inputs, command, size, target, flips, keep, tail):
+    # one input of the command is mutated: bytes flipped, the file cut
+    # short, bytes appended; the command succeeds or rejects it cleanly
+    work, blobs = fuzz_inputs
+    line, reads = _FUZZ_COMMANDS[command]
+    mutated = reads[target % len(reads)]
+    for name, blob in blobs[size].items():
+        if name == mutated:
+            raw = bytearray(blob)
+            for at, value in flips:
+                raw[at % len(raw)] = value
+            blob = bytes(raw[:keep]) + tail
+        (work / name).write_bytes(blob)
+    code, err = _run_in_process(line.format(d=work).split())
+    assert "Traceback" not in err
+    if code != 0:
+        assert code == 2, err
+        # lines end at "\n" only: a header token may carry other control bytes
+        lines = err.rstrip("\n").split("\n")
+        assert [text for text in lines if "error:" in text] == lines[-1:], err
+
+
+def test_bytes_after_a_raster_are_rejected(fuzz_inputs):
+    # 16 px: eval rejects images below the 11x11 SSIM window for that alone
+    work, blobs = fuzz_inputs
+    for name, blob in blobs[16].items():
+        (work / name).write_bytes(blob)
+    code, err = _run_in_process(_FUZZ_COMMANDS["eval"][0].format(d=work).split())
+    assert code == 0, err
+    (work / "img.ppm").write_bytes(blobs[16]["img.ppm"] + b"junk")
+    code, err = _run_in_process(_FUZZ_COMMANDS["eval"][0].format(d=work).split())
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1, err
+    (work / "mask.pgm").write_bytes(blobs[16]["mask.pgm"] + b"\0")
+    code, err = _run_in_process(["scan-viz", str(work / "mask.pgm"), "--out", str(work / "scan")])
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1, err

@@ -77,6 +77,8 @@ def test_reader_rejects_bad_files(tmp_path):
         b"P5\n2 2\n255\n" + bytes(12),  # wrong magic for ppm
         b"P6\n2 2\n65535\n" + bytes(12),  # unsupported maxval
         good[:-1],  # truncated raster
+        good + b"\0",  # a byte past the raster
+        good + good,  # a second image
         b"P6\n2 2\n255" ,  # no delimiter, no raster
         b"P6\n2 2",  # truncated header
         b"P6\nabc 2\n255\n" + bytes(12),  # non-numeric width

@@ -23,6 +23,7 @@ from shadowscan.scanorder import (
     mas_order,
     mean_adjacent_gap,
     pixel_order,
+    _nearest_perimeter_cell,
     select_start_a,
     spiral_in,
 )
@@ -140,8 +141,9 @@ def test_mask_aware_order_frozen_trace():
     grid = partition_patches(_rect_mask(4, 4, RegionRect(1, 2, 1, 2)), 1)
     path = mas_order(grid)
     assert path.kind == KIND_MAS
-    assert path.start_a == (0, 0)
-    assert path.start_b == (1, 1)
+    start_a = select_start_a(RegionRect(1, 2, 1, 2), 4, 4)
+    assert start_a == (0, 0)
+    assert _nearest_perimeter_cell(RegionRect(1, 2, 1, 2), start_a) == (1, 1)
     assert path.coords == (
         (2, 1),
         (2, 2),
@@ -177,7 +179,8 @@ def test_mask_aware_order_properties_exhaustive():
                             assert path.is_permutation()
                             area = rect.area
                             assert sorted(path.coords[:area]) == sorted(rect.cells())
-                            assert path.coords[area - 1] == path.start_b
+                            start_b = _nearest_perimeter_cell(rect, select_start_a(rect, rows, cols))
+                            assert path.coords[area - 1] == start_b
                             for a, b in zip(path.coords, path.coords[1 : area]):
                                 assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
 

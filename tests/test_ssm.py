@@ -326,6 +326,17 @@ def _frozen_op(x, value, slope):
     return out
 
 
+def _frozen_reshape(x, shape):
+    """The reshape op the chain was recorded with, kept verbatim."""
+    out = Tensor(x.data.reshape(shape), x.requires_grad)
+
+    def bw(g):
+        x.accumulate(g.reshape(x.data.shape))
+
+    ad._record(out, bw)
+    return out
+
+
 def _frozen_zoh_factor(u):
     small = np.abs(u.data) < ZOH_SERIES_THRESHOLD
     safe = np.where(small, 1.0, u.data)
@@ -347,12 +358,12 @@ def _frozen_chain(x, a_log, w_dt, b_dt, w_b, w_c):
     exp_a = np.exp(a_log.data)
     e = _frozen_op(a_log, exp_a, lambda: exp_a)
     a = _frozen_op(e, -e.data, lambda: -1.0)
-    da = ad.mul(ad.reshape(dt, (length, channels, 1)), a)
+    da = ad.mul(_frozen_reshape(dt, (length, channels, 1)), a)
     abar_d = np.exp(da.data)
     abar = _frozen_op(da, abar_d, lambda: abar_d)
-    step_b = ad.mul(ad.reshape(dt, (length, channels, 1)), ad.reshape(b_t, (length, 1, state)))
+    step_b = ad.mul(_frozen_reshape(dt, (length, channels, 1)), _frozen_reshape(b_t, (length, 1, state)))
     bbar = ad.mul(_frozen_zoh_factor(da), step_b)
-    bx = ad.mul(bbar, ad.reshape(x, (length, channels, 1)))
+    bx = ad.mul(bbar, _frozen_reshape(x, (length, channels, 1)))
     return abar, bx, c_t
 
 
