@@ -1,10 +1,11 @@
 """Dense float64 tensors with taped reverse-mode automatic differentiation.
 
-The engine covers exactly the operations the scanning network needs: matmul,
-broadcast elementwise arithmetic, the activations from the block definitions,
-small same-padded convolutions and 2x bilinear resampling of (H*W, C) token
-sequences, row gather/scatter and concatenation. Every differentiable op
-appends one backward closure to the active GradTape; replaying the tape in
+The engine covers exactly the operations the scanning network needs: the
+row-wise affine map, elementwise arithmetic on operands of equal shape (no
+broadcasting), the activations from the block definitions, small same-padded
+convolutions and 2x bilinear resampling of (H*W, C) token sequences, row
+gather/scatter and concatenation. Every differentiable op appends one
+backward closure to the active GradTape; replaying the tape in
 reverse visits each recorded op once (execution order is a topological order
 of the graph). Gradients accumulate into ``Tensor.grad`` with ``+=`` and are
 cleared only by ``zero_grad``; the first gradient is copied in, unless the op
@@ -90,10 +91,8 @@ class Tensor:
                 # caller drops, so it becomes the gradient without a copy
                 self.grad = g
                 return
-            # copy: callers may pass reused buffers, views or broadcasts
+            # copy: callers may pass reused buffers or views
             self.grad = np.array(g, dtype=np.float64)
-            if self.grad.shape != self.data.shape:
-                self.grad = np.broadcast_to(self.grad, self.data.shape).copy()
         else:
             self.grad += g
 
@@ -116,10 +115,6 @@ def param(
         shape = tuple(data) if isinstance(data, tuple) else np.asarray(data).shape
         return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
     return Tensor(data, requires_grad=True)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _record(out: Tensor, backward_fn) -> None:
@@ -154,95 +149,61 @@ def backward(output: Tensor, tape: GradTape, seed: float = 1.0) -> None:
         ops.pop()()
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the operand's shape."""
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 # ---------------------------------------------------------------------------
-# elementwise arithmetic
+# elementwise arithmetic and the affine map
 
 
-def add(a: Tensor, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b)
+def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op} needs operands of equal shape, got {a.shape} and {b.shape}")
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _check_same_shape(a, b, "add")
     out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
 
     def bw(g):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
+            a.accumulate(g)
         if b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.data.shape))
+            b.accumulate(g)
 
     _record(out, bw)
     return out
 
 
-def sub(a: Tensor, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    out = Tensor(a.data - b.data, a.requires_grad or b.requires_grad)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(-g, b.data.shape))
-
-    _record(out, bw)
-    return out
-
-
-def mul(a: Tensor, b) -> Tensor:
-    a = _as_tensor(a)
-    if isinstance(b, (int, float)):
-        s = float(b)
-        out = Tensor(a.data * s, a.requires_grad)
-
-        def bw_scalar(g):
-            a.accumulate(g * s)
-
-        _record(out, bw_scalar)
-        return out
-    b = _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    _check_same_shape(a, b, "mul")
     out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
 
     def bw(g):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.data, a.data.shape))
+            a.accumulate(g * b.data)
         if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.data, b.data.shape))
+            b.accumulate(g * a.data)
 
     _record(out, bw)
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul needs (m,k) @ (k,n), got {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Row-wise affine map: (L, C_in) @ (C_in, C_out) plus a (C_out,) bias."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear needs (L,k) @ (k,n) + (n,), got {x.shape} @ {w.shape} + {b.shape}")
+    y = x.data @ w.data
+    y += b.data
+    out = Tensor(y, x.requires_grad or w.requires_grad or b.requires_grad)
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(g @ b.data.T)
         if b.requires_grad:
-            b.accumulate(a.data.T @ g)
+            b.accumulate(g.sum(axis=0))
+        if x.requires_grad:
+            x.accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w.accumulate(x.data.T @ g)
 
     _record(out, bw)
     return out
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Row-wise affine map: (L, C_in) @ (C_in, C_out) plus optional bias."""
-    y = matmul(x, w)
-    return y if b is None else add(y, b)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +306,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def bw(g):
         if gain.requires_grad:
-            gain.accumulate(_unbroadcast(g * xhat, gain.data.shape))
+            gain.accumulate((g * xhat).sum(axis=0))
         if bias.requires_grad:
-            bias.accumulate(_unbroadcast(g, bias.data.shape))
+            bias.accumulate(g.sum(axis=0))
         if x.requires_grad:
             gh = g * gain.data
             m1 = gh.mean(axis=-1, keepdims=True)

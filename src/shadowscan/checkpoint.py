@@ -74,7 +74,7 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         if line.startswith("config "):
             key, _, value = line[len("config ") :].partition("=")
             if key in config_values:
-                raise ValidationError(f"config {key} appears twice in the manifest")
+                raise ValidationError(f"config {key!r} appears twice in the manifest")
             config_values[key] = value
         elif line.startswith("param "):
             fields = line.split(" ")
@@ -82,11 +82,11 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
                 raise ValidationError(f"param line needs name, shape and offset: {line!r}")
             _, name, shape_text, offset = fields
             if name in entries:
-                raise ValidationError(f"param {name} appears twice in the manifest")
-            shape = tuple(_count(d, f"dimension of {name}") for d in shape_text.split("x"))
-            start = _count(offset, f"offset of {name}")
+                raise ValidationError(f"param {name!r} appears twice in the manifest")
+            shape = tuple(_count(d, f"dimension of {name!r}") for d in shape_text.split("x"))
+            start = _count(offset, f"offset of {name!r}")
             if start % 8:
-                raise ValidationError(f"offset of {name} must be a multiple of 8, got {start}")
+                raise ValidationError(f"offset of {name!r} must be a multiple of 8, got {start}")
             entries[name] = (shape, start)
         elif line.startswith("blob "):
             fields = line.split(" ")
@@ -104,10 +104,10 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     for name, (shape, offset) in sorted(entries.items(), key=lambda item: item[1][1]):
         count = math.prod(shape)
         if offset + 8 * count > blob_size:
-            raise ValidationError(f"param {name} runs past the end of the {blob_size}-byte blob")
+            raise ValidationError(f"param {name!r} runs past the end of the {blob_size}-byte blob")
         if count:
             if offset < covered_to:
-                raise ValidationError(f"params {last} and {name} overlap in the blob")
+                raise ValidationError(f"params {last!r} and {name!r} overlap in the blob")
             covered_to, last = offset + 8 * count, name
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         arrays[name] = arr.reshape(shape).astype(np.float64)
@@ -115,7 +115,7 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     if not np.isfinite(np.frombuffer(blob, dtype="<f8", count=blob_size // 8)).all():
         for name, arr in arrays.items():
             if not np.isfinite(arr).all():
-                raise ValidationError(f"param {name} holds a non-finite value")
+                raise ValidationError(f"param {name!r} holds a non-finite value")
     missing = [f.name for f in dataclasses.fields(ModelConfig) if f.name not in config_values]
     if missing:
         raise ValidationError(f"checkpoint manifest lacks config {', '.join(missing)}")

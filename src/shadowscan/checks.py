@@ -51,7 +51,7 @@ def _conv_and_recurrence(a, b, c, d, delta, x):
     abar_t = Tensor(np.broadcast_to(abar, (length, 1, n)).copy())
     bx = Tensor(bbar * x.reshape(length, 1, 1))
     cvec = Tensor(np.broadcast_to(c, (length, n)).copy())
-    y_rec = ssm_recurrence(abar_t, bx, cvec).data.reshape(length) + x * d
+    y_rec = ssm_recurrence(abar_t, bx, cvec, Tensor(x.reshape(length, 1)), Tensor([d])).data.reshape(length)
     return y_conv, y_rec
 
 

@@ -54,7 +54,7 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
         key = key.strip()
         if key in values:
-            raise ConfigError(f"{path}:{lineno}: {key} is set twice")
+            raise ConfigError(f"{path}:{lineno}: {key!r} is set twice")
         values[key] = value.strip()
     return values
 

@@ -15,14 +15,15 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 
 
-def _read_tokens(raw: bytes, count: int) -> tuple[list[bytes], int]:
-    """Pull `count` whitespace-separated header tokens, skipping # comments.
-    Returns the tokens and the offset of the first data byte."""
+def _read_tokens(path: str, raw: bytes, count: int) -> tuple[list[bytes], int]:
+    """Pull `count` whitespace-separated header tokens from the bytes of the
+    file at `path`, skipping # comments. Returns the tokens and the offset
+    of the first data byte."""
     tokens: list[bytes] = []
     pos = 0
     while len(tokens) < count:
         if pos >= len(raw):
-            raise ValidationError("truncated netpbm header")
+            raise ValidationError(f"{path}: truncated netpbm header")
         byte = raw[pos : pos + 1]
         if byte == b"#":
             nl = raw.find(b"\n", pos)
@@ -37,20 +38,20 @@ def _read_tokens(raw: bytes, count: int) -> tuple[list[bytes], int]:
             pos = end
     # exactly one whitespace byte separates the maxval token from raster data
     if pos >= len(raw) or not raw[pos : pos + 1].isspace():
-        raise ValidationError("missing whitespace before netpbm raster")
+        raise ValidationError(f"{path}: missing whitespace before netpbm raster")
     return tokens, pos + 1
 
 
 def _read_netpbm(path: str, magic: bytes, channels: int) -> np.ndarray:
     with open(path, "rb") as f:
         raw = f.read()
-    tokens, data_at = _read_tokens(raw, 4)
+    tokens, data_at = _read_tokens(path, raw, 4)
+    # header tokens are shown escaped: raw bytes never reach the terminal
     if tokens[0] != magic:
-        raise ValidationError(f"{path}: expected {magic.decode()} file, got {tokens[0].decode(errors='replace')}")
+        raise ValidationError(f"{path}: expected {magic.decode()} file, got {tokens[0]!r}")
     for label, token in zip(("width", "height", "maxval"), tokens[1:]):
         if not token.isdigit() or int(token) < 1:
-            shown = token.decode(errors="replace")
-            raise ValidationError(f"{path}: netpbm {label} must be a positive integer, got {shown}")
+            raise ValidationError(f"{path}: netpbm {label} must be a positive integer, got {token!r}")
     width, height, maxval = (int(t) for t in tokens[1:])
     if maxval != 255:
         raise ValidationError(f"{path}: only maxval 255 is supported, got {maxval}")

@@ -14,12 +14,12 @@ vectors from each token, so only the sequential recurrence applies; the
 convolution form that token-invariant parameters admit lives with the
 ``check ssm-equiv`` suite, which cross-checks the recurrence against it.
 
-Each scan direction records five tape closures: one for the whole
+Each scan direction records three tape closures: one for the whole
 per-token discretization, which keeps only (L, C) and (L, N) inputs and
 recomputes the (L, C, N) terms in its backward (recompute instead of
 store, as in Mamba, arXiv 2312.00752, section 3.3), one for the
-recurrence, one that rebuilds abar = exp(dt A) just before the
-recurrence's backward, and two for the direct term. The recurrence
+recurrence with the direct term D x, and one that rebuilds
+abar = exp(dt A) just before the recurrence's backward. The recurrence
 consumes bx: it runs in place over bx's buffer, which then holds the
 state history. abar is dropped once the recurrence has run, so until
 replay a direction holds one (L, C, N) array, the history. The
@@ -46,6 +46,9 @@ _BLOCK_BYTES = 1 << 18
 
 # abar at the softplus(0) step size equals this after default init
 _INIT_ABAR = 0.9
+
+# side of ConvMlp's depthwise kernel
+_MLP_KERNEL = 3
 
 
 def _zoh_terms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -84,40 +87,50 @@ def _linear_recurrence(coef: np.ndarray, x: np.ndarray) -> None:
         cur += a * prev
 
 
-def ssm_recurrence(abar: Tensor, bx: Tensor, cvec: Tensor) -> Tensor:
+def ssm_recurrence(abar: Tensor, bx: Tensor, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
     """Differentiable scan core over per-token discretized parameters.
 
-    Shapes: abar and bx are (L, C, N), cvec is (L, N). Computes
-    h[t] = bx[t] + abar[t] * h[t-1] with h[-1] = 0 and
-    y[t, c] = sum_n h[t, c, n] cvec[t, n]. Both passes run the one
-    sequential primitive, _linear_recurrence: forward with abar[1:],
-    backward over the time-reversed adjoint
+    Shapes: abar and bx are (L, C, N), cvec is (L, N), x is (L, C) and d
+    is (C,). Computes h[t] = bx[t] + abar[t] * h[t-1] with h[-1] = 0 and
+    y[t, c] = sum_n h[t, c, n] cvec[t, n] + x[t, c] d[c]. Both passes run
+    the one sequential primitive, _linear_recurrence: forward with
+    abar[1:], backward over the time-reversed adjoint
     adj[t] = g[t] c[t] + abar[t+1] adj[t+1], i.e. with abar shifted one
     step. Everything else, the output mix and the gradients, is
     vectorized. No parallel-scan shortcut: each element rounds as the
-    plain sequential loop does.
+    plain sequential loop does. The backward hands out the direct term's
+    gradients, x's then d's, before the scan's own.
 
     bx is consumed: the forward runs in place over bx.data, which holds
     the state history h afterwards, so bx must own its buffer and share
-    none with abar or cvec. The closure keeps cvec and that history, and
-    reads abar.data only when it replays, so a caller may drop abar's
-    array in between if a closure recorded after this one (which replays
-    before it) puts it back; SsmDirection.scan does. The backward hands
-    the (L, C, N) gradients of abar and bx over without a copy.
+    none with the other operands. The closure keeps cvec, x, d and that
+    history, and reads abar.data only when it replays, so a caller may
+    drop abar's array in between if a closure recorded after this one
+    (which replays before it) puts it back; SsmDirection.scan does. The
+    backward hands the (L, C, N) gradients of abar and bx over without a
+    copy.
     """
     if abar.ndim != 3 or abar.shape != bx.shape:
         raise ShapeError(f"abar {abar.shape} and bx {bx.shape} must be equal (L,C,N)")
-    length, _, state = abar.shape
-    if cvec.shape != (length, state):
-        raise ShapeError(f"cvec must be ({length},{state}), got {cvec.shape}")
+    length, channels, state = abar.shape
+    if cvec.shape != (length, state) or x.shape != (length, channels) or d.shape != (channels,):
+        raise ShapeError(
+            f"cvec, x and d must be ({length},{state}), ({length},{channels}) and ({channels},), "
+            f"got {cvec.shape}, {x.shape} and {d.shape}"
+        )
     c_d, hist = cvec.data, bx.data
-    if np.may_share_memory(hist, abar.data) or np.may_share_memory(hist, c_d):
-        raise ContractError("bx is consumed by the scan and must not share memory with abar or cvec")
+    if any(np.may_share_memory(hist, t.data) for t in (abar, cvec, x, d)):
+        raise ContractError("bx is consumed by the scan and must not share memory with another operand")
     _linear_recurrence(abar.data[1:], hist)
     y = np.einsum("tcn,tn->tc", hist, c_d)
-    out = Tensor(y, abar.requires_grad or bx.requires_grad or cvec.requires_grad)
+    y += x.data * d.data
+    out = Tensor(y, any(t.requires_grad for t in (abar, bx, cvec, x, d)))
 
     def bw(g):
+        if x.requires_grad:
+            x.accumulate(g * d.data, owned=True)
+        if d.requires_grad:
+            d.accumulate((g * x.data).sum(axis=0))
         a_d = abar.data
         d_cv = np.einsum("tc,tcn->tn", g, hist) if cvec.requires_grad else None
         # adj[t] is the adjoint of h[t], which is also the gradient of bx[t]
@@ -291,13 +304,13 @@ class SsmDirection(Module):
             raise ShapeError(f"expected (L,{self.channels}) sequence, got {x.shape}")
         params = (self.a_log, self.w_dt, self.b_dt, self.w_b, self.w_c)
         abar, bx, cvec, rebuild_abar = _discretized_inputs(x, *params)
-        y = ssm_recurrence(abar, bx, cvec)
+        y = ssm_recurrence(abar, bx, cvec, x, self.d)
         if rebuild_abar is not None:
             # the recurrence reads abar only in its backward: drop the array
             # until then, and rebuild it in the closure that replays first
             abar.data = None
             ad.active_tape().record(rebuild_abar)
-        return ad.add(y, ad.mul(x, self.d))
+        return y
 
     def silence(self) -> None:
         """Zero the output mixing and the direct term: the scan emits zeros."""
@@ -327,14 +340,7 @@ class ConvMlp(Module):
     """Pointwise expand, 3x3 depthwise mix over the token grid, exact GELU,
     pointwise contract, dropout, plus the residual."""
 
-    def __init__(
-        self,
-        channels: int,
-        expansion: int,
-        dropout: float,
-        rng: np.random.Generator,
-        kernel: int = 3,
-    ) -> None:
+    def __init__(self, channels: int, expansion: int, dropout: float, rng: np.random.Generator) -> None:
         if expansion < 1:
             raise ConfigError(f"expansion must be >= 1, got {expansion}")
         if not 0.0 <= dropout < 1.0:
@@ -342,7 +348,7 @@ class ConvMlp(Module):
         hidden = channels * expansion
         self.w1 = ad.param((channels, hidden), rng, fan_in=channels)
         self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.dw = ad.param((hidden, kernel, kernel), rng, fan_in=kernel * kernel)
+        self.dw = ad.param((hidden, _MLP_KERNEL, _MLP_KERNEL), rng, fan_in=_MLP_KERNEL * _MLP_KERNEL)
         self.w2 = ad.param((hidden, channels), rng, fan_in=hidden)
         self.b2 = Tensor(np.zeros(channels), requires_grad=True)
         self.rate = dropout

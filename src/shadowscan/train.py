@@ -71,9 +71,9 @@ def batch_loss(model: ShadowNet, batch: list[Pair], training: bool) -> Tensor:
     total = None
     for shadowed, mask, clean in batch:
         pred = model.forward(shadowed, mask, training=training)
-        err = ad.mean_all(ad.absolute(ad.sub(pred, Tensor(clean))))
+        err = ad.mean_all(ad.absolute(ad.add(pred, Tensor(-clean))))
         total = err if total is None else ad.add(total, err)
-    return ad.mul(total, 1.0 / len(batch))
+    return ad.mul(total, Tensor(1.0 / len(batch)))
 
 
 def dataset_loss(model: ShadowNet, pairs: list[Pair]) -> float:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special
 
-from helpers import assert_grads_match
+from helpers import assert_grads_match, tape_grads
 from shadowscan import autodiff as ad
 from shadowscan.autodiff import GradTape, Tensor, backward
 from shadowscan.errors import ConfigError, ContractError, ShapeError, ValidationError
@@ -20,37 +20,59 @@ def _t(rng, *shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
 
 
-def test_add_sub_broadcast():
+def test_add_on_equal_shapes():
     rng = np.random.default_rng(0)
     a = _t(rng, 3, 4)
-    b = _t(rng, 4)
+    b = _t(rng, 3, 4)
+    g = rng.normal(size=(3, 4))
     assert np.array_equal(ad.add(a, b).data, a.data + b.data)
-    assert np.array_equal(ad.sub(a, b).data, a.data - b.data)
-    assert_grads_match(ad.add, [a, b])
-    assert_grads_match(ad.sub, [a, b])
+    da, db = tape_grads(ad.add, [a, b], g)
+    assert np.array_equal(da, g) and np.array_equal(db, g)
 
 
-def test_mul_broadcast_and_scalar():
+def test_mul_on_equal_shapes():
     rng = np.random.default_rng(1)
     a = _t(rng, 3, 4)
-    b = _t(rng, 3, 1)
+    b = _t(rng, 3, 4)
+    g = rng.normal(size=(3, 4))
     assert np.array_equal(ad.mul(a, b).data, a.data * b.data)
-    assert_grads_match(ad.mul, [a, b])
-    assert np.array_equal(ad.mul(a, 2.5).data, a.data * 2.5)
-    assert_grads_match(lambda t: ad.mul(t, -1.75), [a])
+    da, db = tape_grads(ad.mul, [a, b], g)
+    assert np.array_equal(da, g * b.data) and np.array_equal(db, g * a.data)
+    # 0-d operands, as the batch loss scales its sum by 1 / batch size
+    s = Tensor(np.float64(3.0), requires_grad=True)
+    assert ad.mul(s, Tensor(0.25)).data == 0.75
+    assert tape_grads(lambda t: ad.mul(t, Tensor(0.25)), [s], 2.0)[0] == 0.5
 
 
-def test_matmul_and_linear():
-    rng = np.random.default_rng(3)
+@pytest.mark.parametrize("op", [ad.add, ad.mul])
+def test_add_and_mul_reject_unequal_shapes(op):
+    rng = np.random.default_rng(2)
     a = _t(rng, 3, 4)
+    for shape in ((4,), (3, 1), (1, 4), ()):
+        with pytest.raises(ShapeError):
+            op(a, _t(rng, *shape))
+        with pytest.raises(ShapeError):
+            op(_t(rng, *shape), a)
+
+
+def test_linear_is_one_op():
+    rng = np.random.default_rng(3)
+    x = _t(rng, 3, 4)
     w = _t(rng, 4, 2)
     b = _t(rng, 2)
-    assert np.allclose(ad.matmul(a, w).data, a.data @ w.data)
-    assert np.allclose(ad.linear(a, w, b).data, a.data @ w.data + b.data)
-    assert_grads_match(ad.matmul, [a, w])
-    assert_grads_match(ad.linear, [a, w, b])
+    g = rng.normal(size=(3, 2))
+    assert np.array_equal(ad.linear(x, w, b).data, x.data @ w.data + b.data)
+    dx, dw, db = tape_grads(ad.linear, [x, w, b], g)
+    assert np.array_equal(dx, g @ w.data.T) and np.array_equal(dw, x.data.T @ g)
+    assert np.array_equal(db, g.sum(axis=0))
+    assert_grads_match(ad.linear, [x, w, b])
+    with GradTape() as tape:
+        ad.linear(x, w, b)
+    assert len(tape._ops) == 1
     with pytest.raises(ShapeError):
-        ad.matmul(a, _t(rng, 3, 2))
+        ad.linear(x, _t(rng, 3, 2), b)
+    with pytest.raises(ShapeError):
+        ad.linear(x, w, _t(rng, 3))
 
 
 def test_reductions():
@@ -615,11 +637,11 @@ def test_map_seq_round_trip():
 def test_backward_requires_scalar_and_fresh_tape():
     x = Tensor(np.ones(3), requires_grad=True)
     with GradTape() as tape:
-        y = ad.mul(x, 2.0)
+        y = ad.mul(x, Tensor(np.full(3, 2.0)))
     with pytest.raises(ContractError):
         backward(y, tape)
     with GradTape() as tape:
-        loss = ad.mean_all(ad.mul(x, 3.0))
+        loss = ad.mean_all(ad.mul(x, Tensor(np.full(3, 3.0))))
     backward(loss, tape, seed=x.data.size)
     assert np.array_equal(x.grad, np.full(3, 3.0))
     with pytest.raises(ContractError):
@@ -628,10 +650,11 @@ def test_backward_requires_scalar_and_fresh_tape():
 
 def test_tape_records_only_inside_context():
     x = Tensor(np.ones(4), requires_grad=True)
-    ad.mul(x, 2.0)  # outside any tape
+    two = Tensor(np.full(4, 2.0))
+    ad.mul(x, two)  # outside any tape
     tape = GradTape()
     with tape:
-        ad.mul(x, 2.0)
+        ad.mul(x, two)
         ad.mean_all(x)
     assert len(tape._ops) == 2
 

@@ -152,7 +152,7 @@ def test_load_rejects_a_non_finite_param(tmp_path, value):
     dict(model.named_params())["dec_b"].data[0] = value
     path = str(tmp_path / "m.ckpt")
     save_checkpoint(path, model)
-    with pytest.raises(ValidationError, match="param dec_b holds a non-finite value"):
+    with pytest.raises(ValidationError, match="param 'dec_b' holds a non-finite value"):
         load_checkpoint(path)
 
 

@@ -343,7 +343,7 @@ def test_forward_rejects_a_non_finite_checkpoint_param(tmp_path):
     write_pgm(str(tmp_path / "mask.pgm"), np.zeros((16, 16)))
     proc = run_cli(["forward", "in.ppm", "mask.pgm", "--checkpoint", "m.ckpt"], tmp_path)
     assert proc.returncode == 2
-    assert proc.stderr == "error: param dec_b holds a non-finite value\n"
+    assert proc.stderr == "error: param 'dec_b' holds a non-finite value\n"
     assert not (tmp_path / "pred.ppm").exists()
 
 
@@ -563,9 +563,23 @@ def test_malformed_inputs_exit_2_with_one_error_line(fuzz_inputs, command, size,
     assert "Traceback" not in err
     if code != 0:
         assert code == 2, err
-        # lines end at "\n" only: a header token may carry other control bytes
-        lines = err.rstrip("\n").split("\n")
+        lines = err.splitlines()
         assert [text for text in lines if "error:" in text] == lines[-1:], err
+        # input bytes are shown escaped: no control byte but each line's end
+        assert err.endswith("\n") and not any(ch < " " or ch == "\x7f" for ch in err.replace("\n", "")), err
+
+
+def test_eval_names_the_cut_short_mask(fuzz_inputs):
+    # cut inside the header and just before the whitespace ending it
+    work, blobs = fuzz_inputs
+    for name, blob in blobs[16].items():
+        (work / name).write_bytes(blob)
+    header = b"P5\n16 16\n255\n"
+    assert blobs[16]["mask.pgm"].startswith(header)
+    for keep, message in ((5, "truncated netpbm header"), (len(header) - 1, "missing whitespace before netpbm raster")):
+        (work / "mask.pgm").write_bytes(header[:keep])
+        code, err = _run_in_process(_FUZZ_COMMANDS["eval"][0].format(d=work).split())
+        assert code == 2 and err == f"error: {work / 'mask.pgm'}: {message}\n", err
 
 
 def test_bytes_after_a_raster_are_rejected(fuzz_inputs):

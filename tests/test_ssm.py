@@ -88,39 +88,45 @@ def test_discretize_runs_the_model_zoh_factor():
 
 
 def test_recurrence_two_step_example():
-    # abar 0.5, bbar x = [1, 0], C = 1: y = [1, 1/2]
+    # abar 0.5, bbar x = [1, 0], C = 1: the scan gives [1, 1/2], and the
+    # direct term d x = [4, 2] / 4 adds [1, 1/2]
     abar = Tensor(np.full((2, 1, 1), 0.5))
     bx = Tensor(np.array([1.0, 0.0]).reshape(2, 1, 1))
     cvec = Tensor(np.ones((2, 1)))
-    y = ssm_recurrence(abar, bx, cvec)
-    assert np.array_equal(y.data, np.array([[1.0], [0.5]]))
+    y = ssm_recurrence(abar, bx, cvec, Tensor([[4.0], [2.0]]), Tensor([0.25]))
+    assert np.array_equal(y.data, np.array([[2.0], [1.0]]))
 
 
-def _fresh_bx_recurrence(abar, bx, cvec):
+def _fresh_bx_recurrence(abar, bx, cvec, x, d):
     """ssm_recurrence on an exact copy of bx, since the scan consumes its
     bx; the copy's backward routes the gradient to bx unchanged."""
-    return ssm_recurrence(abar, ad.mul(bx, 1.0), cvec)
+    copy = Tensor(bx.data.copy(), bx.requires_grad)
+    ad._record(copy, bx.accumulate)
+    return ssm_recurrence(abar, copy, cvec, x, d)
+
+
+def _recurrence_operands(rng, length, channels, state):
+    return [
+        Tensor(rng.uniform(0.1, 0.95, size=(length, channels, state)), requires_grad=True),
+        Tensor(rng.normal(size=(length, channels, state)), requires_grad=True),
+        Tensor(rng.normal(size=(length, state)), requires_grad=True),
+        Tensor(rng.normal(size=(length, channels)), requires_grad=True),
+        Tensor(rng.normal(size=channels), requires_grad=True),
+    ]
 
 
 def test_recurrence_matches_plain_loop():
-    rng = np.random.default_rng(0)
     length, channels, state = 7, 3, 4
-    abar = Tensor(rng.uniform(0.1, 0.95, size=(length, channels, state)))
-    bx = Tensor(rng.normal(size=(length, channels, state)))
-    cvec = Tensor(rng.normal(size=(length, state)))
-    y = _fresh_bx_recurrence(abar, bx, cvec).data
+    abar, bx, cvec, x, d = _recurrence_operands(np.random.default_rng(0), length, channels, state)
+    y = _fresh_bx_recurrence(abar, bx, cvec, x, d).data
     h = np.zeros((channels, state))
     for t in range(length):
         h = abar.data[t] * h + bx.data[t]
-        assert np.allclose(y[t], h @ cvec.data[t], atol=1e-12)
+        assert np.allclose(y[t], h @ cvec.data[t] + x.data[t] * d.data, atol=1e-12)
 
 
 def test_recurrence_grads():
-    rng = np.random.default_rng(1)
-    abar = Tensor(rng.uniform(0.2, 0.9, size=(5, 2, 3)), requires_grad=True)
-    bx = Tensor(rng.normal(size=(5, 2, 3)), requires_grad=True)
-    cvec = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-    assert_grads_match(_fresh_bx_recurrence, [abar, bx, cvec])
+    assert_grads_match(_fresh_bx_recurrence, _recurrence_operands(np.random.default_rng(1), 5, 2, 3))
 
 
 def _frozen_recurrence(a_d, bx_d, c_d, g):
@@ -166,27 +172,30 @@ def _recurrence_case(draw):
         draw(arrays(np.float64, (length, channels, state), elements=finite)),
         draw(arrays(np.float64, (length, state), elements=finite)),
         draw(arrays(np.float64, (length, channels), elements=finite)),
-        draw(st.tuples(st.booleans(), st.booleans(), st.booleans())),
+        draw(arrays(np.float64, (length, channels), elements=finite)),
+        draw(arrays(np.float64, (channels,), elements=finite)),
+        draw(st.tuples(*[st.booleans()] * 5)),
     )
 
 
 @settings(max_examples=200, deadline=None)
 @given(_recurrence_case())
 def test_recurrence_bitwise_matches_frozen_loops(case):
-    a_d, bx_d, c_d, g, flags = case
-    tensors = [Tensor(arr, requires_grad=flag) for arr, flag in zip((a_d, bx_d, c_d), flags)]
-    expect = _frozen_recurrence(a_d, bx_d, c_d, g)
-    assert np.array_equal(_fresh_bx_recurrence(*tensors).data, expect[0])
+    # the direct term against the replaced mul's forward and gradients
+    a_d, bx_d, c_d, g, x_d, d_d, flags = case
+    tensors = [Tensor(arr, requires_grad=flag) for arr, flag in zip((a_d, bx_d, c_d, x_d, d_d), flags)]
+    y, d_ab, d_bx, d_cv, _ = _frozen_recurrence(a_d, bx_d, c_d, g)
+    assert np.array_equal(_fresh_bx_recurrence(*tensors).data, y + x_d * d_d)
     if any(flags):
         grads = tape_grads(_fresh_bx_recurrence, tensors, g)
-        for flag, got, want in zip(flags, grads, expect[1:]):
+        for flag, got, want in zip(flags, grads, (d_ab, d_bx, d_cv, g * d_d, (g * x_d).sum(axis=0))):
             assert (got is None) if not flag else np.array_equal(got, want)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_recurrence_case(), st.data())
 def test_recurrence_consumes_bx_and_hands_its_gradients_over(case, data):
-    a_d, bx_d, c_d, g, _ = case
+    a_d, bx_d, c_d, g, x_d, d_d, _ = case
     y_want, d_ab, d_bx, d_cv, hist = _frozen_recurrence(a_d, bx_d, c_d, g)
     finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
     priors = [data.draw(arrays(np.float64, a_d.shape, elements=finite)) for _ in range(2)]
@@ -195,11 +204,11 @@ def test_recurrence_consumes_bx_and_hands_its_gradients_over(case, data):
         bx = Tensor(bx_d.copy(), requires_grad=True)
         cvec = Tensor(c_d, requires_grad=True)
         with GradTape() as tape:
-            y = ssm_recurrence(abar, bx, cvec)
+            y = ssm_recurrence(abar, bx, cvec, Tensor(x_d), Tensor(d_d))
             loss = ad.mean_all(ad.mul(y, Tensor(g)))
         # the forward ran in place: bx now holds the state history
         assert np.array_equal(bx.data, hist)
-        assert np.array_equal(y.data, y_want)
+        assert np.array_equal(y.data, y_want + x_d * d_d)
         if prior is not None:
             abar.accumulate(prior[0])
             bx.accumulate(prior[1])
@@ -214,21 +223,23 @@ def test_recurrence_consumes_bx_and_hands_its_gradients_over(case, data):
 
 
 def test_recurrence_rejects_a_bx_sharing_memory_with_its_operands():
-    data = np.full((3, 1, 2), 0.5)
-    with pytest.raises(ContractError):
-        ssm_recurrence(Tensor(data), Tensor(data), Tensor(np.ones((3, 2))))
-    cvec = np.ones((3, 2))
-    with pytest.raises(ContractError):
-        ssm_recurrence(Tensor(data), Tensor(cvec.reshape(3, 1, 2)), Tensor(cvec))
+    # abar, cvec, x and d in turn are views of bx's buffer
+    bx = np.full((3, 1, 2), 0.5)
+    operands = [np.full((3, 1, 2), 0.5), np.ones((3, 2)), np.ones((3, 1)), np.ones(1)]
+    views = [bx, bx[:, 0], bx[:, :, 0], bx[0, :, 0]]
+    for i, view in enumerate(views):
+        abar, cvec, x, d = (Tensor(view if j == i else a) for j, a in enumerate(operands))
+        with pytest.raises(ContractError):
+            ssm_recurrence(abar, Tensor(bx), cvec, x, d)
 
 
 def test_recurrence_shape_validation():
-    with pytest.raises(ShapeError):
-        ssm_recurrence(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))))
-    with pytest.raises(ShapeError):
-        ssm_recurrence(
-            Tensor(np.ones((3, 1, 2))), Tensor(np.ones((3, 1, 2))), Tensor(np.ones((3, 3)))
-        )
+    good = {"abar": (3, 1, 2), "bx": (3, 1, 2), "cvec": (3, 2), "x": (3, 1), "d": (1,)}
+    bad = {"abar": (3, 2), "bx": (3, 2, 2), "cvec": (3, 3), "x": (3, 2), "d": (2,)}
+    for name in good:
+        shapes = dict(good, **{name: bad[name]})
+        with pytest.raises(ShapeError):
+            ssm_recurrence(*(Tensor(np.ones(shape)) for shape in shapes.values()))
 
 
 def _one(value):
@@ -326,6 +337,60 @@ def _frozen_op(x, value, slope):
     return out
 
 
+# The broadcasting arithmetic and the matmul the chain was recorded with,
+# kept verbatim; linear was matmul then add.
+
+
+def _frozen_unbroadcast(grad, shape):
+    if grad.shape == shape:
+        return grad
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, n in enumerate(shape):
+        if n == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
+def _frozen_add(a, b):
+    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
+
+    def bw(g):
+        if a.requires_grad:
+            a.accumulate(_frozen_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(_frozen_unbroadcast(g, b.data.shape))
+
+    ad._record(out, bw)
+    return out
+
+
+def _frozen_mul(a, b):
+    out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
+
+    def bw(g):
+        if a.requires_grad:
+            a.accumulate(_frozen_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(_frozen_unbroadcast(g * a.data, b.data.shape))
+
+    ad._record(out, bw)
+    return out
+
+
+def _frozen_matmul(a, b):
+    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
+
+    def bw(g):
+        if a.requires_grad:
+            a.accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b.accumulate(a.data.T @ g)
+
+    ad._record(out, bw)
+    return out
+
+
 def _frozen_reshape(x, shape):
     """The reshape op the chain was recorded with, kept verbatim."""
     out = Tensor(x.data.reshape(shape), x.requires_grad)
@@ -351,19 +416,19 @@ def _frozen_chain(x, a_log, w_dt, b_dt, w_b, w_c):
     as before it became one node, kept verbatim as the bitwise reference."""
     length, channels = x.shape
     state = w_b.shape[1]
-    lin = ad.linear(x, w_dt, b_dt)
+    lin = _frozen_add(_frozen_matmul(x, w_dt), b_dt)
     dt = _frozen_op(lin, np.logaddexp(0.0, lin.data), lambda: special.expit(lin.data))
-    b_t = ad.matmul(x, w_b)
-    c_t = ad.matmul(x, w_c)
+    b_t = _frozen_matmul(x, w_b)
+    c_t = _frozen_matmul(x, w_c)
     exp_a = np.exp(a_log.data)
     e = _frozen_op(a_log, exp_a, lambda: exp_a)
     a = _frozen_op(e, -e.data, lambda: -1.0)
-    da = ad.mul(_frozen_reshape(dt, (length, channels, 1)), a)
+    da = _frozen_mul(_frozen_reshape(dt, (length, channels, 1)), a)
     abar_d = np.exp(da.data)
     abar = _frozen_op(da, abar_d, lambda: abar_d)
-    step_b = ad.mul(_frozen_reshape(dt, (length, channels, 1)), _frozen_reshape(b_t, (length, 1, state)))
-    bbar = ad.mul(_frozen_zoh_factor(da), step_b)
-    bx = ad.mul(bbar, _frozen_reshape(x, (length, channels, 1)))
+    step_b = _frozen_mul(_frozen_reshape(dt, (length, channels, 1)), _frozen_reshape(b_t, (length, 1, state)))
+    bbar = _frozen_mul(_frozen_zoh_factor(da), step_b)
+    bx = _frozen_mul(bbar, _frozen_reshape(x, (length, channels, 1)))
     return abar, bx, c_t
 
 
@@ -416,7 +481,10 @@ def _direction_scan(x, p):
 
 def _frozen_scan(x, p):
     abar, bx, c_t = _frozen_chain(x, p["a_log"], p["w_dt"], p["b_dt"], p["w_b"], p["w_c"])
-    return ad.add(ssm_recurrence(abar, bx, c_t), ad.mul(x, p["d"]))
+    # the recurrence without its direct term: adding x * d = -0.0 changes
+    # no value, so the frozen ops add the direct term as they did
+    no_direct = Tensor(np.full(x.shape, -0.0)), Tensor(np.zeros(x.shape[1]))
+    return _frozen_add(ssm_recurrence(abar, bx, c_t, *no_direct), _frozen_mul(x, p["d"]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -437,7 +505,7 @@ def test_discretization_node_bitwise_matches_frozen_chain(case, rows):
         assert np.array_equal(g, w), name
 
 
-def test_scan_records_five_closures_and_holds_no_chain():
+def test_scan_records_three_closures_and_holds_no_chain():
     # at full size one direction used to hold about eight (L, C, N)
     # arrays on the tape (34.8 MB); the node keeps (L, C) and (L, N)
     # inputs, the recurrence keeps its history in bx's buffer, and abar
@@ -455,8 +523,8 @@ def test_scan_records_five_closures_and_holds_no_chain():
     finally:
         tracemalloc.stop()
     assert y.shape == (1024, 32)
-    # the node, the recurrence, the abar rebuild, mul and add
-    assert len(tape._ops) == 5
+    # the node, the recurrence with its direct term, the abar rebuild
+    assert len(tape._ops) == 3
     assert held <= 6.5e6, held
 
 
