@@ -20,7 +20,7 @@ from .config import ModelConfig
 from .errors import ConfigError
 from .maskgrid import partition_patches, shadow_rect
 from .scanorder import horizontal_order, mas_order, mean_adjacent_gap
-from .ssm import discretize, ssm_recurrence
+from .ssm import Zoh, discretize, ssm_recurrence
 from .train import batch_loss
 
 SUITES = ("ssm-equiv", "grad", "scan", "interleave")
@@ -37,21 +37,25 @@ class CheckResult:
 def _conv_and_recurrence(a, b, c, d, delta, x):
     """One token-invariant single-channel scan computed two ways.
 
-    Both discretize (A, B) at the step ``delta`` with the model's ZOH
-    factor. The convolution form is x (*) (C Bbar, C Abar Bbar, ...,
-    C Abar^(L-1) Bbar) + d x, causal and truncated to len(x); the other is
-    the model's recurrence over the same parameters repeated per token.
-    Returns (y_conv, y_rec).
+    The convolution form discretizes (A, B) at the step ``delta`` with
+    ``discretize`` and is x (*) (C Bbar, C Abar Bbar, ..., C Abar^(L-1)
+    Bbar) + d x, causal and truncated to len(x); the other is the model's
+    scan node over the same step, B, log(-A) and C repeated per token,
+    which discretizes them itself with the same ZOH factor. A must be
+    negative. Returns (y_conv, y_rec).
     """
     length = x.shape[0]
     abar, bbar = discretize(a, b, delta)
     powers = abar[None, :] ** np.arange(length, dtype=np.float64)[:, None]
     y_conv = np.convolve(x, powers @ (c * bbar))[:length] + d * x
     n = abar.shape[0]
-    abar_t = Tensor(np.broadcast_to(abar, (length, 1, n)).copy())
-    bx = Tensor(bbar * x.reshape(length, 1, 1))
+    zoh = Zoh(
+        Tensor(np.full((length, 1), delta)),
+        Tensor(np.broadcast_to(b, (length, n)).copy()),
+        Tensor(np.log(-a).reshape(1, n)),
+    )
     cvec = Tensor(np.broadcast_to(c, (length, n)).copy())
-    y_rec = ssm_recurrence(abar_t, bx, cvec, Tensor(x.reshape(length, 1)), Tensor([d])).data.reshape(length)
+    y_rec = ssm_recurrence(zoh, cvec, Tensor(x.reshape(length, 1)), Tensor([d])).data.reshape(length)
     return y_conv, y_rec
 
 

@@ -14,34 +14,31 @@ vectors from each token, so only the sequential recurrence applies; the
 convolution form that token-invariant parameters admit lives with the
 ``check ssm-equiv`` suite, which cross-checks the recurrence against it.
 
-Each scan direction records three tape closures: one for the whole
-per-token discretization, which keeps only (L, C) and (L, N) inputs and
-recomputes the (L, C, N) terms in its backward (recompute instead of
-store, as in Mamba, arXiv 2312.00752, section 3.3), one for the
-recurrence with the direct term D x, and one that rebuilds
-abar = exp(dt A) just before the recurrence's backward. The recurrence
-consumes bx: it runs in place over bx's buffer, which then holds the
-state history. abar is dropped once the recurrence has run, so until
-replay a direction holds one (L, C, N) array, the history. The
-discretization runs over row blocks of about 256 KB per array, so its
-temporaries stay block-sized, forward and backward.
+Each scan direction records two tape closures: one for the per-token
+projections (step size, B and C), which are (L, C) and (L, N), and one
+for ``ssm_recurrence``, which fuses the discretization, the recurrence
+and the output over row blocks of about 256 KB per (rows, C, N) array,
+as Mamba's selective-scan kernel does in fast memory (arXiv 2312.00752,
+section 3.3). Its backward recomputes abar and the ZOH terms block by
+block rather than storing them. A taped direction holds one (L, C, N)
+array until replay, the state history; an untaped one holds none.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 from .module import Module
 
 ZOH_SERIES_THRESHOLD = 1e-8
 
-# bytes per (rows, C, N) array in the discretization's row blocks
+# bytes per (rows, C, N) array in the scan's row blocks
 _BLOCK_BYTES = 1 << 18
 
 # abar at the softplus(0) step size equals this after default init
@@ -51,16 +48,25 @@ _INIT_ABAR = 0.9
 _MLP_KERNEL = 3
 
 
-def _zoh_terms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(exp(u) - 1) / u elementwise, 1 where |u| is below the series
-    threshold; also that mask, u with the masked entries set to 1, and
-    expm1 of the latter, which the factor's derivative reuses."""
-    small = np.abs(u) < ZOH_SERIES_THRESHOLD
-    safe = np.where(small, 1.0, u)
-    em1 = np.expm1(safe)
-    factor = em1 / safe
+def _zoh_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Output arrays for _zoh_terms: factor, series mask, safe u, expm1."""
+    return np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape), np.empty(shape)
+
+
+def _zoh_terms(
+    u: np.ndarray, factor: np.ndarray, small: np.ndarray, safe: np.ndarray, em1: np.ndarray
+) -> np.ndarray:
+    """Writes (exp(u) - 1) / u elementwise into factor, 1 where |u| is
+    below the series threshold, and returns it. The other arrays keep the
+    terms the factor's derivative reuses: the mask, u with the masked
+    entries set to 1, and expm1 of the latter."""
+    np.less(np.abs(u, out=safe), ZOH_SERIES_THRESHOLD, out=small)
+    np.copyto(safe, u)
+    np.copyto(safe, 1.0, where=small)
+    np.expm1(safe, out=em1)
+    np.divide(em1, safe, out=factor)
     np.copyto(factor, 1.0, where=small)
-    return factor, small, safe, em1
+    return factor
 
 
 def discretize(a_diag: np.ndarray, b_in: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -77,7 +83,7 @@ def discretize(a_diag: np.ndarray, b_in: np.ndarray, delta: float) -> tuple[np.n
         raise ShapeError(f"diagonal A {a.shape} and B {b.shape} must match")
     da = delta * a
     abar = np.exp(da)
-    factor = _zoh_terms(da)[0]
+    factor = _zoh_terms(da, *_zoh_buffers(da.shape))
     return abar, factor * delta * b
 
 
@@ -87,183 +93,203 @@ def _linear_recurrence(coef: np.ndarray, x: np.ndarray) -> None:
         cur += a * prev
 
 
-def ssm_recurrence(abar: Tensor, bx: Tensor, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
-    """Differentiable scan core over per-token discretized parameters.
+def _row_blocks(length: int, channels: int, state: int) -> list[slice]:
+    """Row slices of about _BLOCK_BYTES per (rows, C, N) float64 array,
+    the last one ragged."""
+    rows = max(1, _BLOCK_BYTES // (8 * channels * state))
+    return [slice(start, min(start + rows, length)) for start in range(0, length, rows)]
 
-    Shapes: abar and bx are (L, C, N), cvec is (L, N), x is (L, C) and d
-    is (C,). Computes h[t] = bx[t] + abar[t] * h[t-1] with h[-1] = 0 and
-    y[t, c] = sum_n h[t, c, n] cvec[t, n] + x[t, c] d[c]. Both passes run
-    the one sequential primitive, _linear_recurrence: forward with
-    abar[1:], backward over the time-reversed adjoint
-    adj[t] = g[t] c[t] + abar[t+1] adj[t+1], i.e. with abar shifted one
-    step. Everything else, the output mix and the gradients, is
-    vectorized. No parallel-scan shortcut: each element rounds as the
-    plain sequential loop does. The backward hands out the direct term's
-    gradients, x's then d's, before the scan's own.
 
-    bx is consumed: the forward runs in place over bx.data, which holds
-    the state history h afterwards, so bx must own its buffer and share
-    none with the other operands. The closure keeps cvec, x, d and that
-    history, and reads abar.data only when it replays, so a caller may
-    drop abar's array in between if a closure recorded after this one
-    (which replays before it) puts it back; SsmDirection.scan does. The
-    backward hands the (L, C, N) gradients of abar and bx over without a
-    copy.
+class Zoh(NamedTuple):
+    """A scan direction's zero-order-hold inputs: the per-token steps dt
+    (L, C) and input mixing B (L, N), and a_log (C, N), where A = -exp(a_log)."""
+
+    dt: Tensor
+    b: Tensor
+    a_log: Tensor
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """(L, C, N), the shape of the state the scan expands to."""
+        return self.dt.shape + self.b.shape[1:]
+
+
+def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
+    """Differentiable selective scan: discretization, recurrence and
+    output as one tape node.
+
+    Shapes: zoh.shape is (L, C, N), cvec is (L, N), x is (L, C) and d is
+    (C,). With u = dt A, abar = exp(u), the ZOH factor f(u) = expm1(u) / u
+    and bx = f(u) (dt B) x, it computes h[t] = bx[t] + abar[t] * h[t-1]
+    with h[-1] = 0 and y[t, c] = sum_n h[t, c, n] cvec[t, n] + x[t, c] d[c].
+    Both passes run the one sequential primitive, _linear_recurrence:
+    forward over abar, backward over the time-reversed adjoint
+    adj[t] = g[t] c[t] + abar[t+1] adj[t+1]. No parallel-scan shortcut:
+    each element rounds as the plain sequential loop does.
+
+    Everything runs over row blocks (_row_blocks) in buffers allocated
+    once per pass; each block continues the recurrence from the row
+    before it (the seam row runs the loop's own op), and every other op
+    is elementwise or reduces within a row, so the blocks round as whole
+    arrays would. Taped, the state history is the one (L, C, N) array,
+    and the backward walks the blocks in reverse, recomputes u, the ZOH
+    terms and abar, and reuses each block's dead history rows for the
+    a_log gradient's terms, so that gradient's sum over L stays one
+    reduction over a full-length array. Untaped, the history is a block
+    buffer plus the carried last row.
+
+    The backward hands out the direct term's gradients first, x's then
+    d's, then x's through bx, then a_log's, cvec's, B's and dt's. x may
+    already hold gradient from elsewhere, so its updates stay separate
+    and in this order: summed first or reordered, they would round
+    differently.
     """
-    if abar.ndim != 3 or abar.shape != bx.shape:
-        raise ShapeError(f"abar {abar.shape} and bx {bx.shape} must be equal (L,C,N)")
-    length, channels, state = abar.shape
-    if cvec.shape != (length, state) or x.shape != (length, channels) or d.shape != (channels,):
+    if zoh.dt.ndim != 2 or zoh.b.ndim != 2:
+        raise ShapeError(f"dt and b must be (L,C) and (L,N), got {zoh.dt.shape} and {zoh.b.shape}")
+    length, channels, state = zoh.shape
+    if (
+        zoh.b.shape[0] != length
+        or zoh.a_log.shape != (channels, state)
+        or cvec.shape != (length, state)
+        or x.shape != (length, channels)
+        or d.shape != (channels,)
+    ):
         raise ShapeError(
-            f"cvec, x and d must be ({length},{state}), ({length},{channels}) and ({channels},), "
-            f"got {cvec.shape}, {x.shape} and {d.shape}"
+            f"a_log, cvec, x and d must be ({channels},{state}), ({length},{state}), ({length},{channels}) "
+            f"and ({channels},), got {zoh.a_log.shape}, {cvec.shape}, {x.shape} and {d.shape}"
         )
-    c_d, hist = cvec.data, bx.data
-    if any(np.may_share_memory(hist, t.data) for t in (abar, cvec, x, d)):
-        raise ContractError("bx is consumed by the scan and must not share memory with another operand")
-    _linear_recurrence(abar.data[1:], hist)
-    y = np.einsum("tcn,tn->tc", hist, c_d)
+    dt, c_d = zoh.dt.data, cvec.data
+    dt3, b3, x3 = dt[:, :, None], zoh.b.data[:, None, :], x.data[:, :, None]
+    exp_a = np.exp(zoh.a_log.data)
+    neg_a = -exp_a
+    blocks = _row_blocks(length, channels, state)
+    block_shape = (blocks[0].stop, channels, state) if blocks else (0, channels, state)
+    requires = any(t.requires_grad for t in (*zoh, cvec, x, d))
+    taped = requires and ad.active_tape() is not None
+    hist = np.empty((length, channels, state)) if taped else None
+
+    y = np.empty((length, channels))
+    u_buf = np.empty(block_shape)
+    terms = _zoh_buffers(block_shape)
+    h_buf = None if taped else np.empty(block_shape)
+    last = np.empty((channels, state))
+    for rows in blocks:
+        n = rows.stop - rows.start
+        u = np.multiply(dt3[rows], neg_a, out=u_buf[:n])
+        factor, small, safe, em1 = (buf[:n] for buf in terms)
+        _zoh_terms(u, factor, small, safe, em1)
+        factor *= np.multiply(dt3[rows], b3[rows], out=safe)
+        h = hist[rows] if taped else h_buf[:n]
+        np.multiply(factor, x3[rows], out=h)
+        abar = np.exp(u, out=u)
+        if rows.start:
+            h[0] += abar[0] * last
+        _linear_recurrence(abar[1:], h)
+        np.copyto(last, h[-1])
+        np.einsum("tcn,tn->tc", h, c_d[rows], out=y[rows])
     y += x.data * d.data
-    out = Tensor(y, any(t.requires_grad for t in (abar, bx, cvec, x, d)))
+    out = Tensor(y, requires)
+    if not taped:
+        return out
 
     def bw(g):
         if x.requires_grad:
             x.accumulate(g * d.data, owned=True)
         if d.requires_grad:
             d.accumulate((g * x.data).sum(axis=0))
-        a_d = abar.data
-        d_cv = np.einsum("tc,tcn->tn", g, hist) if cvec.requires_grad else None
-        # adj[t] is the adjoint of h[t], which is also the gradient of bx[t]
-        adj = g[:, :, None] * c_d[:, None, :]
-        _linear_recurrence(a_d[:0:-1], adj[::-1])
-        if abar.requires_grad:
-            d_ab = np.empty_like(adj)
-            d_ab[0] = 0.0
-            np.multiply(adj[1:], hist[:-1], out=d_ab[1:])
-            abar.accumulate(d_ab, owned=True)
-        if bx.requires_grad:
-            bx.accumulate(adj, owned=True)
-        if d_cv is not None:
-            cvec.accumulate(d_cv)
-
-    ad._record(out, bw)
-    return out
-
-
-def _row_blocks(length: int, channels: int, state: int) -> list[slice]:
-    """Row slices of about _BLOCK_BYTES per (rows, C, N) float64 array,
-    the last one ragged."""
-    rows = max(1, _BLOCK_BYTES // (8 * channels * state))
-    return [slice(start, start + rows) for start in range(0, length, rows)]
-
-
-def _discretized_inputs(
-    x: Tensor, a_log: Tensor, w_dt: Tensor, b_dt: Tensor, w_b: Tensor, w_c: Tensor
-) -> tuple[Tensor, Tensor, Tensor, Callable[[], None] | None]:
-    """The recurrence's inputs (abar, bx, cvec) from (L, C) tokens, as one
-    tape node, and a closure that rebuilds abar's data.
-
-    Per token, the step is dt = softplus(x @ w_dt + b_dt) per channel,
-    B = x @ w_b and cvec = x @ w_c per state, and with A = -exp(a_log)
-    abar = exp(dt A) and bx = zoh(dt A) (dt B) x, both (L, C, N).
-
-    The (L, C, N) chain runs over row blocks (_row_blocks), forward and
-    backward, so its temporaries are block-sized; every op is elementwise
-    or reduces within a row, so the blocks round as whole arrays would.
-    The node keeps x, the (L, C) logits and steps, the (L, N) B and the
-    (C, N) exp(a_log); its backward recomputes dt A, the ZOH factor and
-    dt B rather than holding (L, C, N) arrays on the tape until replay.
-    The backward rounds as the chain of single ops it replaces did: the
-    same products and the same reductions, the a_log gradient's sum over
-    L still one reduction over a full-length array, and one
-    ``x.accumulate`` per path in replay order (bx, cvec, B, step), since
-    x may already hold gradient from elsewhere and a pre-summed update
-    rounds differently.
-
-    The rebuild closure (None when nothing is taped) sets abar.data to
-    exp(dt A) again with the forward's ops, so the caller may drop abar's
-    array until a backward needs it.
-    """
-    xd = x.data
-    logits = xd @ w_dt.data + b_dt.data
-    dt = np.logaddexp(0.0, logits)
-    b_proj = xd @ w_b.data
-    exp_a = np.exp(a_log.data)
-    neg_a = -exp_a
-    dt3 = dt[:, :, None]
-    b3 = b_proj[:, None, :]
-    x3 = xd[:, :, None]
-    length, channels = xd.shape
-    blocks = _row_blocks(length, channels, exp_a.shape[1])
-    abar_d = np.empty((length,) + exp_a.shape)
-    bx_d = np.empty_like(abar_d)
-    for rows in blocks:
-        da = np.multiply(dt3[rows], neg_a, out=abar_d[rows])
-        factor = _zoh_terms(da)[0]
-        factor *= dt3[rows] * b3[rows]
-        np.multiply(factor, x3[rows], out=bx_d[rows])
-        np.exp(da, out=da)
-    requires = any(t.requires_grad for t in (x, a_log, w_dt, b_dt, w_b, w_c))
-    abar = Tensor(abar_d, requires)
-    bx = Tensor(bx_d, requires)
-    cvec = Tensor(xd @ w_c.data, requires)
-    tape = ad.active_tape()
-    if tape is None or not requires:
-        return abar, bx, cvec, None
-
-    def rebuild_abar():
-        da = np.multiply(dt3, neg_a)
-        abar.data = np.exp(da, out=da)
-
-    def replay():
-        # ssm_recurrence hands all three outputs a gradient, or none; the
-        # first two are arrays it handed over (or accumulate's copies),
-        # owned by abar and bx alone, so they double as scratch
-        g_ab, g_bx, g_c = abar.grad, bx.grad, cvec.grad
-        if g_ab is None:
-            return
-        a_d = abar.data
-        d_x = np.empty_like(xd) if x.requires_grad else None
+        abar_b, der_b, adj_b, d_ab_b = (np.empty(block_shape) for _ in range(4))
+        terms = _zoh_buffers(block_shape)
+        abar_next, adj_next = np.empty((channels, state)), np.empty((channels, state))
+        d_x = np.empty_like(x.data) if x.requires_grad else None
         d_dt = np.empty_like(dt)
-        d_b = np.empty_like(b_proj)
-        for rows in blocks:
+        d_b = np.empty((length, state))
+        d_cv = np.empty((length, state))
+        for rows in reversed(blocks):
+            n = rows.stop - rows.start
             dt_r, b_r = dt3[rows], b3[rows]
-            factor, small, safe, em1 = _zoh_terms(dt_r * neg_a)
+            abar = np.multiply(dt_r, neg_a, out=abar_b[:n])
+            factor, small, safe, em1 = (buf[:n] for buf in terms)
+            _zoh_terms(abar, factor, small, safe, em1)
+            np.exp(abar, out=abar)
+            h = hist[rows]
+            np.einsum("tc,tcn->tn", g[rows], h, out=d_cv[rows])
+            # adj[t] is the adjoint of h[t], which is also the gradient of bx[t]
+            adj = np.multiply(g[rows, :, None], c_d[rows, None, :], out=adj_b[:n])
+            if rows.stop < length:
+                adj[-1] += abar_next * adj_next
+            _linear_recurrence(abar[:0:-1], adj[::-1])
+            np.copyto(abar_next, abar[0])
+            np.copyto(adj_next, adj[0])
+            d_ab = d_ab_b[:n]
+            if rows.start:
+                np.multiply(adj, hist[rows.start - 1 : rows.stop - 1], out=d_ab)
+            else:
+                d_ab[0] = 0.0
+                np.multiply(adj[1:], h[:-1], out=d_ab[1:])
             # d factor / d u = (u exp(u) - expm1(u)) / u^2, 1/2 on the
             # series branch; exp(u) is abar wherever the exact branch applies
-            der = np.multiply(safe, a_d[rows])
+            der = np.multiply(safe, abar, out=der_b[:n])
             der -= em1
             safe *= safe
             der /= safe
             np.copyto(der, 0.5, where=small)
             step_b = np.multiply(dt_r, b_r, out=safe)
             bbar = np.multiply(factor, step_b, out=em1)
-            g_bx_r = g_bx[rows]
             if d_x is not None:
-                np.multiply(g_bx_r, bbar, out=bbar).sum(axis=2, out=d_x[rows])
-            g_bbar = np.multiply(g_bx_r, x3[rows], out=g_bx_r)
-            g_da = np.multiply(g_bbar, step_b, out=bbar)
-            g_step_b = np.multiply(g_bbar, factor, out=g_bx_r)
-            g_da *= der
+                np.multiply(adj, bbar, out=bbar).sum(axis=2, out=d_x[rows])
+            g_bbar = np.multiply(adj, x3[rows], out=adj)
+            g_u = np.multiply(g_bbar, step_b, out=bbar)
+            g_step_b = np.multiply(g_bbar, factor, out=adj)
+            g_u *= der
             np.multiply(g_step_b, b_r, out=der).sum(axis=2, out=d_dt[rows])
             g_step_b *= dt_r
             g_step_b.sum(axis=1, out=d_b[rows])
-            g_ab_r = g_ab[rows]
-            g_ab_r *= a_d[rows]
-            g_da += g_ab_r
-            d_dt[rows] += np.multiply(g_da, neg_a, out=der).sum(axis=2)
-            # g_ab's rows are dead: they keep dt * d(dt A) for a_log's sum
-            np.multiply(g_da, dt_r, out=g_ab_r)
+            d_ab *= abar
+            g_u += d_ab
+            d_dt[rows] += np.multiply(g_u, neg_a, out=der).sum(axis=2)
+            # the block's history rows are dead: they keep dt * d(u) for a_log's sum
+            np.multiply(g_u, dt_r, out=h)
         if d_x is not None:
             x.accumulate(d_x, owned=True)
-        if a_log.requires_grad:
-            a_log.accumulate(-g_ab.sum(axis=0) * exp_a)
-        for grad, w in ((g_c, w_c), (d_b, w_b)):
+        if zoh.a_log.requires_grad:
+            zoh.a_log.accumulate(-hist.sum(axis=0) * exp_a)
+        for t, grad in ((cvec, d_cv), (zoh.b, d_b), (zoh.dt, d_dt)):
+            if t.requires_grad:
+                t.accumulate(grad, owned=True)
+
+    ad._record(out, bw)
+    return out
+
+
+def _projections(
+    x: Tensor, w_dt: Tensor, b_dt: Tensor, w_b: Tensor, w_c: Tensor
+) -> tuple[Tensor, Tensor, Tensor]:
+    """The per-token step dt = softplus(x @ w_dt + b_dt) (L, C) and the
+    mixing vectors B = x @ w_b and C = x @ w_c (L, N), as one tape node.
+
+    The node keeps x and the logits. Its backward hands x one gradient
+    per path, in the order C, B, step, for the reason ssm_recurrence
+    gives."""
+    xd = x.data
+    logits = xd @ w_dt.data + b_dt.data
+    requires = any(t.requires_grad for t in (x, w_dt, b_dt, w_b, w_c))
+    dt = Tensor(np.logaddexp(0.0, logits), requires)
+    b = Tensor(xd @ w_b.data, requires)
+    cvec = Tensor(xd @ w_c.data, requires)
+    tape = ad.active_tape()
+    if tape is None or not requires:
+        return dt, b, cvec
+
+    def replay():
+        # ssm_recurrence hands all three outputs a gradient, or none
+        if dt.grad is None:
+            return
+        for grad, w in ((cvec.grad, w_c), (b.grad, w_b)):
             if x.requires_grad:
                 x.accumulate(grad @ w.data.T)
             if w.requires_grad:
                 w.accumulate(xd.T @ grad)
-        d_logits = d_dt * special.expit(logits)
+        d_logits = dt.grad * special.expit(logits)
         if b_dt.requires_grad:
             b_dt.accumulate(d_logits.sum(axis=0))
         if x.requires_grad:
@@ -272,7 +298,7 @@ def _discretized_inputs(
             w_dt.accumulate(xd.T @ d_logits)
 
     tape.record(replay)
-    return abar, bx, cvec, rebuild_abar
+    return dt, b, cvec
 
 
 class SsmDirection(Module):
@@ -302,15 +328,8 @@ class SsmDirection(Module):
         """Run the selective recurrence over an (L, C) sequence."""
         if x.ndim != 2 or x.shape[1] != self.channels:
             raise ShapeError(f"expected (L,{self.channels}) sequence, got {x.shape}")
-        params = (self.a_log, self.w_dt, self.b_dt, self.w_b, self.w_c)
-        abar, bx, cvec, rebuild_abar = _discretized_inputs(x, *params)
-        y = ssm_recurrence(abar, bx, cvec, x, self.d)
-        if rebuild_abar is not None:
-            # the recurrence reads abar only in its backward: drop the array
-            # until then, and rebuild it in the closure that replays first
-            abar.data = None
-            ad.active_tape().record(rebuild_abar)
-        return y
+        dt, b, cvec = _projections(x, self.w_dt, self.b_dt, self.w_b, self.w_c)
+        return ssm_recurrence(Zoh(dt, b, self.a_log), cvec, x, self.d)
 
     def silence(self) -> None:
         """Zero the output mixing and the direct term: the scan emits zeros."""

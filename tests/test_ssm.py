@@ -11,18 +11,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special
 
-from helpers import assert_grads_match, tape_grads
+from helpers import assert_grads_match
 from shadowscan import autodiff as ad
 from shadowscan import ssm
 from shadowscan.autodiff import GradTape, Tensor, backward
 from shadowscan.checks import _conv_and_recurrence
-from shadowscan.errors import ConfigError, ContractError, ShapeError
+from shadowscan.errors import ConfigError, ShapeError
 from shadowscan.ssm import (
     ZOH_SERIES_THRESHOLD,
     ConvMlp,
     SsmDirection,
     SsmStage,
-    _discretized_inputs,
+    Zoh,
     bidirectional_ssm_block,
     discretize,
     ssm_recurrence,
@@ -69,46 +69,40 @@ def test_discretize_validation():
 
 def test_discretize_runs_the_model_zoh_factor():
     # the checked step and the model's scan share one ZOH factor, series
-    # branch included: at step 1 and B = 1 discretize returns the factor
-    # itself, and the scan's abar and bx are built from it bitwise
-    rng = np.random.default_rng(16)
-    direction = SsmDirection(3, 4, rng)
-    direction.a_log.data[0] = [-40.0, -19.0, -18.4, 0.5]
-    x = rng.normal(size=(6, 3))
-    params = (direction.a_log, direction.w_dt, direction.b_dt, direction.w_b, direction.w_c)
-    abar, bx, _, _ = _discretized_inputs(Tensor(x), *params)
-    dt = np.logaddexp(0.0, x @ direction.w_dt.data + direction.b_dt.data)[:, :, None]
-    da = dt * -np.exp(direction.a_log.data)
-    small = np.abs(da) < ZOH_SERIES_THRESHOLD
+    # branch included: at step 1, B = 1, x = 1 and d = 0 one token's
+    # state is the factor itself, and a one-hot C reads out one state
+    channels, state = 1, 4
+    a_log = np.array([[-40.0, -19.0, -18.4, 0.5]])
+    u = -np.exp(a_log)
+    small = np.abs(u) < ZOH_SERIES_THRESHOLD
     assert small.any() and not small.all()
-    exp_da, factor = discretize(da.ravel(), np.ones(da.size), 1.0)
-    assert np.array_equal(abar.data, exp_da.reshape(da.shape))
-    step_b = dt * (x @ direction.w_b.data)[:, None, :]
-    assert np.array_equal(bx.data, factor.reshape(da.shape) * step_b * x[:, :, None])
+    _, factor = discretize(u.ravel(), np.ones(state), 1.0)
+    ones = Tensor(np.ones((1, channels)))
+    zoh = Zoh(ones, Tensor(np.ones((1, state))), Tensor(a_log))
+    for n in range(state):
+        onehot = Tensor(np.eye(state)[n : n + 1])
+        y = ssm_recurrence(zoh, onehot, ones, Tensor(np.zeros(channels)))
+        assert np.array_equal(y.data, factor[None, n : n + 1])
 
 
 def test_recurrence_two_step_example():
-    # abar 0.5, bbar x = [1, 0], C = 1: the scan gives [1, 1/2], and the
-    # direct term d x = [4, 2] / 4 adds [1, 1/2]
-    abar = Tensor(np.full((2, 1, 1), 0.5))
-    bx = Tensor(np.array([1.0, 0.0]).reshape(2, 1, 1))
-    cvec = Tensor(np.ones((2, 1)))
-    y = ssm_recurrence(abar, bx, cvec, Tensor([[4.0], [2.0]]), Tensor([0.25]))
-    assert np.array_equal(y.data, np.array([[2.0], [1.0]]))
+    # A = -exp(-40) at step 1 takes the series branch: abar rounds to 1
+    # and Bbar = dt B exactly, so bx = 0.5 x = [2, 1] and the scan is the
+    # running sum [2, 3]; the direct term d x = [4, 2] / 4 adds [1, 1/2]
+    zoh = Zoh(Tensor(np.ones((2, 1))), Tensor(np.full((2, 1), 0.5)), Tensor([[-40.0]]))
+    y = ssm_recurrence(zoh, Tensor(np.ones((2, 1))), Tensor([[4.0], [2.0]]), Tensor([0.25]))
+    assert np.array_equal(y.data, np.array([[3.0], [3.5]]))
 
 
-def _fresh_bx_recurrence(abar, bx, cvec, x, d):
-    """ssm_recurrence on an exact copy of bx, since the scan consumes its
-    bx; the copy's backward routes the gradient to bx unchanged."""
-    copy = Tensor(bx.data.copy(), bx.requires_grad)
-    ad._record(copy, bx.accumulate)
-    return ssm_recurrence(abar, copy, cvec, x, d)
+def _node(dt, b, a_log, cvec, x, d):
+    return ssm_recurrence(Zoh(dt, b, a_log), cvec, x, d)
 
 
-def _recurrence_operands(rng, length, channels, state):
+def _node_operands(rng, length, channels, state):
     return [
-        Tensor(rng.uniform(0.1, 0.95, size=(length, channels, state)), requires_grad=True),
-        Tensor(rng.normal(size=(length, channels, state)), requires_grad=True),
+        Tensor(rng.uniform(0.1, 1.0, size=(length, channels)), requires_grad=True),
+        Tensor(rng.normal(size=(length, state)), requires_grad=True),
+        Tensor(rng.normal(scale=0.5, size=(channels, state)), requires_grad=True),
         Tensor(rng.normal(size=(length, state)), requires_grad=True),
         Tensor(rng.normal(size=(length, channels)), requires_grad=True),
         Tensor(rng.normal(size=channels), requires_grad=True),
@@ -117,129 +111,29 @@ def _recurrence_operands(rng, length, channels, state):
 
 def test_recurrence_matches_plain_loop():
     length, channels, state = 7, 3, 4
-    abar, bx, cvec, x, d = _recurrence_operands(np.random.default_rng(0), length, channels, state)
-    y = _fresh_bx_recurrence(abar, bx, cvec, x, d).data
+    dt, b, a_log, cvec, x, d = (t.data for t in _node_operands(np.random.default_rng(0), length, channels, state))
+    y = _node(*map(Tensor, (dt, b, a_log, cvec, x, d))).data
     h = np.zeros((channels, state))
     for t in range(length):
-        h = abar.data[t] * h + bx.data[t]
-        assert np.allclose(y[t], h @ cvec.data[t] + x.data[t] * d.data, atol=1e-12)
+        da = dt[t][:, None] * -np.exp(a_log)
+        bbar = np.expm1(da) / da * dt[t][:, None] * b[t]
+        h = np.exp(da) * h + bbar * x[t][:, None]
+        assert np.allclose(y[t], h @ cvec[t] + x[t] * d, atol=1e-12)
 
 
 def test_recurrence_grads():
-    assert_grads_match(_fresh_bx_recurrence, _recurrence_operands(np.random.default_rng(1), 5, 2, 3))
-
-
-def _frozen_recurrence(a_d, bx_d, c_d, g):
-    """The scan and its adjoint as two separate hand-written loops, kept
-    verbatim as the bitwise reference: returns y, d_abar, d_bx, d_cvec
-    and the state history."""
-    length, channels, state = a_d.shape
-    hist = np.empty((length, channels, state), dtype=np.float64)
-    prev = np.zeros((channels, state), dtype=np.float64)
-    for t in range(length):
-        h = hist[t]
-        np.multiply(a_d[t], prev, out=h)
-        h += bx_d[t]
-        prev = h
-    y = np.einsum("tcn,tn->tc", hist, c_d)
-    d_cv = np.einsum("tc,tcn->tn", g, hist)
-    d_bx = np.empty_like(bx_d)
-    d_ab = np.empty_like(a_d)
-    g_col = g[:, :, None]
-    c_row = c_d[:, None, :]
-    carry = np.zeros((channels, state), dtype=np.float64)
-    for t in range(length - 1, -1, -1):
-        adj = d_bx[t]
-        np.multiply(g_col[t], c_row[t], out=adj)
-        adj += carry
-        if t > 0:
-            np.multiply(adj, hist[t - 1], out=d_ab[t])
-        else:
-            d_ab[0] = 0.0
-        np.multiply(adj, a_d[t], out=carry)
-    return y, d_ab, d_bx, d_cv, hist
-
-
-@st.composite
-def _recurrence_case(draw):
-    length = draw(st.integers(1, 12))
-    channels = draw(st.integers(1, 4))
-    state = draw(st.integers(1, 4))
-    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-    decay = st.floats(0.0, 1.0, exclude_min=True)
-    return (
-        draw(arrays(np.float64, (length, channels, state), elements=decay)),
-        draw(arrays(np.float64, (length, channels, state), elements=finite)),
-        draw(arrays(np.float64, (length, state), elements=finite)),
-        draw(arrays(np.float64, (length, channels), elements=finite)),
-        draw(arrays(np.float64, (length, channels), elements=finite)),
-        draw(arrays(np.float64, (channels,), elements=finite)),
-        draw(st.tuples(*[st.booleans()] * 5)),
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(_recurrence_case())
-def test_recurrence_bitwise_matches_frozen_loops(case):
-    # the direct term against the replaced mul's forward and gradients
-    a_d, bx_d, c_d, g, x_d, d_d, flags = case
-    tensors = [Tensor(arr, requires_grad=flag) for arr, flag in zip((a_d, bx_d, c_d, x_d, d_d), flags)]
-    y, d_ab, d_bx, d_cv, _ = _frozen_recurrence(a_d, bx_d, c_d, g)
-    assert np.array_equal(_fresh_bx_recurrence(*tensors).data, y + x_d * d_d)
-    if any(flags):
-        grads = tape_grads(_fresh_bx_recurrence, tensors, g)
-        for flag, got, want in zip(flags, grads, (d_ab, d_bx, d_cv, g * d_d, (g * x_d).sum(axis=0))):
-            assert (got is None) if not flag else np.array_equal(got, want)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_recurrence_case(), st.data())
-def test_recurrence_consumes_bx_and_hands_its_gradients_over(case, data):
-    a_d, bx_d, c_d, g, x_d, d_d, _ = case
-    y_want, d_ab, d_bx, d_cv, hist = _frozen_recurrence(a_d, bx_d, c_d, g)
-    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-    priors = [data.draw(arrays(np.float64, a_d.shape, elements=finite)) for _ in range(2)]
-    for prior in (None, priors):
-        abar = Tensor(a_d, requires_grad=True)
-        bx = Tensor(bx_d.copy(), requires_grad=True)
-        cvec = Tensor(c_d, requires_grad=True)
-        with GradTape() as tape:
-            y = ssm_recurrence(abar, bx, cvec, Tensor(x_d), Tensor(d_d))
-            loss = ad.mean_all(ad.mul(y, Tensor(g)))
-        # the forward ran in place: bx now holds the state history
-        assert np.array_equal(bx.data, hist)
-        assert np.array_equal(y.data, y_want + x_d * d_d)
-        if prior is not None:
-            abar.accumulate(prior[0])
-            bx.accumulate(prior[1])
-        backward(loss, tape, seed=g.size)
-        if prior is None:
-            assert np.array_equal(abar.grad, d_ab) and np.array_equal(bx.grad, d_bx)
-            assert not np.shares_memory(abar.grad, bx.grad)
-        else:
-            assert np.array_equal(abar.grad, prior[0] + d_ab)
-            assert np.array_equal(bx.grad, prior[1] + d_bx)
-        assert np.array_equal(cvec.grad, d_cv)
-
-
-def test_recurrence_rejects_a_bx_sharing_memory_with_its_operands():
-    # abar, cvec, x and d in turn are views of bx's buffer
-    bx = np.full((3, 1, 2), 0.5)
-    operands = [np.full((3, 1, 2), 0.5), np.ones((3, 2)), np.ones((3, 1)), np.ones(1)]
-    views = [bx, bx[:, 0], bx[:, :, 0], bx[0, :, 0]]
-    for i, view in enumerate(views):
-        abar, cvec, x, d = (Tensor(view if j == i else a) for j, a in enumerate(operands))
-        with pytest.raises(ContractError):
-            ssm_recurrence(abar, Tensor(bx), cvec, x, d)
+    assert_grads_match(_node, _node_operands(np.random.default_rng(1), 5, 2, 3))
 
 
 def test_recurrence_shape_validation():
-    good = {"abar": (3, 1, 2), "bx": (3, 1, 2), "cvec": (3, 2), "x": (3, 1), "d": (1,)}
-    bad = {"abar": (3, 2), "bx": (3, 2, 2), "cvec": (3, 3), "x": (3, 2), "d": (2,)}
+    good = {"dt": (3, 1), "b": (3, 2), "a_log": (1, 2), "cvec": (3, 2), "x": (3, 1), "d": (1,)}
+    bad = {"dt": (3, 2), "b": (3, 3), "a_log": (2, 2), "cvec": (3, 3), "x": (3, 2), "d": (2,)}
     for name in good:
         shapes = dict(good, **{name: bad[name]})
         with pytest.raises(ShapeError):
-            ssm_recurrence(*(Tensor(np.ones(shape)) for shape in shapes.values()))
+            _node(*(Tensor(np.ones(shape)) for shape in shapes.values()))
+    with pytest.raises(ShapeError):
+        _node(*(Tensor(np.ones(shape)) for shape in dict(good, dt=(3, 1, 1)).values()))
 
 
 def _one(value):
@@ -329,121 +223,172 @@ def test_selective_scan_grads():
     assert_grads_match(fn, params)
 
 
-def _frozen_op(x, value, slope):
-    """One taped elementwise op of the replaced chain: value, and the
-    local derivative its backward multiplies the cotangent by."""
-    out = Tensor(value, x.requires_grad)
-    ad._record(out, lambda g: x.accumulate(g * slope()))
-    return out
+# The scan as the three tape closures it was recorded as before the
+# discretization, the recurrence and the output became one node, kept
+# verbatim as the bitwise reference: the discretization node, the
+# recurrence with its direct term, and the closure that rebuilt abar.
+# Only their argument checks are left out.
 
 
-# The broadcasting arithmetic and the matmul the chain was recorded with,
-# kept verbatim; linear was matmul then add.
+def _frozen_zoh_terms(u):
+    small = np.abs(u) < ZOH_SERIES_THRESHOLD
+    safe = np.where(small, 1.0, u)
+    em1 = np.expm1(safe)
+    factor = em1 / safe
+    np.copyto(factor, 1.0, where=small)
+    return factor, small, safe, em1
 
 
-def _frozen_unbroadcast(grad, shape):
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
+def _frozen_linear_recurrence(coef, x):
+    for a, prev, cur in zip(coef, x, x[1:]):
+        cur += a * prev
 
 
-def _frozen_add(a, b):
-    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
+def _frozen_row_blocks(length, channels, state):
+    rows = max(1, ssm._BLOCK_BYTES // (8 * channels * state))
+    return [slice(start, start + rows) for start in range(0, length, rows)]
+
+
+def _frozen_recurrence(abar, bx, cvec, x, d):
+    length, channels, state = abar.shape
+    c_d, hist = cvec.data, bx.data
+    _frozen_linear_recurrence(abar.data[1:], hist)
+    y = np.einsum("tcn,tn->tc", hist, c_d)
+    y += x.data * d.data
+    out = Tensor(y, any(t.requires_grad for t in (abar, bx, cvec, x, d)))
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(_frozen_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_frozen_unbroadcast(g, b.data.shape))
+        if x.requires_grad:
+            x.accumulate(g * d.data, owned=True)
+        if d.requires_grad:
+            d.accumulate((g * x.data).sum(axis=0))
+        a_d = abar.data
+        d_cv = np.einsum("tc,tcn->tn", g, hist) if cvec.requires_grad else None
+        adj = g[:, :, None] * c_d[:, None, :]
+        _frozen_linear_recurrence(a_d[:0:-1], adj[::-1])
+        if abar.requires_grad:
+            d_ab = np.empty_like(adj)
+            d_ab[0] = 0.0
+            np.multiply(adj[1:], hist[:-1], out=d_ab[1:])
+            abar.accumulate(d_ab, owned=True)
+        if bx.requires_grad:
+            bx.accumulate(adj, owned=True)
+        if d_cv is not None:
+            cvec.accumulate(d_cv)
 
     ad._record(out, bw)
     return out
 
 
-def _frozen_mul(a, b):
-    out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate(_frozen_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_frozen_unbroadcast(g * a.data, b.data.shape))
-
-    ad._record(out, bw)
-    return out
-
-
-def _frozen_matmul(a, b):
-    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate(a.data.T @ g)
-
-    ad._record(out, bw)
-    return out
-
-
-def _frozen_reshape(x, shape):
-    """The reshape op the chain was recorded with, kept verbatim."""
-    out = Tensor(x.data.reshape(shape), x.requires_grad)
-
-    def bw(g):
-        x.accumulate(g.reshape(x.data.shape))
-
-    ad._record(out, bw)
-    return out
-
-
-def _frozen_zoh_factor(u):
-    small = np.abs(u.data) < ZOH_SERIES_THRESHOLD
-    safe = np.where(small, 1.0, u.data)
-    factor = np.where(small, 1.0, np.expm1(safe) / safe)
-    return _frozen_op(
-        u, factor, lambda: np.where(small, 0.5, (safe * np.exp(safe) - np.expm1(safe)) / (safe * safe))
-    )
-
-
-def _frozen_chain(x, a_log, w_dt, b_dt, w_b, w_c):
-    """The scan's discretization as the 17 single tape ops it was recorded
-    as before it became one node, kept verbatim as the bitwise reference."""
-    length, channels = x.shape
-    state = w_b.shape[1]
-    lin = _frozen_add(_frozen_matmul(x, w_dt), b_dt)
-    dt = _frozen_op(lin, np.logaddexp(0.0, lin.data), lambda: special.expit(lin.data))
-    b_t = _frozen_matmul(x, w_b)
-    c_t = _frozen_matmul(x, w_c)
+def _frozen_discretized_inputs(x, a_log, w_dt, b_dt, w_b, w_c):
+    xd = x.data
+    logits = xd @ w_dt.data + b_dt.data
+    dt = np.logaddexp(0.0, logits)
+    b_proj = xd @ w_b.data
     exp_a = np.exp(a_log.data)
-    e = _frozen_op(a_log, exp_a, lambda: exp_a)
-    a = _frozen_op(e, -e.data, lambda: -1.0)
-    da = _frozen_mul(_frozen_reshape(dt, (length, channels, 1)), a)
-    abar_d = np.exp(da.data)
-    abar = _frozen_op(da, abar_d, lambda: abar_d)
-    step_b = _frozen_mul(_frozen_reshape(dt, (length, channels, 1)), _frozen_reshape(b_t, (length, 1, state)))
-    bbar = _frozen_mul(_frozen_zoh_factor(da), step_b)
-    bx = _frozen_mul(bbar, _frozen_reshape(x, (length, channels, 1)))
-    return abar, bx, c_t
+    neg_a = -exp_a
+    dt3 = dt[:, :, None]
+    b3 = b_proj[:, None, :]
+    x3 = xd[:, :, None]
+    length, channels = xd.shape
+    blocks = _frozen_row_blocks(length, channels, exp_a.shape[1])
+    abar_d = np.empty((length,) + exp_a.shape)
+    bx_d = np.empty_like(abar_d)
+    for rows in blocks:
+        da = np.multiply(dt3[rows], neg_a, out=abar_d[rows])
+        factor = _frozen_zoh_terms(da)[0]
+        factor *= dt3[rows] * b3[rows]
+        np.multiply(factor, x3[rows], out=bx_d[rows])
+        np.exp(da, out=da)
+    requires = any(t.requires_grad for t in (x, a_log, w_dt, b_dt, w_b, w_c))
+    abar = Tensor(abar_d, requires)
+    bx = Tensor(bx_d, requires)
+    cvec = Tensor(xd @ w_c.data, requires)
+    tape = ad.active_tape()
+    if tape is None or not requires:
+        return abar, bx, cvec, None
+
+    def rebuild_abar():
+        da = np.multiply(dt3, neg_a)
+        abar.data = np.exp(da, out=da)
+
+    def replay():
+        g_ab, g_bx, g_c = abar.grad, bx.grad, cvec.grad
+        if g_ab is None:
+            return
+        a_d = abar.data
+        d_x = np.empty_like(xd) if x.requires_grad else None
+        d_dt = np.empty_like(dt)
+        d_b = np.empty_like(b_proj)
+        for rows in blocks:
+            dt_r, b_r = dt3[rows], b3[rows]
+            factor, small, safe, em1 = _frozen_zoh_terms(dt_r * neg_a)
+            der = np.multiply(safe, a_d[rows])
+            der -= em1
+            safe *= safe
+            der /= safe
+            np.copyto(der, 0.5, where=small)
+            step_b = np.multiply(dt_r, b_r, out=safe)
+            bbar = np.multiply(factor, step_b, out=em1)
+            g_bx_r = g_bx[rows]
+            if d_x is not None:
+                np.multiply(g_bx_r, bbar, out=bbar).sum(axis=2, out=d_x[rows])
+            g_bbar = np.multiply(g_bx_r, x3[rows], out=g_bx_r)
+            g_da = np.multiply(g_bbar, step_b, out=bbar)
+            g_step_b = np.multiply(g_bbar, factor, out=g_bx_r)
+            g_da *= der
+            np.multiply(g_step_b, b_r, out=der).sum(axis=2, out=d_dt[rows])
+            g_step_b *= dt_r
+            g_step_b.sum(axis=1, out=d_b[rows])
+            g_ab_r = g_ab[rows]
+            g_ab_r *= a_d[rows]
+            g_da += g_ab_r
+            d_dt[rows] += np.multiply(g_da, neg_a, out=der).sum(axis=2)
+            np.multiply(g_da, dt_r, out=g_ab_r)
+        if d_x is not None:
+            x.accumulate(d_x, owned=True)
+        if a_log.requires_grad:
+            a_log.accumulate(-g_ab.sum(axis=0) * exp_a)
+        for grad, w in ((g_c, w_c), (d_b, w_b)):
+            if x.requires_grad:
+                x.accumulate(grad @ w.data.T)
+            if w.requires_grad:
+                w.accumulate(xd.T @ grad)
+        d_logits = d_dt * special.expit(logits)
+        if b_dt.requires_grad:
+            b_dt.accumulate(d_logits.sum(axis=0))
+        if x.requires_grad:
+            x.accumulate(d_logits @ w_dt.data.T)
+        if w_dt.requires_grad:
+            w_dt.accumulate(xd.T @ d_logits)
+
+    tape.record(replay)
+    return abar, bx, cvec, rebuild_abar
+
+
+def _frozen_scan(x, p):
+    abar, bx, cvec, rebuild_abar = _frozen_discretized_inputs(x, p["a_log"], p["w_dt"], p["b_dt"], p["w_b"], p["w_c"])
+    y = _frozen_recurrence(abar, bx, cvec, x, p["d"])
+    if rebuild_abar is not None:
+        abar.data = None
+        ad.active_tape().record(rebuild_abar)
+    return y
+
+
+_PARAMS = ("a_log", "d", "w_dt", "b_dt", "w_b", "w_c")
 
 
 @st.composite
 def _scan_case(draw):
-    length = draw(st.integers(1, 9))
+    length = draw(st.integers(1, 12))
     channels = draw(st.integers(1, 4))
     state = draw(st.integers(1, 4))
     unit = st.floats(-2.0, 2.0, allow_nan=False)
-    # far below the init range |dt A| < 1e-8 takes the series branch
-    a_log = st.one_of(st.floats(-3.0, 2.0), st.floats(-45.0, -19.0))
     shapes = {
         "x": (length, channels),
         "prior": (length, channels),
         "weight": (length, channels),
+        "a_log": (channels, state),
         "d": (channels,),
         "w_dt": (channels, channels),
         "b_dt": (channels,),
@@ -451,22 +396,23 @@ def _scan_case(draw):
         "w_c": (channels, state),
     }
     case = {name: draw(arrays(np.float64, shape, elements=unit)) for name, shape in shapes.items()}
-    case["a_log"] = draw(arrays(np.float64, (channels, state), elements=a_log))
+    # every step of a channel whose b_dt is offset by -45 is below e^-27,
+    # so all its |dt A| are under the series threshold; offset by +3,
+    # every step is above e^-15 and none are
+    case["b_dt"] += draw(arrays(np.float64, (channels,), elements=st.sampled_from([3.0, -45.0])))
     return case
 
 
-_PARAMS = ("a_log", "d", "w_dt", "b_dt", "w_b", "w_c")
-
-
-def _scan_and_grads(case, scan):
-    """y, x.grad and the six parameter gradients of sum(y * weight), with
-    x already holding the prior gradient when the tape replays."""
+def _scan_and_grads(case, scan, prior):
+    """y, x.grad and the six parameter gradients of sum(y * weight),
+    with x already holding the prior gradient, if any, at replay."""
     x = Tensor(case["x"], requires_grad=True)
     params = {name: Tensor(case[name], requires_grad=True) for name in _PARAMS}
     with GradTape() as tape:
         y = scan(x, params)
         loss = ad.mean_all(ad.mul(y, Tensor(case["weight"])))
-    x.accumulate(case["prior"])
+    if prior:
+        x.accumulate(case["prior"])
     backward(loss, tape, seed=case["weight"].size)
     return [y.data, x.grad] + [params[name].grad for name in _PARAMS]
 
@@ -479,53 +425,88 @@ def _direction_scan(x, p):
     return direction.scan(x)
 
 
-def _frozen_scan(x, p):
-    abar, bx, c_t = _frozen_chain(x, p["a_log"], p["w_dt"], p["b_dt"], p["w_b"], p["w_c"])
-    # the recurrence without its direct term: adding x * d = -0.0 changes
-    # no value, so the frozen ops add the direct term as they did
-    no_direct = Tensor(np.full(x.shape, -0.0)), Tensor(np.zeros(x.shape[1]))
-    return _frozen_add(ssm_recurrence(abar, bx, c_t, *no_direct), _frozen_mul(x, p["d"]))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_scan_case(), st.integers(1, 3))
-def test_discretization_node_bitwise_matches_frozen_chain(case, rows):
-    # row blocks of 1-3 rows over up to 9 tokens: ragged last blocks, and
-    # blocks that mix the series and exact branches
+@settings(max_examples=300, deadline=None)
+@given(_scan_case(), st.integers(1, 3), st.booleans())
+def test_scan_node_bitwise_matches_frozen_closures(case, rows, prior):
+    # row blocks of 1-3 rows over up to 12 tokens: ragged last blocks,
+    # seams every 1-3 rows, and blocks that mix the series and exact branches
     channels, state = case["w_b"].shape
     with mock.patch.object(ssm, "_BLOCK_BYTES", rows * 8 * channels * state):
         assert len(ssm._row_blocks(len(case["x"]), channels, state)) == -(-len(case["x"]) // rows)
-        inputs = [Tensor(case[name]) for name in ("x", "a_log", "w_dt", "b_dt", "w_b", "w_c")]
-        abar, bx, cvec, _ = _discretized_inputs(*inputs)
-        for got, want in zip((abar, bx, cvec), _frozen_chain(*inputs)):
-            assert np.array_equal(got.data, want.data)
-        got = _scan_and_grads(case, _direction_scan)
-    want = _scan_and_grads(case, _frozen_scan)
+        untaped = _direction_scan(Tensor(case["x"]), {name: Tensor(case[name]) for name in _PARAMS})
+        got = _scan_and_grads(case, _direction_scan, prior)
+        want = _scan_and_grads(case, _frozen_scan, prior)
+    assert np.array_equal(untaped.data, want[0])
     for name, g, w in zip(["y", "x"] + list(_PARAMS), got, want):
         assert np.array_equal(g, w), name
 
 
-def test_scan_records_three_closures_and_holds_no_chain():
-    # at full size one direction used to hold about eight (L, C, N)
-    # arrays on the tape (34.8 MB); the node keeps (L, C) and (L, N)
-    # inputs, the recurrence keeps its history in bx's buffer, and abar
-    # is dropped until its rebuild replays, so the 4.2 MB history is the
-    # one (L, C, N) array left (5.8 MB held; 10.0 MB while abar was held,
-    # 14.2 MB when the history was a copy beside bx)
+_FULL_SIZE = (1024, 32, 16)
+
+
+def _full_size_direction():
+    length, channels, state = _FULL_SIZE
     rng = np.random.default_rng(17)
-    direction = SsmDirection(32, 16, rng)
-    x = Tensor(rng.normal(size=(1024, 32)), requires_grad=True)
+    return SsmDirection(channels, state, rng), Tensor(rng.normal(size=(length, channels)), requires_grad=True)
+
+
+def _traced(fn):
+    """fn's result, and the bytes it left allocated and its peak (tracemalloc)."""
     tracemalloc.start()
     try:
-        with GradTape() as tape:
-            y = direction.scan(x)
-        held = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, held, peak
+
+
+def test_scan_records_two_closures_and_holds_no_chain():
+    # at full size one direction used to hold about eight (L, C, N)
+    # arrays on the tape (34.8 MB); the projections keep (L, C) and (L, N)
+    # arrays, and the scan node keeps its 4.2 MB state history, the one
+    # (L, C, N) array left (5.26 MB held, as when the discretization was a
+    # node of its own that dropped abar until a rebuild; 10.0 MB while
+    # abar was held)
+    direction, x = _full_size_direction()
+    tape = GradTape()
+    with tape:
+        y, held, _ = _traced(lambda: direction.scan(x))
     assert y.shape == (1024, 32)
-    # the node, the recurrence with its direct term, the abar rebuild
-    assert len(tape._ops) == 3
+    # the projections, and the scan node with its direct term
+    assert len(tape._ops) == 2
     assert held <= 6.5e6, held
+
+
+# The scan's (L, C, N) temporaries are row blocks of about 256 KB; the
+# peaks below were 10.1, 10.1 and 16.1 MB while abar, bx, the adjoint and
+# abar's gradient were full-size arrays.
+
+
+def test_full_size_untaped_forward_peaks_at_most_3_5_mb():
+    # no (L, C, N) array at all: 2.48 MB measured
+    direction, x = _full_size_direction()
+    _, _, peak = _traced(lambda: direction.scan(x))
+    assert peak <= 3.5e6, peak
+
+
+def test_full_size_taped_forward_peaks_at_most_8_mb():
+    # the 4.2 MB state history and the block buffers: 6.67 MB measured
+    direction, x = _full_size_direction()
+    with GradTape():
+        _, _, peak = _traced(lambda: direction.scan(x))
+    assert peak <= 8e6, peak
+
+
+def test_full_size_backward_peaks_at_most_5_mb():
+    # beyond the history the tape already holds: 3.32 MB measured
+    direction, x = _full_size_direction()
+    tape = GradTape()
+    with tape:
+        loss = ad.mean_all(direction.scan(x))
+    _, _, peak = _traced(lambda: backward(loss, tape))
+    assert x.grad is not None and direction.a_log.grad is not None
+    assert peak <= 5e6, peak
 
 
 def test_silenced_direction_emits_zeros():
