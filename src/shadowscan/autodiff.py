@@ -1,16 +1,17 @@
 """Dense float64 tensors with taped reverse-mode automatic differentiation.
 
 The engine covers exactly the operations the scanning network needs: the
-row-wise affine map, elementwise arithmetic on operands of equal shape (no
-broadcasting), the activations from the block definitions, small same-padded
-convolutions and 2x bilinear resampling of (H*W, C) token sequences, row
-gather/scatter and concatenation. Every differentiable op appends one
-backward closure to the active GradTape; replaying the tape in
-reverse visits each recorded op once (execution order is a topological order
-of the graph). Gradients accumulate into ``Tensor.grad`` with ``+=`` and are
-cleared only by ``zero_grad``; the first gradient is copied in, unless the op
-hands over a fresh array it drops (``accumulate(g, owned=True)``), which then
-becomes the gradient.
+row-wise affine map, addition of operands of equal shape (no broadcasting),
+the activations from the block definitions, small same-padded convolutions
+and 2x bilinear resampling of (H*W, C) token sequences, one row gather
+(reorder, select or reverse by distinct indices) and concatenation; the
+scan and the loss record their own nodes through ``_record``. Every
+differentiable op appends one backward closure to the active GradTape;
+replaying the tape in reverse visits each recorded op once (execution order
+is a topological order of the graph). Gradients accumulate into
+``Tensor.grad`` with ``+=`` and are cleared only by ``zero_grad``; the first
+gradient is copied in, unless the op hands over a fresh array it drops
+(``accumulate(g, owned=True)``), which then becomes the gradient.
 
 Replay consumes the tape: ``backward`` pops each closure before it runs it,
 so once an op has handed its gradient down, the activations it captured and
@@ -101,20 +102,12 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{flag})"
 
 
-def param(
-    data,
-    rng: np.random.Generator | None = None,
-    fan_in: int | None = None,
-    scale: float = 1.0,
-) -> Tensor:
-    """A trainable tensor; with rng and fan_in, init uniform in +-scale/sqrt(fan_in)."""
-    if rng is not None:
-        if fan_in is None or fan_in <= 0:
-            raise ConfigError("fan_in must be positive for random init")
-        bound = scale / math.sqrt(fan_in)
-        shape = tuple(data) if isinstance(data, tuple) else np.asarray(data).shape
-        return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-    return Tensor(data, requires_grad=True)
+def param(shape: tuple[int, ...], rng: np.random.Generator, fan_in: int, scale: float = 1.0) -> Tensor:
+    """A trainable tensor drawn uniform in +-scale/sqrt(fan_in)."""
+    if fan_in <= 0:
+        raise ConfigError("fan_in must be positive for random init")
+    bound = scale / math.sqrt(fan_in)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
 def _record(out: Tensor, backward_fn) -> None:
@@ -150,16 +143,12 @@ def backward(output: Tensor, tape: GradTape, seed: float = 1.0) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementwise arithmetic and the affine map
-
-
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op} needs operands of equal shape, got {a.shape} and {b.shape}")
+# addition and the affine map
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
+    if a.shape != b.shape:
+        raise ShapeError(f"add needs operands of equal shape, got {a.shape} and {b.shape}")
     out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
 
     def bw(g):
@@ -167,20 +156,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             a.accumulate(g)
         if b.requires_grad:
             b.accumulate(g)
-
-    _record(out, bw)
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-    out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate(g * b.data)
-        if b.requires_grad:
-            b.accumulate(g * a.data)
 
     _record(out, bw)
     return out
@@ -201,32 +176,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             x.accumulate(g @ w.data.T)
         if w.requires_grad:
             w.accumulate(x.data.T @ g)
-
-    _record(out, bw)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = Tensor(a.data.mean(), a.requires_grad)
-
-    def bw(g):
-        a.accumulate(np.full_like(a.data, float(g) / n))
-
-    _record(out, bw)
-    return out
-
-
-def absolute(a: Tensor) -> Tensor:
-    out = Tensor(np.abs(a.data), a.requires_grad)
-
-    def bw(g):
-        # subgradient 0 at exactly 0
-        a.accumulate(g * np.sign(a.data))
 
     _record(out, bw)
     return out
@@ -384,9 +333,10 @@ def _scatter_windows(tap, shape: tuple[int, int, int], k: int) -> np.ndarray:
     return dxp[:, pad : pad + h, pad : pad + w]
 
 
-def conv2d(x: Tensor, height: int, width: int, w: Tensor, b: Tensor | None = None) -> Tensor:
+def conv2d(x: Tensor, height: int, width: int, w: Tensor, b: Tensor) -> Tensor:
     """Same-padded 2D convolution of an (H*W, C_in) sequence with
-    (C_out, C_in, k, k) weights, to an (H*W, C_out) sequence."""
+    (C_out, C_in, k, k) weights plus a (C_out,) bias, to an (H*W, C_out)
+    sequence."""
     _check_fold(x, height, width, "conv2d")
     if w.ndim != 4:
         raise ShapeError(f"conv2d needs (O,C,k,k) weights, got {w.shape}")
@@ -395,22 +345,21 @@ def conv2d(x: Tensor, height: int, width: int, w: Tensor, b: Tensor | None = Non
         raise ConfigError(f"conv2d kernel must be square and odd, got {k}x{k2}")
     if c_in != x.shape[1]:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs weights {w.shape}")
-    if b is not None and b.data.shape != (c_out,):
+    if b.shape != (c_out,):
         raise ShapeError(f"conv2d bias must be ({c_out},), got {b.shape}")
 
     def columns():
         return _im2col(_map(x.data, height, width), k).reshape(c_in * k * k, -1)
 
     y = _seq(w.data.reshape(c_out, -1) @ columns())
-    if b is not None:
-        y += b.data
-    out = Tensor(y, x.requires_grad or w.requires_grad or (b is not None and b.requires_grad))
+    y += b.data
+    out = Tensor(y, x.requires_grad or w.requires_grad or b.requires_grad)
 
     def bw(g):
         g2 = np.ascontiguousarray(g.T)
         if w.requires_grad:
             w.accumulate((g2 @ columns().T).reshape(w.data.shape))
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b.accumulate(g2.sum(axis=1))
         if x.requires_grad:
             dcols = (w.data.reshape(c_out, -1).T @ g2).reshape(c_in, k, k, height, width)
@@ -524,7 +473,7 @@ def bilinear_upsample2x(x: Tensor, height: int, width: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# row gather / scatter, concatenation and the output fold
+# row gather, concatenation and the output fold
 
 
 def invert_permutation(perm: np.ndarray) -> np.ndarray:
@@ -540,44 +489,28 @@ def invert_permutation(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows by index; backward scatter-adds into the source rows."""
+def permute_gather(x: Tensor, idx: np.ndarray) -> Tensor:
+    """Rows of x at distinct indices: a permutation of range(L) reorders
+    the rows, a shorter index selects some. Backward writes each output
+    row's gradient to its source row; a repeated index would keep only
+    one of that row's gradients, so it is rejected."""
     idx = np.asarray(idx, dtype=np.int64)
+    n = x.shape[0]
     if idx.ndim != 1:
-        raise ShapeError(f"gather index must be 1-D, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ValidationError("gather index out of range")
-    out = Tensor(x.data[idx], x.requires_grad)
+        raise ShapeError(f"row index must be 1-D, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValidationError(f"row index out of range({n})")
+    seen = np.zeros(n, dtype=bool)
+    seen[idx] = True
+    if np.count_nonzero(seen) != idx.size:
+        raise ValidationError("row index repeats an entry")
+    # the same copy as x.data[idx], without fancy indexing's overhead
+    out = Tensor(np.take(x.data, idx, axis=0), x.requires_grad)
 
     def bw(g):
         dx = np.zeros_like(x.data)
-        np.add.at(dx, idx, g)
-        x.accumulate(dx)
-
-    _record(out, bw)
-    return out
-
-
-def permute_gather(x: Tensor, perm: np.ndarray) -> Tensor:
-    """Reorder rows by a full permutation of range(L)."""
-    perm = np.asarray(perm, dtype=np.int64)
-    if perm.shape != (x.shape[0],):
-        raise ValidationError(f"not a permutation of range({x.shape[0]})")
-    inverse = invert_permutation(perm)
-    out = Tensor(x.data[perm], x.requires_grad)
-
-    def bw(g):
-        x.accumulate(g[inverse])
-
-    _record(out, bw)
-    return out
-
-
-def reverse_rows(x: Tensor) -> Tensor:
-    out = Tensor(x.data[::-1].copy(), x.requires_grad)
-
-    def bw(g):
-        x.accumulate(g[::-1])
+        dx[idx] = g
+        x.accumulate(dx, owned=True)
 
     _record(out, bw)
     return out

@@ -136,7 +136,7 @@ def fold_back(tokens: Tensor, height: int, width: int) -> Tensor:
     """Drop the coarse tokens of a ``height`` x ``width`` weave and restore
     the fine tokens to row-major order."""
     woven_at = ad.invert_permutation(_interleave_index(height, width))
-    return ad.gather_rows(tokens, woven_at[: height * width])
+    return ad.permute_gather(tokens, woven_at[: height * width])
 
 
 class DualScaleFusion(Module):

@@ -10,6 +10,7 @@ inputs and seed every command writes byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import colorsys
 import logging
 import os
 import sys
@@ -76,21 +77,6 @@ def _resolve_config(args) -> ModelConfig:
     return config
 
 
-def _hue_to_rgb(h: float) -> tuple[float, float, float]:
-    """Hue in [0, 1] at full saturation and value."""
-    k = h * 6.0
-    x = 1.0 - abs(k % 2.0 - 1.0)
-    sector = int(k) % 6
-    return (
-        (1.0, x, 0.0),
-        (x, 1.0, 0.0),
-        (0.0, 1.0, x),
-        (0.0, x, 1.0),
-        (x, 0.0, 1.0),
-        (1.0, 0.0, x),
-    )[sector]
-
-
 def render_scan_viz(mask: np.ndarray, patch: int, tau: float) -> tuple[str, np.ndarray]:
     """Path dump text plus a (3, H, W) image: hue ramps along the visit
     order, shadow patches carry a white outline."""
@@ -103,7 +89,7 @@ def render_scan_viz(mask: np.ndarray, patch: int, tau: float) -> tuple[str, np.n
     for k, (pr, pc) in enumerate(path.coords):
         hue = (k / count) * (5.0 / 6.0)
         r0, c0 = pr * s, pc * s
-        for ch, value in enumerate(_hue_to_rgb(hue)):
+        for ch, value in enumerate(colorsys.hsv_to_rgb(hue, 1.0, 1.0)):
             img[ch, r0 : r0 + s, c0 : c0 + s] = value
         if grid.shadow[pr, pc]:
             img[:, r0, c0 : c0 + s] = 1.0

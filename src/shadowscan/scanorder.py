@@ -193,19 +193,6 @@ def gbs_traverse(grid: PatchGrid, rect: RegionRect, start: tuple[int, int]) -> l
     return path
 
 
-def _nearest_perimeter_cell(rect: RegionRect, target: tuple[int, int]) -> tuple[int, int]:
-    best = None
-    best_d = None
-    for r in range(rect.top, rect.bottom + 1):
-        for c in range(rect.left, rect.right + 1):
-            if not _on_perimeter(rect, (r, c)):
-                continue
-            d = abs(r - target[0]) + abs(c - target[1])
-            if best_d is None or d < best_d:
-                best, best_d = (r, c), d
-    return best
-
-
 def mas_order(grid: PatchGrid) -> ScanPath:
     """Mask-aware order: reversed shadow-rect spiral, then the greedy walk.
 
@@ -217,7 +204,8 @@ def mas_order(grid: PatchGrid) -> ScanPath:
     except NoShadowRegion:
         return horizontal_order(grid.rows, grid.cols, grid.patch)
     start_a = select_start_a(rect, grid.rows, grid.cols)
-    start_b = _nearest_perimeter_cell(rect, start_a)
+    # the rect cell nearest start_a: a grid corner clamps onto the perimeter
+    start_b = (min(max(start_a[0], rect.top), rect.bottom), min(max(start_a[1], rect.left), rect.right))
     path_b = list(reversed(spiral_in(rect, start_b)))
     path_a = gbs_traverse(grid, rect, start_a)
     coords = tuple(path_b + path_a)

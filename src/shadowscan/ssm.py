@@ -351,7 +351,8 @@ def bidirectional_ssm_block(
     """
     u = ad.layer_norm(seq, ln_gain, ln_bias)
     y_fwd = forward_dir.scan(u)
-    y_bwd = ad.reverse_rows(backward_dir.scan(ad.reverse_rows(u)))
+    reverse = np.arange(seq.shape[0] - 1, -1, -1)
+    y_bwd = ad.permute_gather(backward_dir.scan(ad.permute_gather(u, reverse)), reverse)
     return ad.add(seq, ad.add(y_fwd, y_bwd))
 
 

@@ -21,19 +21,23 @@ from .errors import ValidationError
 from .imageio import read_image, read_mask
 
 
-def cosine_lr(step: int, total_steps: int, lr_max: float = 2e-4, lr_min: float = 1e-6) -> float:
-    """Cosine ramp from lr_max at step 0 down to lr_min at the last step."""
+LR_MAX = 2e-4
+LR_MIN = 1e-6
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def cosine_lr(step: int, total_steps: int) -> float:
+    """Cosine ramp from LR_MAX at step 0 down to LR_MIN at the last step."""
     if total_steps <= 1:
-        return lr_max
+        return LR_MAX
     t = min(max(step, 0), total_steps - 1)
-    return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * t / (total_steps - 1)))
+    return LR_MIN + 0.5 * (LR_MAX - LR_MIN) * (1.0 + math.cos(math.pi * t / (total_steps - 1)))
 
 
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -51,13 +55,13 @@ def adam_step(params: list[Tensor], state: AdamState, lr: float) -> None:
     t = state.step
     for p, m, v in zip(params, state.m, state.v):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 Pair = tuple[np.ndarray, np.ndarray, np.ndarray]  # shadowed (3,H,W), mask (H,W), clean (3,H,W)
@@ -65,19 +69,37 @@ Pair = tuple[np.ndarray, np.ndarray, np.ndarray]  # shadowed (3,H,W), mask (H,W)
 
 def batch_loss(model: ShadowNet, batch: list[Pair], training: bool) -> Tensor:
     """Mean absolute error between predictions and clean images, averaged
-    over the batch. Must run inside a GradTape when used for a step."""
+    over the batch, as one tape node. Must run inside a GradTape when used
+    for a step."""
     if not batch:
         raise ValidationError("the loss needs at least one image pair")
-    total = None
-    for shadowed, mask, clean in batch:
-        pred = model.forward(shadowed, mask, training=training)
-        err = ad.mean_all(ad.absolute(ad.add(pred, Tensor(-clean))))
-        total = err if total is None else ad.add(total, err)
-    return ad.mul(total, Tensor(1.0 / len(batch)))
+    preds = [model.forward(shadowed, mask, training=training) for shadowed, mask, _ in batch]
+    diffs = [pred.data - clean for pred, (_, _, clean) in zip(preds, batch)]
+    scale = 1.0 / len(batch)
+    total = 0.0
+    for d in diffs:
+        total += np.abs(d).mean()
+    out = Tensor(total * scale, any(pred.requires_grad for pred in preds))
+
+    def bw(g):
+        g = g * scale
+        for pred, d in zip(preds, diffs):
+            # subgradient 0 where the prediction is exact
+            pred.accumulate(np.full_like(d, float(g) / d.size) * np.sign(d), owned=True)
+
+    ad._record(out, bw)
+    return out
 
 
 def dataset_loss(model: ShadowNet, pairs: list[Pair]) -> float:
-    return float(batch_loss(model, pairs, training=False).data)
+    """batch_loss over all pairs, bit for bit, run one image at a time so
+    that one prediction is alive at once, not the whole set's."""
+    if not pairs:
+        raise ValidationError("the loss needs at least one image pair")
+    total = 0.0
+    for pair in pairs:
+        total += batch_loss(model, [pair], training=False).data
+    return float(total * (1.0 / len(pairs)))
 
 
 def train_step(model: ShadowNet, state: AdamState, batch: list[Pair], lr: float) -> float:
@@ -144,8 +166,6 @@ def train(
     pairs: list[Pair],
     steps: int,
     batch_size: int = 4,
-    lr_max: float = 2e-4,
-    lr_min: float = 1e-6,
     log_fn=None,
 ) -> list[float]:
     """Run `steps` updates, cycling through `pairs` in fixed order. Returns
@@ -159,7 +179,7 @@ def train(
         for _ in range(min(batch_size, len(pairs))):
             batch.append(pairs[cursor])
             cursor = (cursor + 1) % len(pairs)
-        lr = cosine_lr(step, steps, lr_max, lr_min)
+        lr = cosine_lr(step, steps)
         loss = train_step(model, state, batch, lr)
         losses.append(loss)
         if log_fn is not None:

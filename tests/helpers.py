@@ -11,17 +11,21 @@ from shadowscan import autodiff as ad
 from shadowscan.autodiff import GradTape, Tensor
 
 
-def tape_grads(fn, tensors, weight):
-    """Gradients of sum(fn(*tensors) * weight) from one backward pass.
+def weighted_sum(y, weight):
+    """sum(y * weight) as one tape node; replayed from the default seed 1.0,
+    it hands y the cotangent ``weight`` exactly."""
+    out = Tensor(np.sum(y.data * weight), y.requires_grad)
+    ad._record(out, lambda g: y.accumulate(g * weight, owned=True))
+    return out
 
-    The sum is the mean seeded with the element count n: every element gets
-    the cotangent n / n = 1.0 exactly, as from a plain sum.
-    """
+
+def tape_grads(fn, tensors, weight):
+    """Gradients of sum(fn(*tensors) * weight) from one backward pass."""
     for t in tensors:
         t.zero_grad()
     with GradTape() as tape:
-        loss = ad.mean_all(ad.mul(fn(*tensors), Tensor(weight)))
-    ad.backward(loss, tape, seed=np.size(weight))
+        loss = weighted_sum(fn(*tensors), weight)
+    ad.backward(loss, tape)
     return [t.grad for t in tensors]
 
 

@@ -93,7 +93,7 @@ def test_criterion_08_toy_training_convergence():
     model = ShadowNet(ModelConfig())
     initial_loss = dataset_loss(model, pairs)
     initial_psnr = _mean_shadow_psnr(model, pairs)
-    train(model, pairs, steps=200, batch_size=4, lr_max=2e-4, lr_min=1e-6)
+    train(model, pairs, steps=200, batch_size=4)
     final_loss = dataset_loss(model, pairs)
     final_psnr = _mean_shadow_psnr(model, pairs)
     elapsed = time.perf_counter() - start

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special
 
-from helpers import assert_grads_match, tape_grads
+from helpers import assert_grads_match, tape_grads, weighted_sum
 from shadowscan import autodiff as ad
 from shadowscan.autodiff import GradTape, Tensor, backward
 from shadowscan.errors import ConfigError, ContractError, ShapeError, ValidationError
@@ -30,29 +30,14 @@ def test_add_on_equal_shapes():
     assert np.array_equal(da, g) and np.array_equal(db, g)
 
 
-def test_mul_on_equal_shapes():
-    rng = np.random.default_rng(1)
-    a = _t(rng, 3, 4)
-    b = _t(rng, 3, 4)
-    g = rng.normal(size=(3, 4))
-    assert np.array_equal(ad.mul(a, b).data, a.data * b.data)
-    da, db = tape_grads(ad.mul, [a, b], g)
-    assert np.array_equal(da, g * b.data) and np.array_equal(db, g * a.data)
-    # 0-d operands, as the batch loss scales its sum by 1 / batch size
-    s = Tensor(np.float64(3.0), requires_grad=True)
-    assert ad.mul(s, Tensor(0.25)).data == 0.75
-    assert tape_grads(lambda t: ad.mul(t, Tensor(0.25)), [s], 2.0)[0] == 0.5
-
-
-@pytest.mark.parametrize("op", [ad.add, ad.mul])
-def test_add_and_mul_reject_unequal_shapes(op):
+def test_add_rejects_unequal_shapes():
     rng = np.random.default_rng(2)
     a = _t(rng, 3, 4)
     for shape in ((4,), (3, 1), (1, 4), ()):
         with pytest.raises(ShapeError):
-            op(a, _t(rng, *shape))
+            ad.add(a, _t(rng, *shape))
         with pytest.raises(ShapeError):
-            op(_t(rng, *shape), a)
+            ad.add(_t(rng, *shape), a)
 
 
 def test_linear_is_one_op():
@@ -73,22 +58,6 @@ def test_linear_is_one_op():
         ad.linear(x, _t(rng, 3, 2), b)
     with pytest.raises(ShapeError):
         ad.linear(x, w, _t(rng, 3))
-
-
-def test_reductions():
-    rng = np.random.default_rng(4)
-    a = _t(rng, 4, 3)
-    assert ad.mean_all(a).data == pytest.approx(a.data.mean())
-    assert_grads_match(ad.mean_all, [a])
-
-
-def test_absolute():
-    rng = np.random.default_rng(5)
-    # keep entries away from the kink at zero
-    raw = rng.normal(size=(4, 4))
-    a = Tensor(raw + 0.5 * np.sign(raw), requires_grad=True)
-    assert np.array_equal(ad.absolute(a).data, np.abs(a.data))
-    assert_grads_match(ad.absolute, [a])
 
 
 def test_gelu_forward_oracle():
@@ -116,11 +85,7 @@ def test_clamp01():
     assert np.array_equal(out.data, np.array([0.0, 0.25, 0.75, 1.0]))
     assert_grads_match(ad.clamp01, [a])
     # the clipped entries must get exactly zero gradient
-    a.zero_grad()
-    with GradTape() as tape:
-        loss = ad.mean_all(ad.clamp01(a))
-    backward(loss, tape, seed=a.data.size)
-    assert np.array_equal(a.grad, np.array([0.0, 1.0, 1.0, 0.0]))
+    assert np.array_equal(tape_grads(ad.clamp01, [a], np.ones(4))[0], np.array([0.0, 1.0, 1.0, 0.0]))
 
 
 def test_dropout():
@@ -193,16 +158,17 @@ def test_conv2d_matches_nested_loop():
 def test_conv2d_validation():
     rng = np.random.default_rng(12)
     x = _ts(rng, 2, 4, 4)
+    b = _t(rng, 3)
     with pytest.raises(ConfigError):
-        ad.conv2d(x, 4, 4, _t(rng, 3, 2, 2, 2))
+        ad.conv2d(x, 4, 4, _t(rng, 3, 2, 2, 2), b)
     with pytest.raises(ShapeError):
-        ad.conv2d(x, 4, 4, _t(rng, 3, 5, 3, 3))
+        ad.conv2d(x, 4, 4, _t(rng, 3, 5, 3, 3), b)
     with pytest.raises(ShapeError):
         ad.conv2d(x, 4, 4, _t(rng, 3, 2, 3, 3), _t(rng, 4))
     with pytest.raises(ShapeError):
-        ad.conv2d(x, 4, 5, _t(rng, 3, 2, 3, 3))
+        ad.conv2d(x, 4, 5, _t(rng, 3, 2, 3, 3), b)
     with pytest.raises(ShapeError):
-        ad.conv2d(_t(rng, 2, 4, 4), 4, 4, _t(rng, 3, 2, 3, 3))
+        ad.conv2d(_t(rng, 2, 4, 4), 4, 4, _t(rng, 3, 2, 3, 3), b)
 
 
 def test_depthwise_conv2d_matches_loop():
@@ -399,7 +365,6 @@ def _conv_case(draw):
     out_shape = (h * w, c_in) if depthwise else (c_out, h, w)
     case = _draw_sequences(draw, c_in, h, w, out_shape, kernel=kernel, b=(c_out,))
     case["depthwise"] = depthwise
-    case["bias"] = not depthwise and draw(st.booleans())
     return case
 
 
@@ -410,10 +375,10 @@ def _op_and_grads(case, op, names):
     tensors = {name: Tensor(case[name], requires_grad=True) for name in names}
     with GradTape() as tape:
         out = op(tensors)
-        loss = ad.mean_all(ad.mul(out, Tensor(case["weight"])))
+        loss = weighted_sum(out, case["weight"])
     if case["with_prior"]:
         tensors["x"].accumulate(case["prior"])
-    backward(loss, tape, seed=case["weight"].size)
+    backward(loss, tape)
     return [out.data] + [tensors[name].grad for name in names]
 
 
@@ -439,7 +404,7 @@ def _conv_runner(conv, depthwise_conv, case):
     h, w = case["h"], case["w"]
     if case["depthwise"]:
         return lambda t: depthwise_conv(t["x"], h, w, t["kernel"])
-    return lambda t: conv(t["x"], h, w, t["kernel"], t["b"] if case["bias"] else None)
+    return lambda t: conv(t["x"], h, w, t["kernel"], t["b"])
 
 
 @settings(max_examples=200, deadline=None)
@@ -485,10 +450,11 @@ def test_taped_conv_holds_no_column_array(depthwise):
     rng = np.random.default_rng(14)
     x = _ts(rng, 8, 32, 32)
     w = _t(rng, 8, 3, 3) if depthwise else _t(rng, 8, 8, 3, 3)
+    b = _t(rng, 8)
     tracemalloc.start()
     try:
         with GradTape() as tape:
-            out = ad.depthwise_conv2d(x, 32, 32, w) if depthwise else ad.conv2d(x, 32, 32, w)
+            out = ad.depthwise_conv2d(x, 32, 32, w) if depthwise else ad.conv2d(x, 32, 32, w, b)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -531,16 +497,17 @@ def test_bilinear_upsample2x_properties_and_grads():
 
 
 def test_gather_rows():
+    # an index shorter than x selects rows; the rows it skips get zeros
     rng = np.random.default_rng(16)
     x = _t(rng, 5, 3)
-    idx = np.array([4, 0, 0, 2])  # duplicates exercise the scatter-add
-    out = ad.gather_rows(x, idx)
+    idx = np.array([4, 0, 2])
+    out = ad.permute_gather(x, idx)
     assert np.array_equal(out.data, x.data[idx])
-    assert_grads_match(lambda t: ad.gather_rows(t, idx), [x])
+    assert_grads_match(lambda t: ad.permute_gather(t, idx), [x])
     with pytest.raises(ValidationError):
-        ad.gather_rows(x, np.array([5]))
+        ad.permute_gather(x, np.array([5]))
     with pytest.raises(ShapeError):
-        ad.gather_rows(x, np.array([[0, 1]]))
+        ad.permute_gather(x, np.array([[0, 1]]))
 
 
 def test_permute_gather_and_inverse():
@@ -551,34 +518,71 @@ def test_permute_gather_and_inverse():
     assert np.array_equal(out.data, x.data[perm])
     restored = ad.permute_gather(out, ad.invert_permutation(perm))
     assert np.array_equal(restored.data, x.data)
-    for bad in ([0, 0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 6], [-1, 0, 1, 2, 3, 4], [0, 1, 2, 3, 4]):
+    assert np.array_equal(ad.permute_gather(x, np.array([0, 1, 2, 3, 4])).data, x.data[:5])
+    # a repeated row would keep only one of its two gradients
+    for bad in ([0, 0, 1, 2, 3, 4], [4, 0, 0], [0, 1, 2, 3, 4, 6], [-1, 0, 1, 2, 3, 4]):
         with pytest.raises(ValidationError):
             ad.permute_gather(x, np.array(bad))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    perm=st.integers(1, 40).flatmap(lambda n: st.permutations(range(n))),
-    channels=st.integers(1, 3),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_permute_gather_is_bitwise_the_gather_rows_path(perm, channels, seed):
-    # the reference is the generic gather with its scatter-add backward
-    rng = np.random.default_rng(seed)
-    perm = np.array(perm)
-    x = _t(rng, perm.size, channels)
-    weight = rng.normal(size=(perm.size, channels))
-    results = []
-    for op in (ad.permute_gather, ad.gather_rows):
-        x.zero_grad()
-        with GradTape() as tape:
-            out = op(x, perm)
-            loss = ad.mean_all(ad.mul(out, Tensor(weight)))
-        backward(loss, tape, seed=weight.size)
-        results.append((out.data, x.grad))
-    (out, grad), (ref_out, ref_grad) = results
-    assert np.array_equal(out, ref_out)
-    assert np.array_equal(grad, ref_grad)
+# The row ops permute_gather replaced, kept verbatim as bitwise references.
+
+
+def _frozen_gather_rows(x, idx):
+    out = Tensor(x.data[idx], x.requires_grad)
+
+    def bw(g):
+        dx = np.zeros_like(x.data)
+        np.add.at(dx, idx, g)
+        x.accumulate(dx)
+
+    ad._record(out, bw)
+    return out
+
+
+def _frozen_reverse_rows(x):
+    out = Tensor(x.data[::-1].copy(), x.requires_grad)
+
+    def bw(g):
+        x.accumulate(g[::-1])
+
+    ad._record(out, bw)
+    return out
+
+
+@st.composite
+def _row_case(draw):
+    """x, the loss weight, x's optional prior gradient, the index, and the
+    frozen op that index stands for: a permutation, a selection or a
+    reversal."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["permutation", "selection", "reversal"]))
+    if kind == "reversal":
+        idx = np.arange(n - 1, -1, -1)
+        frozen = _frozen_reverse_rows
+    else:
+        idx = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+        if kind == "selection":
+            idx = idx[: draw(st.integers(0, n - 1))]
+        frozen = lambda x: _frozen_gather_rows(x, idx)  # noqa: E731
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channels = draw(st.integers(1, 3))
+    case = {
+        "x": rng.normal(size=(n, channels)),
+        "weight": rng.normal(size=(idx.size, channels)),
+        "prior": rng.normal(size=(n, channels)),
+        "with_prior": draw(st.booleans()),
+    }
+    return case, idx, frozen
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_case())
+def test_permute_gather_is_bitwise_the_gather_rows_path(row_case):
+    case, idx, frozen = row_case
+    got = _op_and_grads(case, lambda t: ad.permute_gather(t["x"], idx), ("x",))
+    want = _op_and_grads(case, lambda t: frozen(t["x"]), ("x",))
+    _assert_bitwise(got, want, ("out", "x"))
 
 
 def test_invert_permutation():
@@ -593,8 +597,9 @@ def test_invert_permutation():
 def test_reverse_rows():
     rng = np.random.default_rng(19)
     x = _t(rng, 5, 2)
-    assert np.array_equal(ad.reverse_rows(x).data, x.data[::-1])
-    assert_grads_match(ad.reverse_rows, [x])
+    reverse = np.arange(4, -1, -1)
+    assert np.array_equal(ad.permute_gather(x, reverse).data, x.data[::-1])
+    assert_grads_match(lambda t: ad.permute_gather(t, reverse), [x])
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -607,14 +612,10 @@ def test_concat(axis):
     # each operand's gradient is its slice of the output's, bit for bit
     # and in C order, as a later reduction over it rounds by that order
     g = rng.normal(size=ad.concat(a, b, axis).shape)
-    a.zero_grad()
-    b.zero_grad()
-    with GradTape() as tape:
-        loss = ad.mean_all(ad.mul(ad.concat(a, b, axis), Tensor(g)))
-    backward(loss, tape, seed=g.size)
+    da, db = tape_grads(lambda a_, b_: ad.concat(a_, b_, axis), [a, b], g)
     head, tail = (g[:3], g[3:]) if axis == 0 else (g[:, :4], g[:, 4:])
-    assert np.array_equal(a.grad, head) and np.array_equal(b.grad, tail)
-    assert a.grad.flags.c_contiguous and b.grad.flags.c_contiguous
+    assert np.array_equal(da, head) and np.array_equal(db, tail)
+    assert da.flags.c_contiguous and db.flags.c_contiguous
     with pytest.raises(ShapeError):
         ad.concat(a, _t(rng, 2, 5) if axis == 0 else _t(rng, 4, 2), axis)
     with pytest.raises(ShapeError):
@@ -637,12 +638,12 @@ def test_map_seq_round_trip():
 def test_backward_requires_scalar_and_fresh_tape():
     x = Tensor(np.ones(3), requires_grad=True)
     with GradTape() as tape:
-        y = ad.mul(x, Tensor(np.full(3, 2.0)))
+        y = ad.add(x, x)
     with pytest.raises(ContractError):
         backward(y, tape)
     with GradTape() as tape:
-        loss = ad.mean_all(ad.mul(x, Tensor(np.full(3, 3.0))))
-    backward(loss, tape, seed=x.data.size)
+        loss = weighted_sum(x, np.full(3, 3.0))
+    backward(loss, tape)
     assert np.array_equal(x.grad, np.full(3, 3.0))
     with pytest.raises(ContractError):
         backward(loss, tape)
@@ -651,11 +652,11 @@ def test_backward_requires_scalar_and_fresh_tape():
 def test_tape_records_only_inside_context():
     x = Tensor(np.ones(4), requires_grad=True)
     two = Tensor(np.full(4, 2.0))
-    ad.mul(x, two)  # outside any tape
+    ad.add(x, two)  # outside any tape
     tape = GradTape()
     with tape:
-        ad.mul(x, two)
-        ad.mean_all(x)
+        ad.add(x, two)
+        ad.gelu(x)
     assert len(tape._ops) == 2
 
 
@@ -663,8 +664,8 @@ def test_no_grad_tensors_stay_clean():
     x = Tensor(np.ones(3))
     y = Tensor(np.ones(3), requires_grad=True)
     with GradTape() as tape:
-        loss = ad.mean_all(ad.mul(x, y))
-    backward(loss, tape, seed=x.data.size)
+        loss = weighted_sum(ad.add(x, y), np.ones(3))
+    backward(loss, tape)
     assert x.grad is None
     assert np.array_equal(y.grad, np.ones(3))
 
@@ -672,9 +673,9 @@ def test_no_grad_tensors_stay_clean():
 def test_grads_accumulate_across_uses():
     x = Tensor(np.array([2.0]), requires_grad=True)
     with GradTape() as tape:
-        loss = ad.mean_all(ad.mul(x, x))
-    backward(loss, tape, seed=x.data.size)
-    assert x.grad == pytest.approx(np.array([4.0]))
+        loss = weighted_sum(ad.add(x, x), np.ones(1))
+    backward(loss, tape)
+    assert np.array_equal(x.grad, np.array([2.0]))
 
 
 def test_param_init():
@@ -684,8 +685,5 @@ def test_param_init():
     assert np.abs(p.data).max() <= 1.0 / 5.0
     q = ad.param((200,), rng, fan_in=25, scale=0.01)
     assert np.abs(q.data).max() <= 0.01 / 5.0
-    direct = ad.param(np.arange(3.0))
-    assert direct.requires_grad
-    assert np.array_equal(direct.data, np.arange(3.0))
     with pytest.raises(ConfigError):
-        ad.param((3,), rng)
+        ad.param((3,), rng, fan_in=0)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special
 
-from helpers import assert_grads_match
+from helpers import assert_grads_match, weighted_sum
 from shadowscan import autodiff as ad
 from shadowscan import ssm
 from shadowscan.autodiff import GradTape, Tensor, backward
@@ -410,10 +410,10 @@ def _scan_and_grads(case, scan, prior):
     params = {name: Tensor(case[name], requires_grad=True) for name in _PARAMS}
     with GradTape() as tape:
         y = scan(x, params)
-        loss = ad.mean_all(ad.mul(y, Tensor(case["weight"])))
+        loss = weighted_sum(y, case["weight"])
     if prior:
         x.accumulate(case["prior"])
-    backward(loss, tape, seed=case["weight"].size)
+    backward(loss, tape)
     return [y.data, x.grad] + [params[name].grad for name in _PARAMS]
 
 
@@ -503,7 +503,7 @@ def test_full_size_backward_peaks_at_most_5_mb():
     direction, x = _full_size_direction()
     tape = GradTape()
     with tape:
-        loss = ad.mean_all(direction.scan(x))
+        loss = weighted_sum(direction.scan(x), np.ones(x.shape))
     _, _, peak = _traced(lambda: backward(loss, tape))
     assert x.grad is not None and direction.a_log.grad is not None
     assert peak <= 5e6, peak
@@ -589,7 +589,7 @@ def test_stage_grads_flow_to_all_params():
     stage = SsmStage(2, 2, 2, 0.0, rng)
     x = Tensor(rng.normal(size=(6, 2)))
     with GradTape() as tape:
-        loss = ad.mean_all(stage.forward(x, 2, 3))
+        loss = weighted_sum(stage.forward(x, 2, 3), np.ones(x.shape))
     backward(loss, tape)
     for name, p in stage.named_params():
         assert p.grad is not None, name

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from helpers import weighted_sum
 from shadowscan import autodiff as ad
 from shadowscan.autodiff import GradTape, Tensor, backward
 from shadowscan.blocks import ShadowNet
@@ -159,6 +160,87 @@ def test_streamed_step_is_bitwise_the_one_tape_step(sizes, overrides):
         assert want is None or np.array_equal(p.grad, want), name
 
 
+# The ops batch_loss recorded per image before it became one node, and
+# the chain it built from them, kept verbatim as the bitwise reference.
+
+
+def _frozen_mul(a, b):
+    out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
+
+    def bw(g):
+        if a.requires_grad:
+            a.accumulate(g * b.data)
+        if b.requires_grad:
+            b.accumulate(g * a.data)
+
+    ad._record(out, bw)
+    return out
+
+
+def _frozen_mean_all(a):
+    n = a.data.size
+    out = Tensor(a.data.mean(), a.requires_grad)
+
+    def bw(g):
+        a.accumulate(np.full_like(a.data, float(g) / n))
+
+    ad._record(out, bw)
+    return out
+
+
+def _frozen_absolute(a):
+    out = Tensor(np.abs(a.data), a.requires_grad)
+
+    def bw(g):
+        a.accumulate(g * np.sign(a.data))
+
+    ad._record(out, bw)
+    return out
+
+
+def _frozen_batch_loss(model, batch, training):
+    total = None
+    for shadowed, mask, clean in batch:
+        pred = model.forward(shadowed, mask, training=training)
+        err = _frozen_mean_all(_frozen_absolute(ad.add(pred, Tensor(-clean))))
+        total = err if total is None else ad.add(total, err)
+    return _frozen_mul(total, Tensor(1.0 / len(batch)))
+
+
+def _loss_and_grads(loss_fn, config, batch, seed):
+    model = ShadowNet(config)
+    with GradTape() as tape:
+        loss = loss_fn(model, batch, training=True)
+    backward(loss, tape, seed)
+    return [loss.data] + [p.grad for p in model.params()]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+@pytest.mark.parametrize("dropout, seed", [(0.0, 1.0), (0.1, 0.25), (0.1, 0.5)])
+def test_loss_node_is_bitwise_the_op_chain(size, dropout, seed):
+    config = ModelConfig(**_SMALL, dropout=dropout, seed=5)
+    batch = make_toy_pairs(size, 16, seed=30 + size)
+    got = _loss_and_grads(batch_loss, config, batch, seed)
+    want = _loss_and_grads(_frozen_batch_loss, config, batch, seed)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        assert g is None or np.array_equal(g.view(np.int64), w.view(np.int64))
+    model = ShadowNet(config)
+    assert dataset_loss(model, batch) == float(_frozen_batch_loss(model, batch, training=False).data)
+
+
+@pytest.mark.parametrize(
+    "overrides, closures",
+    [({}, 179), ({"channels": 32, "state_dim": 16, "unet_depth": 4}, 371)],
+    ids=["default", "full-size"],
+)
+def test_one_image_records_its_forward_and_one_loss_node(overrides, closures):
+    model = ShadowNet(ModelConfig(**overrides))
+    with GradTape() as tape:
+        batch_loss(model, make_toy_pairs(1, 32, seed=0), training=True)
+    assert len(tape._ops) == closures
+
+
 def _step_peak_bytes(model, state, batch):
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
@@ -183,18 +265,21 @@ def test_step_memory_does_not_grow_with_batch():
 def test_backward_releases_the_tape_as_it_replays():
     x = Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
     with GradTape() as tape:
-        hidden = ad.gelu(ad.mul(x, x))
-        loss = ad.mean_all(ad.mul(hidden, hidden))
+        hidden = ad.gelu(ad.add(x, x))
+        loss = weighted_sum(ad.gelu(hidden), np.ones(6))
     ref = weakref.ref(hidden.data)
     del hidden
     assert ref() is not None  # the tape still holds it
-    backward(loss, tape, seed=x.data.size)
+    backward(loss, tape)
     assert ref() is None
     assert len(tape._ops) == 0
-    u = x.data**2
-    phi = 0.5 * (1.0 + special.erf(u / np.sqrt(2.0)))
-    slope = phi + u * np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
-    assert np.allclose(x.grad, 4.0 * x.data * (u * phi) * slope)
+
+    def gelu_and_slope(u):
+        phi = 0.5 * (1.0 + special.erf(u / np.sqrt(2.0)))
+        return u * phi, phi + u * np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
+
+    hidden, inner = gelu_and_slope(2.0 * x.data)
+    assert np.allclose(x.grad, 2.0 * inner * gelu_and_slope(hidden)[1])
 
 
 def test_nan_parameter_stops_training_before_the_update():
