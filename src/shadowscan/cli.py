@@ -283,6 +283,11 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's message names the size and shape it could not allocate
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

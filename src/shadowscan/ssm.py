@@ -19,9 +19,11 @@ projections (step size, B and C), which are (L, C) and (L, N), and one
 for ``ssm_recurrence``, which fuses the discretization, the recurrence
 and the output over row blocks of about 256 KB per (rows, C, N) array,
 as Mamba's selective-scan kernel does in fast memory (arXiv 2312.00752,
-section 3.3). Its backward recomputes abar and the ZOH terms block by
-block rather than storing them. A taped direction holds one (L, C, N)
-array until replay, the state history; an untaped one holds none.
+section 3.3). Its backward recomputes abar, the ZOH terms and the state
+history block by block rather than storing them, the history from the
+state row at each block's seam. A taped direction holds those seam rows
+until replay, one (C, N) row per block but the last, and no (L, C, N)
+array; an untaped one holds none.
 """
 
 from __future__ import annotations
@@ -131,12 +133,16 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
     once per pass; each block continues the recurrence from the row
     before it (the seam row runs the loop's own op), and every other op
     is elementwise or reduces within a row, so the blocks round as whole
-    arrays would. Taped, the state history is the one (L, C, N) array,
-    and the backward walks the blocks in reverse, recomputes u, the ZOH
-    terms and abar, and reuses each block's dead history rows for the
-    a_log gradient's terms, so that gradient's sum over L stays one
-    reduction over a full-length array. Untaped, the history is a block
-    buffer plus the carried last row.
+    arrays would. The forward keeps no state history: taped, it copies
+    each block's last state row into seams, the only state the node
+    keeps (the sublinear-memory trade of arXiv 1604.06174, per row
+    block). The backward walks the blocks in reverse, recomputes u, the
+    ZOH terms, abar and bx, and seeds the block's first row from the
+    seam before it. One _linear_recurrence call then runs the history
+    forward and the adjoint backward in time, over a pair buffer whose
+    slot 1 stores the adjoint time-reversed. The a_log gradient's terms
+    go into an (L, C, N) array that lives only during the backward, so
+    their sum over L stays one reduction over a full-length array.
 
     The backward hands out the direct term's gradients first, x's then
     d's, then x's through bx, then a_log's, cvec's, B's and dt's. x may
@@ -166,26 +172,25 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
     block_shape = (blocks[0].stop, channels, state) if blocks else (0, channels, state)
     requires = any(t.requires_grad for t in (*zoh, cvec, x, d))
     taped = requires and ad.active_tape() is not None
-    hist = np.empty((length, channels, state)) if taped else None
+    # taped, seams[k] keeps block k's last state row; untaped, row 0 carries it
+    seams = np.empty((max(len(blocks) - 1, 0) if taped else 1, channels, state))
 
     y = np.empty((length, channels))
     u_buf = np.empty(block_shape)
     terms = _zoh_buffers(block_shape)
-    h_buf = None if taped else np.empty(block_shape)
-    last = np.empty((channels, state))
-    for rows in blocks:
+    for k, rows in enumerate(blocks):
         n = rows.stop - rows.start
         u = np.multiply(dt3[rows], neg_a, out=u_buf[:n])
         factor, small, safe, em1 = (buf[:n] for buf in terms)
         _zoh_terms(u, factor, small, safe, em1)
         factor *= np.multiply(dt3[rows], b3[rows], out=safe)
-        h = hist[rows] if taped else h_buf[:n]
-        np.multiply(factor, x3[rows], out=h)
+        h = np.multiply(factor, x3[rows], out=em1)
         abar = np.exp(u, out=u)
         if rows.start:
-            h[0] += abar[0] * last
+            h[0] += abar[0] * seams[k - 1 if taped else 0]
         _linear_recurrence(abar[1:], h)
-        np.copyto(last, h[-1])
+        if rows.stop < length:
+            np.copyto(seams[k if taped else 0], h[-1])
         np.einsum("tcn,tn->tc", h, c_d[rows], out=y[rows])
     y += x.data * d.data
     out = Tensor(y, requires)
@@ -197,35 +202,33 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
             x.accumulate(g * d.data, owned=True)
         if d.requires_grad:
             d.accumulate((g * x.data).sum(axis=0))
-        abar_b, der_b, adj_b, d_ab_b = (np.empty(block_shape) for _ in range(4))
+        abar_b, der_b = np.empty(block_shape), np.empty(block_shape)
+        # a pair row holds the state history in slot 0, run forward in
+        # time, and the adjoint in slot 1, stored time-reversed so that the
+        # same loop runs it backward; coef holds each slot's abar. h, adj
+        # and abar's gradient are contiguous arrays in the two buffers'
+        # memory: bx and adj are built there and copied into the pair's
+        # strided slots (faster than writing those slots directly), and
+        # the loop's results are copied back out
+        pair_b, coef_b = np.empty((2, block_shape[0], 2, channels, state))
+        h_b, adj_b = coef_b.reshape((2,) + block_shape)
+        d_ab_b = pair_b.reshape((2,) + block_shape)[0]
         terms = _zoh_buffers(block_shape)
         abar_next, adj_next = np.empty((channels, state)), np.empty((channels, state))
         d_x = np.empty_like(x.data) if x.requires_grad else None
         d_dt = np.empty_like(dt)
         d_b = np.empty((length, state))
         d_cv = np.empty((length, state))
-        for rows in reversed(blocks):
+        # dt * d(u) per element, for a_log's sum over L as one reduction
+        d_ua = np.empty((length, channels, state)) if zoh.a_log.requires_grad else None
+        for k in reversed(range(len(blocks))):
+            rows = blocks[k]
             n = rows.stop - rows.start
             dt_r, b_r = dt3[rows], b3[rows]
             abar = np.multiply(dt_r, neg_a, out=abar_b[:n])
             factor, small, safe, em1 = (buf[:n] for buf in terms)
             _zoh_terms(abar, factor, small, safe, em1)
             np.exp(abar, out=abar)
-            h = hist[rows]
-            np.einsum("tc,tcn->tn", g[rows], h, out=d_cv[rows])
-            # adj[t] is the adjoint of h[t], which is also the gradient of bx[t]
-            adj = np.multiply(g[rows, :, None], c_d[rows, None, :], out=adj_b[:n])
-            if rows.stop < length:
-                adj[-1] += abar_next * adj_next
-            _linear_recurrence(abar[:0:-1], adj[::-1])
-            np.copyto(abar_next, abar[0])
-            np.copyto(adj_next, adj[0])
-            d_ab = d_ab_b[:n]
-            if rows.start:
-                np.multiply(adj, hist[rows.start - 1 : rows.stop - 1], out=d_ab)
-            else:
-                d_ab[0] = 0.0
-                np.multiply(adj[1:], h[:-1], out=d_ab[1:])
             # d factor / d u = (u exp(u) - expm1(u)) / u^2, 1/2 on the
             # series branch; exp(u) is abar wherever the exact branch applies
             der = np.multiply(safe, abar, out=der_b[:n])
@@ -235,6 +238,29 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
             np.copyto(der, 0.5, where=small)
             step_b = np.multiply(dt_r, b_r, out=safe)
             bbar = np.multiply(factor, step_b, out=em1)
+            pair, coef = pair_b[:n], coef_b[: n - 1]
+            h, adj = h_b[:n], adj_b[:n]
+            np.copyto(pair[:, 0], np.multiply(bbar, x3[rows], out=h))
+            if rows.start:
+                pair[0, 0] += abar[0] * seams[k - 1]
+            # adj[t] is the adjoint of h[t], which is also the gradient of bx[t]
+            np.copyto(pair[::-1, 1], np.multiply(g[rows, :, None], c_d[rows, None, :], out=adj))
+            if rows.stop < length:
+                pair[0, 1] += abar_next * adj_next
+            np.copyto(coef[:, 0], abar[1:])
+            np.copyto(coef[:, 1], abar[:0:-1])
+            _linear_recurrence(coef, pair)
+            np.copyto(h, pair[:, 0])
+            np.copyto(adj, pair[::-1, 1])
+            np.copyto(abar_next, abar[0])
+            np.copyto(adj_next, adj[0])
+            np.einsum("tc,tcn->tn", g[rows], h, out=d_cv[rows])
+            d_ab = d_ab_b[:n]
+            if rows.start:
+                np.multiply(adj[0], seams[k - 1], out=d_ab[0])
+            else:
+                d_ab[0] = 0.0
+            np.multiply(adj[1:], h[:-1], out=d_ab[1:])
             if d_x is not None:
                 np.multiply(adj, bbar, out=bbar).sum(axis=2, out=d_x[rows])
             g_bbar = np.multiply(adj, x3[rows], out=adj)
@@ -247,12 +273,12 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
             d_ab *= abar
             g_u += d_ab
             d_dt[rows] += np.multiply(g_u, neg_a, out=der).sum(axis=2)
-            # the block's history rows are dead: they keep dt * d(u) for a_log's sum
-            np.multiply(g_u, dt_r, out=h)
+            if d_ua is not None:
+                np.multiply(g_u, dt_r, out=d_ua[rows])
         if d_x is not None:
             x.accumulate(d_x, owned=True)
-        if zoh.a_log.requires_grad:
-            zoh.a_log.accumulate(-hist.sum(axis=0) * exp_a)
+        if d_ua is not None:
+            zoh.a_log.accumulate(-d_ua.sum(axis=0) * exp_a)
         for t, grad in ((cvec, d_cv), (zoh.b, d_b), (zoh.dt, d_dt)):
             if t.requires_grad:
                 t.accumulate(grad, owned=True)

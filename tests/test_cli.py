@@ -196,6 +196,22 @@ def test_train_toy_rejects_bad_steps_or_batch_before_any_forward(tmp_path, monke
     assert not (tmp_path / "toy.ckpt").exists()
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 2.6 TiB for an array with shape (10000000000, 3)", ""])
+def test_out_of_memory_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, message):
+    # a model too large for memory (say --channels 10000000000) fails in
+    # its constructor; the stand-in raises there without allocating
+    def too_large(config):
+        raise MemoryError(message)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "ShadowNet", too_large)
+    assert cli.main(["train-toy", "--synth", "1", "--size", "8", "--steps", "0", *_TINY_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1, err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "toy.ckpt").exists()
+
+
 @pytest.mark.parametrize(
     "flags", [["--out", "nodir/x.ckpt"], ["--out", "y.ckpt", "--log", "nodir/y.log"]]
 )

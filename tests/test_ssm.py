@@ -464,10 +464,9 @@ def _traced(fn):
 def test_scan_records_two_closures_and_holds_no_chain():
     # at full size one direction used to hold about eight (L, C, N)
     # arrays on the tape (34.8 MB); the projections keep (L, C) and (L, N)
-    # arrays, and the scan node keeps its 4.2 MB state history, the one
-    # (L, C, N) array left (5.26 MB held, as when the discretization was a
-    # node of its own that dropped abar until a rebuild; 10.0 MB while
-    # abar was held)
+    # arrays, and the scan node keeps one (C, N) state row per block seam,
+    # no (L, C, N) array (1.13 MB held; 5.26 MB while it kept the 4.2 MB
+    # state history, 10.0 MB while abar was held as well)
     direction, x = _full_size_direction()
     tape = GradTape()
     with tape:
@@ -475,7 +474,7 @@ def test_scan_records_two_closures_and_holds_no_chain():
     assert y.shape == (1024, 32)
     # the projections, and the scan node with its direct term
     assert len(tape._ops) == 2
-    assert held <= 6.5e6, held
+    assert held <= 1.5e6, held
 
 
 # The scan's (L, C, N) temporaries are row blocks of about 256 KB; the
@@ -490,23 +489,33 @@ def test_full_size_untaped_forward_peaks_at_most_3_5_mb():
     assert peak <= 3.5e6, peak
 
 
-def test_full_size_taped_forward_peaks_at_most_8_mb():
-    # the 4.2 MB state history and the block buffers: 6.67 MB measured
+def test_full_size_taped_forward_peaks_at_most_3_5_mb():
+    # the block buffers and the seams: 2.54 MB measured (6.67 MB while the
+    # forward wrote the 4.2 MB state history)
     direction, x = _full_size_direction()
     with GradTape():
         _, _, peak = _traced(lambda: direction.scan(x))
-    assert peak <= 8e6, peak
+    assert peak <= 3.5e6, peak
 
 
-def test_full_size_backward_peaks_at_most_5_mb():
-    # beyond the history the tape already holds: 3.32 MB measured
+def test_full_size_replay_peaks_at_most_11_5_mb():
+    # what the taped forward leaves plus the backward's peak beyond it: the
+    # backward rebuilds each block's history and sums a_log's terms in an
+    # (L, C, N) array of its own, 9.17 MB measured (8.58 MB while the tape
+    # held the history and the backward wrote those terms into it)
     direction, x = _full_size_direction()
     tape = GradTape()
-    with tape:
-        loss = weighted_sum(direction.scan(x), np.ones(x.shape))
-    _, _, peak = _traced(lambda: backward(loss, tape))
+    tracemalloc.start()
+    try:
+        with tape:
+            loss = weighted_sum(direction.scan(x), np.ones(x.shape))
+        tracemalloc.reset_peak()
+        backward(loss, tape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert x.grad is not None and direction.a_log.grad is not None
-    assert peak <= 5e6, peak
+    assert peak <= 11.5e6, peak
 
 
 def test_silenced_direction_emits_zeros():
