@@ -8,10 +8,13 @@ and 2x bilinear resampling of (H*W, C) token sequences, one row gather
 scan and the loss record their own nodes through ``_record``. Every
 differentiable op appends one backward closure to the active GradTape;
 replaying the tape in reverse visits each recorded op once (execution order
-is a topological order of the graph). Gradients accumulate into
-``Tensor.grad`` with ``+=`` and are cleared only by ``zero_grad``; the first
-gradient is copied in, unless the op hands over a fresh array it drops
-(``accumulate(g, owned=True)``), which then becomes the gradient.
+is a topological order of the graph). Outside a tape nothing is
+recorded. There is no per-tensor switch: every tensor recorded on an
+active tape receives its gradient, constants included; a module's
+parameters are its ``Tensor`` attributes. Gradients accumulate into
+``Tensor.grad`` with ``+=`` and are cleared only by ``zero_grad``; the
+first gradient is copied in, unless the op hands over a fresh array it
+drops (``accumulate(g, owned=True)``), which then becomes the gradient.
 
 Replay consumes the tape: ``backward`` pops each closure before it runs it,
 so once an op has handed its gradient down, the activations it captured and
@@ -67,11 +70,10 @@ class GradTape:
 class Tensor:
     """A float64 array plus an accumulated gradient of the same shape."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad: bool = False) -> None:
+    def __init__(self, data) -> None:
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
     @property
@@ -98,8 +100,7 @@ class Tensor:
             self.grad += g
 
     def __repr__(self) -> str:
-        flag = ", grad" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}{flag})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 def param(shape: tuple[int, ...], rng: np.random.Generator, fan_in: int, scale: float = 1.0) -> Tensor:
@@ -107,13 +108,13 @@ def param(shape: tuple[int, ...], rng: np.random.Generator, fan_in: int, scale: 
     if fan_in <= 0:
         raise ConfigError("fan_in must be positive for random init")
     bound = scale / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+    return Tensor(rng.uniform(-bound, bound, size=shape))
 
 
 def _record(out: Tensor, backward_fn) -> None:
     """Attach a replay closure for ``out`` to the active tape, if any."""
     tape = active_tape()
-    if tape is None or not out.requires_grad:
+    if tape is None:
         return
 
     def replay():
@@ -149,13 +150,11 @@ def backward(output: Tensor, tape: GradTape, seed: float = 1.0) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add needs operands of equal shape, got {a.shape} and {b.shape}")
-    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
+    out = Tensor(a.data + b.data)
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(g)
-        if b.requires_grad:
-            b.accumulate(g)
+        a.accumulate(g)
+        b.accumulate(g)
 
     _record(out, bw)
     return out
@@ -167,15 +166,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear needs (L,k) @ (k,n) + (n,), got {x.shape} @ {w.shape} + {b.shape}")
     y = x.data @ w.data
     y += b.data
-    out = Tensor(y, x.requires_grad or w.requires_grad or b.requires_grad)
+    out = Tensor(y)
 
     def bw(g):
-        if b.requires_grad:
-            b.accumulate(g.sum(axis=0))
-        if x.requires_grad:
-            x.accumulate(g @ w.data.T)
-        if w.requires_grad:
-            w.accumulate(x.data.T @ g)
+        b.accumulate(g.sum(axis=0))
+        x.accumulate(g @ w.data.T)
+        w.accumulate(x.data.T @ g)
 
     _record(out, bw)
     return out
@@ -188,7 +184,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with the Gaussian CDF via erf (no tanh shortcut)."""
     phi = 0.5 * (1.0 + special.erf(a.data / _SQRT2))
-    out = Tensor(a.data * phi, a.requires_grad)
+    out = Tensor(a.data * phi)
 
     def bw(g):
         pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
@@ -200,7 +196,7 @@ def gelu(a: Tensor) -> Tensor:
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     factor = np.where(a.data >= 0.0, 1.0, slope)
-    out = Tensor(a.data * factor, a.requires_grad)
+    out = Tensor(a.data * factor)
 
     def bw(g):
         a.accumulate(g * factor)
@@ -211,7 +207,7 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
 
 def clamp01(a: Tensor) -> Tensor:
     """Clip to [0, 1]; gradient passes through the closed interval only."""
-    out = Tensor(np.clip(a.data, 0.0, 1.0), a.requires_grad)
+    out = Tensor(np.clip(a.data, 0.0, 1.0))
 
     def bw(g):
         inside = (a.data >= 0.0) & (a.data <= 1.0)
@@ -227,7 +223,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     if not training or rate == 0.0:
         return a
     keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
-    out = Tensor(a.data * keep, a.requires_grad)
+    out = Tensor(a.data * keep)
 
     def bw(g):
         a.accumulate(g * keep)
@@ -251,18 +247,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data, x.requires_grad or gain.requires_grad or bias.requires_grad)
+    out = Tensor(xhat * gain.data + bias.data)
 
     def bw(g):
-        if gain.requires_grad:
-            gain.accumulate((g * xhat).sum(axis=0))
-        if bias.requires_grad:
-            bias.accumulate(g.sum(axis=0))
-        if x.requires_grad:
-            gh = g * gain.data
-            m1 = gh.mean(axis=-1, keepdims=True)
-            m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate(inv * (gh - m1 - xhat * m2))
+        gain.accumulate((g * xhat).sum(axis=0))
+        bias.accumulate(g.sum(axis=0))
+        gh = g * gain.data
+        m1 = gh.mean(axis=-1, keepdims=True)
+        m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+        x.accumulate(inv * (gh - m1 - xhat * m2))
 
     _record(out, bw)
     return out
@@ -353,17 +346,14 @@ def conv2d(x: Tensor, height: int, width: int, w: Tensor, b: Tensor) -> Tensor:
 
     y = _seq(w.data.reshape(c_out, -1) @ columns())
     y += b.data
-    out = Tensor(y, x.requires_grad or w.requires_grad or b.requires_grad)
+    out = Tensor(y)
 
     def bw(g):
         g2 = np.ascontiguousarray(g.T)
-        if w.requires_grad:
-            w.accumulate((g2 @ columns().T).reshape(w.data.shape))
-        if b.requires_grad:
-            b.accumulate(g2.sum(axis=1))
-        if x.requires_grad:
-            dcols = (w.data.reshape(c_out, -1).T @ g2).reshape(c_in, k, k, height, width)
-            _hand_back(x, _scatter_windows(lambda di, dj: dcols[:, di, dj], (c_in, height, width), k))
+        w.accumulate((g2 @ columns().T).reshape(w.data.shape))
+        b.accumulate(g2.sum(axis=1))
+        dcols = (w.data.reshape(c_out, -1).T @ g2).reshape(c_in, k, k, height, width)
+        _hand_back(x, _scatter_windows(lambda di, dj: dcols[:, di, dj], (c_in, height, width), k))
 
     _record(out, bw)
     return out
@@ -390,19 +380,17 @@ def depthwise_conv2d(x: Tensor, height: int, width: int, w: Tensor) -> Tensor:
     y = np.zeros((c, height, width))
     for di, dj, window in windows():
         y += w.data[:, di, dj, None, None] * window
-    out = Tensor(_seq(y), x.requires_grad or w.requires_grad)
+    out = Tensor(_seq(y))
 
     def bw(g):
         g = _map(g, height, width)
-        if w.requires_grad:
-            # one window at a time: each tap's sum runs over the same
-            # contiguous H*W products as a row of the column array did
-            dw = np.empty_like(w.data)
-            for di, dj, window in windows():
-                dw[:, di, dj] = (window * g).reshape(c, -1).sum(axis=1)
-            w.accumulate(dw)
-        if x.requires_grad:
-            _hand_back(x, _scatter_windows(lambda di, dj: w.data[:, di, dj, None, None] * g, (c, height, width), k))
+        # one window at a time: each tap's sum runs over the same
+        # contiguous H*W products as a row of the column array did
+        dw = np.empty_like(w.data)
+        for di, dj, window in windows():
+            dw[:, di, dj] = (window * g).reshape(c, -1).sum(axis=1)
+        w.accumulate(dw)
+        _hand_back(x, _scatter_windows(lambda di, dj: w.data[:, di, dj, None, None] * g, (c, height, width), k))
 
     _record(out, bw)
     return out
@@ -420,7 +408,7 @@ def bilinear_downsample2x(x: Tensor, height: int, width: int) -> Tensor:
     c = x.shape[1]
     d = _map(x.data, height, width)
     y = 0.25 * (d[:, ::2, ::2] + d[:, 1::2, ::2] + d[:, ::2, 1::2] + d[:, 1::2, 1::2])
-    out = Tensor(_seq(y), x.requires_grad)
+    out = Tensor(_seq(y))
 
     def bw(g):
         dx = np.zeros((c, height, width))
@@ -454,7 +442,7 @@ def bilinear_upsample2x(x: Tensor, height: int, width: int) -> Tensor:
     fc_ = fc[None, None, :]
     top = (1.0 - fc_) * d[:, r0][:, :, c0] + fc_ * d[:, r0][:, :, c1]
     bot = (1.0 - fc_) * d[:, r1][:, :, c0] + fc_ * d[:, r1][:, :, c1]
-    out = Tensor(_seq((1.0 - fr_) * top + fr_ * bot), x.requires_grad)
+    out = Tensor(_seq((1.0 - fr_) * top + fr_ * bot))
 
     def bw(g):
         g = _map(g, 2 * height, 2 * width)
@@ -505,7 +493,7 @@ def permute_gather(x: Tensor, idx: np.ndarray) -> Tensor:
     if np.count_nonzero(seen) != idx.size:
         raise ValidationError("row index repeats an entry")
     # the same copy as x.data[idx], without fancy indexing's overhead
-    out = Tensor(np.take(x.data, idx, axis=0), x.requires_grad)
+    out = Tensor(np.take(x.data, idx, axis=0))
 
     def bw(g):
         dx = np.zeros_like(x.data)
@@ -520,14 +508,12 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
     """Join two tensors along ``axis``; every other dim must match."""
     if a.ndim != b.ndim or a.shape[:axis] + a.shape[axis + 1 :] != b.shape[:axis] + b.shape[axis + 1 :]:
         raise ShapeError(f"concat on axis {axis} needs matching other dims, got {a.shape}, {b.shape}")
-    out = Tensor(np.concatenate([a.data, b.data], axis=axis), a.requires_grad or b.requires_grad)
+    out = Tensor(np.concatenate([a.data, b.data], axis=axis))
 
     def bw(g):
         ga, gb = np.split(g, [a.shape[axis]], axis=axis)
-        if a.requires_grad:
-            a.accumulate(ga)
-        if b.requires_grad:
-            b.accumulate(gb)
+        a.accumulate(ga)
+        b.accumulate(gb)
 
     _record(out, bw)
     return out
@@ -536,7 +522,7 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
 def seq_to_map(x: Tensor, height: int, width: int) -> Tensor:
     """(H*W, C) token sequence to a C-contiguous (C, H, W) map."""
     _check_fold(x, height, width, "seq_to_map")
-    out = Tensor(np.ascontiguousarray(_map(x.data, height, width)), x.requires_grad)
+    out = Tensor(np.ascontiguousarray(_map(x.data, height, width)))
 
     def bw(g):
         x.accumulate(g.reshape(g.shape[0], -1).T)

@@ -65,7 +65,7 @@ class Encoder(Module):
     def __init__(self, channels: int, rng: np.random.Generator) -> None:
         fan_in = 4 * 9
         self.w = ad.param((channels, 4, 3, 3), rng, fan_in=fan_in)
-        self.b = Tensor(np.zeros(channels), requires_grad=True)
+        self.b = Tensor(np.zeros(channels))
 
     def forward(self, image: np.ndarray, mask: np.ndarray) -> Tensor:
         h, w = mask.shape
@@ -177,7 +177,7 @@ class SkipProjection(Module):
 
     def __init__(self, channels: int, rng: np.random.Generator) -> None:
         self.w = ad.param((2 * channels, channels), rng, fan_in=2 * channels)
-        self.b = Tensor(np.zeros(channels), requires_grad=True)
+        self.b = Tensor(np.zeros(channels))
 
 
 class ScanUnet(Module):
@@ -253,7 +253,7 @@ class ShadowNet(Module):
         # saturated one, which keeps clamp gradients alive and puts the
         # first training steps within reach of the small learning rate
         self.dec_w = ad.param((3, c, 3, 3), rng, fan_in=c * 9, scale=0.01)
-        self.dec_b = Tensor(np.zeros(3), requires_grad=True)
+        self.dec_b = Tensor(np.zeros(3))
         self.config = config
         self.rng = rng
 

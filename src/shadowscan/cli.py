@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .imageio import image_writer, read_image, read_mask, write_image, write_ppm
+from .imageio import image_writer, read_image, read_mask, write_image, write_pgm, write_ppm
 from .maskgrid import partition_patches
 from .metrics import evaluate, format_report
 from .scanorder import dump_path, mas_order
@@ -100,11 +100,12 @@ def render_scan_viz(mask: np.ndarray, patch: int, tau: float) -> tuple[str, np.n
 
 
 def cmd_scan_viz(args) -> int:
+    path_file = f"{args.out}_path.txt"
+    viz_file = f"{args.out}_viz.ppm"
+    _check_out_dirs(path_file, viz_file)
     config = _resolve_config(args)
     mask = read_mask(args.mask)
     text, img = render_scan_viz(mask, config.patch_size, config.tau)
-    path_file = f"{args.out}_path.txt"
-    viz_file = f"{args.out}_viz.ppm"
     with open(path_file, "w", encoding="ascii") as f:
         f.write(text)
     write_ppm(viz_file, img)
@@ -134,7 +135,8 @@ def _check_out_dirs(*paths: str) -> None:
 
 
 def cmd_forward(args) -> int:
-    image_writer(args.out)
+    if image_writer(args.out) is write_pgm:
+        raise ValidationError(f"{args.out}: a PGM holds one channel but the prediction has three; use .ppm or .png")
     _check_out_dirs(args.out)
     model = model_from_checkpoint(args.checkpoint)
     stored = model.config.to_dict()
@@ -190,6 +192,8 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        _check_out_dirs(args.out)
     pred = read_image(args.pred)
     gt = read_image(args.gt)
     mask = read_mask(args.mask)

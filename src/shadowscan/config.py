@@ -7,6 +7,10 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError, ShapeError
 
+# each UNet level halves the image, so sides must be multiples of
+# 2**unet_depth; at 16 that is 65,536 px, past any image this model can hold
+MAX_UNET_DEPTH = 16
+
 
 @dataclass
 class ModelConfig:
@@ -34,8 +38,8 @@ class ModelConfig:
             raise ConfigError(f"state_dim must be >= 1, got {self.state_dim}")
         if self.expansion < 1:
             raise ConfigError(f"expansion must be >= 1, got {self.expansion}")
-        if self.unet_depth < 0:
-            raise ConfigError(f"unet_depth must be >= 0, got {self.unet_depth}")
+        if not 0 <= self.unet_depth <= MAX_UNET_DEPTH:
+            raise ConfigError(f"unet_depth must lie in [0, {MAX_UNET_DEPTH}], got {self.unet_depth}")
         if self.patch_size < 1:
             raise ConfigError(f"patch_size must be >= 1, got {self.patch_size}")
         if not 0.0 < self.tau <= 1.0:
@@ -47,6 +51,7 @@ class ModelConfig:
         return self
 
     def check_spatial(self, height: int, width: int) -> None:
+        self.validate()
         # the dual-scale fusion needs one halving even at depth 0
         div = 2 ** max(self.unet_depth, 1)
         if height % div or width % div or height < div or width < div:

@@ -1,7 +1,10 @@
 """Minimal parameter container for network blocks.
 
-Walks instance attributes in insertion order, so parameter naming is
-deterministic and doubles as the checkpoint compatibility contract.
+A module's parameters are its ``Tensor`` attributes, plus those of the
+modules it holds directly or in lists and tuples; a module keeps no other
+tensors. The walk follows instance attributes in insertion order, so
+parameter naming is deterministic and doubles as the checkpoint
+compatibility contract.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ class Module:
     def named_params(self, prefix: str = "") -> list[tuple[str, Tensor]]:
         items: list[tuple[str, Tensor]] = []
         for name, value in vars(self).items():
-            if isinstance(value, Tensor) and value.requires_grad:
+            if isinstance(value, Tensor):
                 items.append((prefix + name, value))
             elif isinstance(value, Module):
                 items.extend(value.named_params(f"{prefix}{name}."))

@@ -21,9 +21,9 @@ and the output over row blocks of about 256 KB per (rows, C, N) array,
 as Mamba's selective-scan kernel does in fast memory (arXiv 2312.00752,
 section 3.3). Its backward recomputes abar, the ZOH terms and the state
 history block by block rather than storing them, the history from the
-state row at each block's seam. A taped direction holds those seam rows
-until replay, one (C, N) row per block but the last, and no (L, C, N)
-array; an untaped one holds none.
+state row at each block's seam. Every forward fills those seam rows, one
+(C, N) row per block but the last; a taped direction holds them until
+replay, and no (L, C, N) array.
 """
 
 from __future__ import annotations
@@ -133,16 +133,17 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
     once per pass; each block continues the recurrence from the row
     before it (the seam row runs the loop's own op), and every other op
     is elementwise or reduces within a row, so the blocks round as whole
-    arrays would. The forward keeps no state history: taped, it copies
-    each block's last state row into seams, the only state the node
-    keeps (the sublinear-memory trade of arXiv 1604.06174, per row
-    block). The backward walks the blocks in reverse, recomputes u, the
-    ZOH terms, abar and bx, and seeds the block's first row from the
-    seam before it. One _linear_recurrence call then runs the history
-    forward and the adjoint backward in time, over a pair buffer whose
-    slot 1 stores the adjoint time-reversed. The a_log gradient's terms
-    go into an (L, C, N) array that lives only during the backward, so
-    their sum over L stays one reduction over a full-length array.
+    arrays would. The forward keeps no state history: it copies each
+    block's last state row into seams, which the next block starts from
+    and which are the only state a taped node keeps (the sublinear-memory
+    trade of arXiv 1604.06174, per row block). The backward walks the
+    blocks in reverse, recomputes u, the ZOH terms, abar and bx, and
+    seeds the block's first row from the seam before it. One
+    _linear_recurrence call then runs the history forward and the adjoint
+    backward in time, over a pair buffer whose slot 1 stores the adjoint
+    time-reversed. The a_log gradient's terms go into an (L, C, N) array
+    that lives only during the backward, so their sum over L stays one
+    reduction over a full-length array.
 
     The backward hands out the direct term's gradients first, x's then
     d's, then x's through bx, then a_log's, cvec's, B's and dt's. x may
@@ -170,10 +171,8 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
     neg_a = -exp_a
     blocks = _row_blocks(length, channels, state)
     block_shape = (blocks[0].stop, channels, state) if blocks else (0, channels, state)
-    requires = any(t.requires_grad for t in (*zoh, cvec, x, d))
-    taped = requires and ad.active_tape() is not None
-    # taped, seams[k] keeps block k's last state row; untaped, row 0 carries it
-    seams = np.empty((max(len(blocks) - 1, 0) if taped else 1, channels, state))
+    # seams[k] keeps block k's last state row
+    seams = np.empty((max(len(blocks) - 1, 0), channels, state))
 
     y = np.empty((length, channels))
     u_buf = np.empty(block_shape)
@@ -187,21 +186,17 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
         h = np.multiply(factor, x3[rows], out=em1)
         abar = np.exp(u, out=u)
         if rows.start:
-            h[0] += abar[0] * seams[k - 1 if taped else 0]
+            h[0] += abar[0] * seams[k - 1]
         _linear_recurrence(abar[1:], h)
         if rows.stop < length:
-            np.copyto(seams[k if taped else 0], h[-1])
+            np.copyto(seams[k], h[-1])
         np.einsum("tcn,tn->tc", h, c_d[rows], out=y[rows])
     y += x.data * d.data
-    out = Tensor(y, requires)
-    if not taped:
-        return out
+    out = Tensor(y)
 
     def bw(g):
-        if x.requires_grad:
-            x.accumulate(g * d.data, owned=True)
-        if d.requires_grad:
-            d.accumulate((g * x.data).sum(axis=0))
+        x.accumulate(g * d.data, owned=True)
+        d.accumulate((g * x.data).sum(axis=0))
         abar_b, der_b = np.empty(block_shape), np.empty(block_shape)
         # a pair row holds the state history in slot 0, run forward in
         # time, and the adjoint in slot 1, stored time-reversed so that the
@@ -215,12 +210,12 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
         d_ab_b = pair_b.reshape((2,) + block_shape)[0]
         terms = _zoh_buffers(block_shape)
         abar_next, adj_next = np.empty((channels, state)), np.empty((channels, state))
-        d_x = np.empty_like(x.data) if x.requires_grad else None
+        d_x = np.empty_like(x.data)
         d_dt = np.empty_like(dt)
         d_b = np.empty((length, state))
         d_cv = np.empty((length, state))
         # dt * d(u) per element, for a_log's sum over L as one reduction
-        d_ua = np.empty((length, channels, state)) if zoh.a_log.requires_grad else None
+        d_ua = np.empty((length, channels, state))
         for k in reversed(range(len(blocks))):
             rows = blocks[k]
             n = rows.stop - rows.start
@@ -261,8 +256,7 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
             else:
                 d_ab[0] = 0.0
             np.multiply(adj[1:], h[:-1], out=d_ab[1:])
-            if d_x is not None:
-                np.multiply(adj, bbar, out=bbar).sum(axis=2, out=d_x[rows])
+            np.multiply(adj, bbar, out=bbar).sum(axis=2, out=d_x[rows])
             g_bbar = np.multiply(adj, x3[rows], out=adj)
             g_u = np.multiply(g_bbar, step_b, out=bbar)
             g_step_b = np.multiply(g_bbar, factor, out=adj)
@@ -273,15 +267,11 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
             d_ab *= abar
             g_u += d_ab
             d_dt[rows] += np.multiply(g_u, neg_a, out=der).sum(axis=2)
-            if d_ua is not None:
-                np.multiply(g_u, dt_r, out=d_ua[rows])
-        if d_x is not None:
-            x.accumulate(d_x, owned=True)
-        if d_ua is not None:
-            zoh.a_log.accumulate(-d_ua.sum(axis=0) * exp_a)
+            np.multiply(g_u, dt_r, out=d_ua[rows])
+        x.accumulate(d_x, owned=True)
+        zoh.a_log.accumulate(-d_ua.sum(axis=0) * exp_a)
         for t, grad in ((cvec, d_cv), (zoh.b, d_b), (zoh.dt, d_dt)):
-            if t.requires_grad:
-                t.accumulate(grad, owned=True)
+            t.accumulate(grad, owned=True)
 
     ad._record(out, bw)
     return out
@@ -298,32 +288,21 @@ def _projections(
     gives."""
     xd = x.data
     logits = xd @ w_dt.data + b_dt.data
-    requires = any(t.requires_grad for t in (x, w_dt, b_dt, w_b, w_c))
-    dt = Tensor(np.logaddexp(0.0, logits), requires)
-    b = Tensor(xd @ w_b.data, requires)
-    cvec = Tensor(xd @ w_c.data, requires)
-    tape = ad.active_tape()
-    if tape is None or not requires:
-        return dt, b, cvec
+    dt = Tensor(np.logaddexp(0.0, logits))
+    b = Tensor(xd @ w_b.data)
+    cvec = Tensor(xd @ w_c.data)
 
-    def replay():
+    def bw(g):
         # ssm_recurrence hands all three outputs a gradient, or none
-        if dt.grad is None:
-            return
         for grad, w in ((cvec.grad, w_c), (b.grad, w_b)):
-            if x.requires_grad:
-                x.accumulate(grad @ w.data.T)
-            if w.requires_grad:
-                w.accumulate(xd.T @ grad)
-        d_logits = dt.grad * special.expit(logits)
-        if b_dt.requires_grad:
-            b_dt.accumulate(d_logits.sum(axis=0))
-        if x.requires_grad:
-            x.accumulate(d_logits @ w_dt.data.T)
-        if w_dt.requires_grad:
-            w_dt.accumulate(xd.T @ d_logits)
+            x.accumulate(grad @ w.data.T)
+            w.accumulate(xd.T @ grad)
+        d_logits = g * special.expit(logits)
+        b_dt.accumulate(d_logits.sum(axis=0))
+        x.accumulate(d_logits @ w_dt.data.T)
+        w_dt.accumulate(xd.T @ d_logits)
 
-    tape.record(replay)
+    ad._record(dt, bw)
     return dt, b, cvec
 
 
@@ -341,10 +320,10 @@ class SsmDirection(Module):
         if channels < 1 or state_dim < 1:
             raise ConfigError(f"channels and state_dim must be >= 1, got {channels}, {state_dim}")
         a0 = -np.log(_INIT_ABAR) / np.log(2.0)
-        self.a_log = Tensor(np.full((channels, state_dim), np.log(a0)), requires_grad=True)
-        self.d = Tensor(np.ones(channels), requires_grad=True)
+        self.a_log = Tensor(np.full((channels, state_dim), np.log(a0)))
+        self.d = Tensor(np.ones(channels))
         self.w_dt = ad.param((channels, channels), rng, fan_in=channels)
-        self.b_dt = Tensor(np.zeros(channels), requires_grad=True)
+        self.b_dt = Tensor(np.zeros(channels))
         self.w_b = ad.param((channels, state_dim), rng, fan_in=channels)
         self.w_c = ad.param((channels, state_dim), rng, fan_in=channels)
         self.channels = channels
@@ -393,10 +372,10 @@ class ConvMlp(Module):
             raise ConfigError(f"dropout must be in [0, 1), got {dropout}")
         hidden = channels * expansion
         self.w1 = ad.param((channels, hidden), rng, fan_in=channels)
-        self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
+        self.b1 = Tensor(np.zeros(hidden))
         self.dw = ad.param((hidden, _MLP_KERNEL, _MLP_KERNEL), rng, fan_in=_MLP_KERNEL * _MLP_KERNEL)
         self.w2 = ad.param((hidden, channels), rng, fan_in=hidden)
-        self.b2 = Tensor(np.zeros(channels), requires_grad=True)
+        self.b2 = Tensor(np.zeros(channels))
         self.rate = dropout
         self._rng = rng
 
@@ -424,8 +403,8 @@ class SsmStage(Module):
         dropout: float,
         rng: np.random.Generator,
     ) -> None:
-        self.ln_gain = Tensor(np.ones(channels), requires_grad=True)
-        self.ln_bias = Tensor(np.zeros(channels), requires_grad=True)
+        self.ln_gain = Tensor(np.ones(channels))
+        self.ln_bias = Tensor(np.zeros(channels))
         self.fwd = SsmDirection(channels, state_dim, rng)
         self.bwd = SsmDirection(channels, state_dim, rng)
         self.mlp = ConvMlp(channels, expansion, dropout, rng)

@@ -14,7 +14,7 @@ from shadowscan.autodiff import GradTape, Tensor
 def weighted_sum(y, weight):
     """sum(y * weight) as one tape node; replayed from the default seed 1.0,
     it hands y the cotangent ``weight`` exactly."""
-    out = Tensor(np.sum(y.data * weight), y.requires_grad)
+    out = Tensor(np.sum(y.data * weight))
     ad._record(out, lambda g: y.accumulate(g * weight, owned=True))
     return out
 

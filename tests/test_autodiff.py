@@ -17,7 +17,7 @@ from shadowscan.errors import ConfigError, ContractError, ShapeError, Validation
 
 
 def _t(rng, *shape):
-    return Tensor(rng.normal(size=shape), requires_grad=True)
+    return Tensor(rng.normal(size=shape))
 
 
 def test_add_on_equal_shapes():
@@ -74,13 +74,13 @@ def test_gelu_grads():
 
 
 def test_leaky_relu():
-    a = Tensor(np.array([-2.0, -0.5, 0.5, 3.0]), requires_grad=True)
+    a = Tensor(np.array([-2.0, -0.5, 0.5, 3.0]))
     assert np.array_equal(ad.leaky_relu(a, 0.2).data, np.array([-0.4, -0.1, 0.5, 3.0]))
     assert_grads_match(lambda t: ad.leaky_relu(t, 0.2), [a])
 
 
 def test_clamp01():
-    a = Tensor(np.array([-0.5, 0.25, 0.75, 1.5]), requires_grad=True)
+    a = Tensor(np.array([-0.5, 0.25, 0.75, 1.5]))
     out = ad.clamp01(a)
     assert np.array_equal(out.data, np.array([0.0, 0.25, 0.75, 1.0]))
     assert_grads_match(ad.clamp01, [a])
@@ -104,7 +104,7 @@ def test_dropout():
 def test_layer_norm():
     rng = np.random.default_rng(10)
     x = _t(rng, 5, 6)
-    gain = Tensor(rng.uniform(0.5, 1.5, size=6), requires_grad=True)
+    gain = Tensor(rng.uniform(0.5, 1.5, size=6))
     bias = _t(rng, 6)
     out = ad.layer_norm(x, gain, bias)
     mu = x.data.mean(axis=-1, keepdims=True)
@@ -141,7 +141,7 @@ def _seq(m):
 
 def _ts(rng, c, h, w):
     """A random (H*W, C) sequence with a gradient."""
-    return Tensor(rng.normal(size=(h * w, c)), requires_grad=True)
+    return Tensor(rng.normal(size=(h * w, c)))
 
 
 def test_conv2d_matches_nested_loop():
@@ -197,7 +197,7 @@ def test_depthwise_conv2d_matches_loop():
 
 
 def _frozen_reshape(x, shape):
-    out = Tensor(x.data.reshape(shape), x.requires_grad)
+    out = Tensor(x.data.reshape(shape))
 
     def bw(g):
         x.accumulate(g.reshape(x.data.shape))
@@ -207,7 +207,7 @@ def _frozen_reshape(x, shape):
 
 
 def _frozen_permute_dims(x, axes):
-    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)), x.requires_grad)
+    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)))
     inverse = tuple(np.argsort(axes))
 
     def bw(g):
@@ -247,17 +247,15 @@ def _frozen_conv2d(x, w, b=None):
     y = (w.data.reshape(c_out, -1) @ cols).reshape(c_out, h, wd)
     if b is not None:
         y = y + b.data[:, None, None]
-    out = Tensor(y, x.requires_grad or w.requires_grad or (b is not None and b.requires_grad))
+    out = Tensor(y)
 
     def bw(g):
         g2 = g.reshape(c_out, h * wd)
-        if w.requires_grad:
-            w.accumulate((g2 @ cols.T).reshape(w.data.shape))
-        if b is not None and b.requires_grad:
+        w.accumulate((g2 @ cols.T).reshape(w.data.shape))
+        if b is not None:
             b.accumulate(g.sum(axis=(1, 2)))
-        if x.requires_grad:
-            dcols = (w.data.reshape(c_out, -1).T @ g2).reshape(c_in, k, k, h, wd)
-            x.accumulate(_col2im(dcols, x.data.shape, k))
+        dcols = (w.data.reshape(c_out, -1).T @ g2).reshape(c_in, k, k, h, wd)
+        x.accumulate(_col2im(dcols, x.data.shape, k))
 
     ad._record(out, bw)
     return out
@@ -270,15 +268,13 @@ def _frozen_depthwise_conv2d(x, w):
     k = w.shape[1]
     cols = ad._im2col(x.data, k).reshape(c, k * k, h * wd)
     y = (cols * w.data.reshape(c, k * k, 1)).sum(axis=1).reshape(c, h, wd)
-    out = Tensor(y, x.requires_grad or w.requires_grad)
+    out = Tensor(y)
 
     def bw(g):
         g2 = g.reshape(c, 1, h * wd)
-        if w.requires_grad:
-            w.accumulate((cols * g2).sum(axis=2).reshape(c, k, k))
-        if x.requires_grad:
-            dcols = (w.data.reshape(c, k * k, 1) * g2).reshape(c, k, k, h, wd)
-            x.accumulate(_col2im(dcols, x.data.shape, k))
+        w.accumulate((cols * g2).sum(axis=2).reshape(c, k, k))
+        dcols = (w.data.reshape(c, k * k, 1) * g2).reshape(c, k, k, h, wd)
+        x.accumulate(_col2im(dcols, x.data.shape, k))
 
     ad._record(out, bw)
     return out
@@ -296,7 +292,7 @@ def _folding(op):
 def _frozen_downsample(x):
     d = x.data
     y = 0.25 * (d[:, ::2, ::2] + d[:, 1::2, ::2] + d[:, ::2, 1::2] + d[:, 1::2, 1::2])
-    out = Tensor(y, x.requires_grad)
+    out = Tensor(y)
 
     def bw(g):
         dx = np.zeros_like(d)
@@ -320,7 +316,7 @@ def _frozen_upsample(x):
     fc_ = fc[None, None, :]
     top = (1.0 - fc_) * d[:, r0][:, :, c0] + fc_ * d[:, r0][:, :, c1]
     bot = (1.0 - fc_) * d[:, r1][:, :, c0] + fc_ * d[:, r1][:, :, c1]
-    out = Tensor((1.0 - fr_) * top + fr_ * bot, x.requires_grad)
+    out = Tensor((1.0 - fr_) * top + fr_ * bot)
 
     def bw(g):
         dx = np.zeros_like(d)
@@ -372,7 +368,7 @@ def _op_and_grads(case, op, names):
     """Output and the gradients of the named tensors under
     sum(out * weight), with x optionally holding a prior gradient when the
     tape replays."""
-    tensors = {name: Tensor(case[name], requires_grad=True) for name in names}
+    tensors = {name: Tensor(case[name]) for name in names}
     with GradTape() as tape:
         out = op(tensors)
         loss = weighted_sum(out, case["weight"])
@@ -478,7 +474,7 @@ def test_bilinear_downsample2x():
 
 def test_bilinear_upsample2x_hand_case():
     # one channel, 2x2 -> 4x4; taps clamp at the borders
-    x = Tensor(np.array([[0.0], [1.0], [2.0], [3.0]]), requires_grad=True)
+    x = Tensor(np.array([[0.0], [1.0], [2.0], [3.0]]))
     out = ad.bilinear_upsample2x(x, 2, 2).data[:, 0].reshape(4, 4)
     row = np.array([0.0, 0.25, 0.75, 1.0])
     expect = row[None, :] + 2.0 * row[:, None]
@@ -529,7 +525,7 @@ def test_permute_gather_and_inverse():
 
 
 def _frozen_gather_rows(x, idx):
-    out = Tensor(x.data[idx], x.requires_grad)
+    out = Tensor(x.data[idx])
 
     def bw(g):
         dx = np.zeros_like(x.data)
@@ -541,7 +537,7 @@ def _frozen_gather_rows(x, idx):
 
 
 def _frozen_reverse_rows(x):
-    out = Tensor(x.data[::-1].copy(), x.requires_grad)
+    out = Tensor(x.data[::-1].copy())
 
     def bw(g):
         x.accumulate(g[::-1])
@@ -627,7 +623,7 @@ def test_map_seq_round_trip():
     # hand folds back to itself, values and gradients
     rng = np.random.default_rng(22)
     m = rng.normal(size=(3, 4, 5))
-    seq = Tensor(np.array([m[:, r, c] for r in range(4) for c in range(5)]), requires_grad=True)
+    seq = Tensor(np.array([m[:, r, c] for r in range(4) for c in range(5)]))
     folded = ad.seq_to_map(seq, 4, 5)
     assert np.array_equal(folded.data, m) and folded.data.flags.c_contiguous
     assert_grads_match(lambda t: ad.seq_to_map(t, 4, 5), [seq])
@@ -636,7 +632,7 @@ def test_map_seq_round_trip():
 
 
 def test_backward_requires_scalar_and_fresh_tape():
-    x = Tensor(np.ones(3), requires_grad=True)
+    x = Tensor(np.ones(3))
     with GradTape() as tape:
         y = ad.add(x, x)
     with pytest.raises(ContractError):
@@ -650,7 +646,7 @@ def test_backward_requires_scalar_and_fresh_tape():
 
 
 def test_tape_records_only_inside_context():
-    x = Tensor(np.ones(4), requires_grad=True)
+    x = Tensor(np.ones(4))
     two = Tensor(np.full(4, 2.0))
     ad.add(x, two)  # outside any tape
     tape = GradTape()
@@ -660,18 +656,22 @@ def test_tape_records_only_inside_context():
     assert len(tape._ops) == 2
 
 
-def test_no_grad_tensors_stay_clean():
-    x = Tensor(np.ones(3))
-    y = Tensor(np.ones(3), requires_grad=True)
+def test_every_tensor_on_the_tape_receives_its_gradient():
+    # a constant made inside the forward is an input like any other
+    rng = np.random.default_rng(24)
+    x, w, b = _t(rng, 4, 3), _t(rng, 3, 2), _t(rng, 2)
     with GradTape() as tape:
-        loss = weighted_sum(ad.add(x, y), np.ones(3))
+        two = Tensor(np.full((4, 2), 2.0))
+        y = ad.add(ad.linear(x, w, b), two)
+        loss = weighted_sum(y, np.ones((4, 2)))
     backward(loss, tape)
-    assert x.grad is None
-    assert np.array_equal(y.grad, np.ones(3))
+    assert np.array_equal(two.grad, np.ones((4, 2)))
+    assert np.array_equal(b.grad, np.full(2, 4.0))
+    assert all(t.grad is not None and t.grad.shape == t.shape for t in (x, w, y))
 
 
 def test_grads_accumulate_across_uses():
-    x = Tensor(np.array([2.0]), requires_grad=True)
+    x = Tensor(np.array([2.0]))
     with GradTape() as tape:
         loss = weighted_sum(ad.add(x, x), np.ones(1))
     backward(loss, tape)
@@ -681,7 +681,6 @@ def test_grads_accumulate_across_uses():
 def test_param_init():
     rng = np.random.default_rng(23)
     p = ad.param((200,), rng, fan_in=25)
-    assert p.requires_grad
     assert np.abs(p.data).max() <= 1.0 / 5.0
     q = ad.param((200,), rng, fan_in=25, scale=0.01)
     assert np.abs(q.data).max() <= 0.01 / 5.0

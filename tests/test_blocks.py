@@ -23,8 +23,8 @@ from shadowscan.blocks import (
     max_pool_mask2x,
     scan_orders,
 )
-from shadowscan.config import ModelConfig
-from shadowscan.errors import ShapeError
+from shadowscan.config import MAX_UNET_DEPTH, ModelConfig
+from shadowscan.errors import ConfigError, ShapeError
 from shadowscan.maskgrid import partition_patches
 from shadowscan.scanorder import mas_order, pixel_order
 from shadowscan.train import batch_loss, make_toy_pairs
@@ -142,8 +142,8 @@ def test_interleave_validation():
 
 def test_interleave_grads_flow_to_both_scales():
     rng = np.random.default_rng(2)
-    fine = Tensor(rng.normal(size=(8, 2)), requires_grad=True)
-    coarse = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+    fine = Tensor(rng.normal(size=(8, 2)))
+    coarse = Tensor(rng.normal(size=(2, 2)))
     with GradTape() as tape:
         woven = dfmb_interleave(fine, coarse, 2, 4)
         loss = weighted_sum(woven, np.ones((10, 2)))
@@ -322,6 +322,16 @@ def test_model_input_validation():
     bad[0, 0, 0] = np.nan
     with pytest.raises(ShapeError):
         model.forward(bad, mask)
+
+
+def test_unet_depth_has_a_ceiling():
+    ModelConfig(unet_depth=MAX_UNET_DEPTH).validate()
+    for depth in (MAX_UNET_DEPTH + 1, 10**6):
+        with pytest.raises(ConfigError, match="unet_depth"):
+            ModelConfig(unet_depth=depth).validate()
+    # the size check validates first, so it never prints 2**depth
+    with pytest.raises(ConfigError, match="unet_depth"):
+        ModelConfig(unet_depth=10**6).check_spatial(32, 32)
 
 
 def test_model_param_names_are_stable():

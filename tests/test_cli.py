@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import SRC, run_cli, run_python
-from shadowscan import cli
+from shadowscan import checkpoint, cli
 from shadowscan.blocks import ShadowNet
 from shadowscan.checkpoint import load_checkpoint, save_checkpoint
 from shadowscan.config import ModelConfig
@@ -229,6 +229,60 @@ def test_train_toy_rejects_an_output_in_a_missing_directory_before_any_forward(
     assert list(tmp_path.iterdir()) == []
 
 
+def _no_model(config):
+    raise AssertionError("a model was built before its config was checked")
+
+
+def _deep_checkpoint(tmp_path):
+    """A tiny model's checkpoint whose manifest asks for UNet depth 1000000."""
+    save_checkpoint(str(tmp_path / "m.ckpt"), ShadowNet(ModelConfig(channels=2, state_dim=2)))
+    raw = (tmp_path / "m.ckpt").read_bytes()
+    (tmp_path / "m.ckpt").write_bytes(raw.replace(b"\nconfig unet_depth=1\n", b"\nconfig unet_depth=1000000\n", 1))
+    write_ppm(str(tmp_path / "in.ppm"), np.zeros((3, 32, 32)))
+    write_pgm(str(tmp_path / "mask.pgm"), np.zeros((32, 32)))
+    return ["forward", "in.ppm", "mask.pgm", "--checkpoint", "m.ckpt"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda tmp_path: ["train-toy", "--synth", "1", "--size", "32", "--steps", "0", "--unet-depth", "1000000"],
+        _deep_checkpoint,
+    ],
+    ids=["train-toy-flag", "forward-checkpoint"],
+)
+def test_an_oversized_unet_depth_exits_2_before_any_model_is_built(tmp_path, monkeypatch, capsys, command):
+    argv = command(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "ShadowNet", _no_model)
+    monkeypatch.setattr(checkpoint, "ShadowNet", _no_model)
+    assert cli.main(argv) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "unet_depth must lie in [0, 16]" in errors[0], errors
+    assert not (tmp_path / "toy.ckpt").exists() and not (tmp_path / "pred.ppm").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,work",
+    [
+        (["scan-viz", "mask.pgm", "--out", "nodir/x"], "render_scan_viz"),
+        (["eval", "img.ppm", "img.ppm", "mask.pgm", "--out", "nodir/r.txt"], "evaluate"),
+    ],
+)
+def test_scan_viz_and_eval_reject_a_missing_out_directory_before_any_work(tmp_path, monkeypatch, capsys, argv, work):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output directory was checked")
+
+    write_ppm(str(tmp_path / "img.ppm"), np.zeros((3, 8, 8)))
+    write_pgm(str(tmp_path / "mask.pgm"), np.zeros((8, 8)))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, work, no_work)
+    assert cli.main(argv) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "directory nodir does not exist" in errors[0], errors
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["img.ppm", "mask.pgm"]
+
+
 # the toy set with NaN in every clean image, so the first training loss is NaN
 _NAN_TRAIN_TOY = """
 import sys
@@ -319,6 +373,7 @@ def test_forward_with_silenced_checkpoint_copies_the_input(tmp_path):
     [
         ("pred.jpg", "unsupported image format: pred.jpg"),
         ("nodir/pred.ppm", "nodir/pred.ppm: directory nodir does not exist"),
+        ("pred.pgm", "pred.pgm: a PGM holds one channel but the prediction has three; use .ppm or .png"),
         pytest.param(
             "pred.png",
             "PNG support needs the Pillow package",

@@ -100,12 +100,12 @@ def _node(dt, b, a_log, cvec, x, d):
 
 def _node_operands(rng, length, channels, state):
     return [
-        Tensor(rng.uniform(0.1, 1.0, size=(length, channels)), requires_grad=True),
-        Tensor(rng.normal(size=(length, state)), requires_grad=True),
-        Tensor(rng.normal(scale=0.5, size=(channels, state)), requires_grad=True),
-        Tensor(rng.normal(size=(length, state)), requires_grad=True),
-        Tensor(rng.normal(size=(length, channels)), requires_grad=True),
-        Tensor(rng.normal(size=channels), requires_grad=True),
+        Tensor(rng.uniform(0.1, 1.0, size=(length, channels))),
+        Tensor(rng.normal(size=(length, state))),
+        Tensor(rng.normal(scale=0.5, size=(channels, state))),
+        Tensor(rng.normal(size=(length, state))),
+        Tensor(rng.normal(size=(length, channels))),
+        Tensor(rng.normal(size=channels)),
     ]
 
 
@@ -214,7 +214,7 @@ def test_selective_scan_oracle():
 def test_selective_scan_grads():
     rng = np.random.default_rng(8)
     direction = SsmDirection(2, 2, rng)
-    x = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+    x = Tensor(rng.normal(size=(5, 2)))
     params = [x, direction.a_log, direction.d, direction.w_dt, direction.b_dt, direction.w_b, direction.w_c]
 
     def fn(x_, *rest):
@@ -255,26 +255,21 @@ def _frozen_recurrence(abar, bx, cvec, x, d):
     _frozen_linear_recurrence(abar.data[1:], hist)
     y = np.einsum("tcn,tn->tc", hist, c_d)
     y += x.data * d.data
-    out = Tensor(y, any(t.requires_grad for t in (abar, bx, cvec, x, d)))
+    out = Tensor(y)
 
     def bw(g):
-        if x.requires_grad:
-            x.accumulate(g * d.data, owned=True)
-        if d.requires_grad:
-            d.accumulate((g * x.data).sum(axis=0))
+        x.accumulate(g * d.data, owned=True)
+        d.accumulate((g * x.data).sum(axis=0))
         a_d = abar.data
-        d_cv = np.einsum("tc,tcn->tn", g, hist) if cvec.requires_grad else None
+        d_cv = np.einsum("tc,tcn->tn", g, hist)
         adj = g[:, :, None] * c_d[:, None, :]
         _frozen_linear_recurrence(a_d[:0:-1], adj[::-1])
-        if abar.requires_grad:
-            d_ab = np.empty_like(adj)
-            d_ab[0] = 0.0
-            np.multiply(adj[1:], hist[:-1], out=d_ab[1:])
-            abar.accumulate(d_ab, owned=True)
-        if bx.requires_grad:
-            bx.accumulate(adj, owned=True)
-        if d_cv is not None:
-            cvec.accumulate(d_cv)
+        d_ab = np.empty_like(adj)
+        d_ab[0] = 0.0
+        np.multiply(adj[1:], hist[:-1], out=d_ab[1:])
+        abar.accumulate(d_ab, owned=True)
+        bx.accumulate(adj, owned=True)
+        cvec.accumulate(d_cv)
 
     ad._record(out, bw)
     return out
@@ -300,12 +295,11 @@ def _frozen_discretized_inputs(x, a_log, w_dt, b_dt, w_b, w_c):
         factor *= dt3[rows] * b3[rows]
         np.multiply(factor, x3[rows], out=bx_d[rows])
         np.exp(da, out=da)
-    requires = any(t.requires_grad for t in (x, a_log, w_dt, b_dt, w_b, w_c))
-    abar = Tensor(abar_d, requires)
-    bx = Tensor(bx_d, requires)
-    cvec = Tensor(xd @ w_c.data, requires)
+    abar = Tensor(abar_d)
+    bx = Tensor(bx_d)
+    cvec = Tensor(xd @ w_c.data)
     tape = ad.active_tape()
-    if tape is None or not requires:
+    if tape is None:
         return abar, bx, cvec, None
 
     def rebuild_abar():
@@ -317,7 +311,7 @@ def _frozen_discretized_inputs(x, a_log, w_dt, b_dt, w_b, w_c):
         if g_ab is None:
             return
         a_d = abar.data
-        d_x = np.empty_like(xd) if x.requires_grad else None
+        d_x = np.empty_like(xd)
         d_dt = np.empty_like(dt)
         d_b = np.empty_like(b_proj)
         for rows in blocks:
@@ -331,8 +325,7 @@ def _frozen_discretized_inputs(x, a_log, w_dt, b_dt, w_b, w_c):
             step_b = np.multiply(dt_r, b_r, out=safe)
             bbar = np.multiply(factor, step_b, out=em1)
             g_bx_r = g_bx[rows]
-            if d_x is not None:
-                np.multiply(g_bx_r, bbar, out=bbar).sum(axis=2, out=d_x[rows])
+            np.multiply(g_bx_r, bbar, out=bbar).sum(axis=2, out=d_x[rows])
             g_bbar = np.multiply(g_bx_r, x3[rows], out=g_bx_r)
             g_da = np.multiply(g_bbar, step_b, out=bbar)
             g_step_b = np.multiply(g_bbar, factor, out=g_bx_r)
@@ -345,22 +338,15 @@ def _frozen_discretized_inputs(x, a_log, w_dt, b_dt, w_b, w_c):
             g_da += g_ab_r
             d_dt[rows] += np.multiply(g_da, neg_a, out=der).sum(axis=2)
             np.multiply(g_da, dt_r, out=g_ab_r)
-        if d_x is not None:
-            x.accumulate(d_x, owned=True)
-        if a_log.requires_grad:
-            a_log.accumulate(-g_ab.sum(axis=0) * exp_a)
+        x.accumulate(d_x, owned=True)
+        a_log.accumulate(-g_ab.sum(axis=0) * exp_a)
         for grad, w in ((g_c, w_c), (d_b, w_b)):
-            if x.requires_grad:
-                x.accumulate(grad @ w.data.T)
-            if w.requires_grad:
-                w.accumulate(xd.T @ grad)
+            x.accumulate(grad @ w.data.T)
+            w.accumulate(xd.T @ grad)
         d_logits = d_dt * special.expit(logits)
-        if b_dt.requires_grad:
-            b_dt.accumulate(d_logits.sum(axis=0))
-        if x.requires_grad:
-            x.accumulate(d_logits @ w_dt.data.T)
-        if w_dt.requires_grad:
-            w_dt.accumulate(xd.T @ d_logits)
+        b_dt.accumulate(d_logits.sum(axis=0))
+        x.accumulate(d_logits @ w_dt.data.T)
+        w_dt.accumulate(xd.T @ d_logits)
 
     tape.record(replay)
     return abar, bx, cvec, rebuild_abar
@@ -406,8 +392,8 @@ def _scan_case(draw):
 def _scan_and_grads(case, scan, prior):
     """y, x.grad and the six parameter gradients of sum(y * weight),
     with x already holding the prior gradient, if any, at replay."""
-    x = Tensor(case["x"], requires_grad=True)
-    params = {name: Tensor(case[name], requires_grad=True) for name in _PARAMS}
+    x = Tensor(case["x"])
+    params = {name: Tensor(case[name]) for name in _PARAMS}
     with GradTape() as tape:
         y = scan(x, params)
         loss = weighted_sum(y, case["weight"])
@@ -447,7 +433,7 @@ _FULL_SIZE = (1024, 32, 16)
 def _full_size_direction():
     length, channels, state = _FULL_SIZE
     rng = np.random.default_rng(17)
-    return SsmDirection(channels, state, rng), Tensor(rng.normal(size=(length, channels)), requires_grad=True)
+    return SsmDirection(channels, state, rng), Tensor(rng.normal(size=(length, channels)))
 
 
 def _traced(fn):

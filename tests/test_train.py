@@ -1,6 +1,5 @@
 """Optimizer arithmetic, loss wiring, the loop, and the toy data sources."""
 
-import importlib
 import math
 import tracemalloc
 import weakref
@@ -11,6 +10,7 @@ from scipy import special
 
 from helpers import weighted_sum
 from shadowscan import autodiff as ad
+from shadowscan import train as train_module
 from shadowscan.autodiff import GradTape, Tensor, backward
 from shadowscan.blocks import ShadowNet
 from shadowscan.config import ModelConfig
@@ -27,8 +27,6 @@ from shadowscan.train import (
     train,
     train_step,
 )
-
-train_module = importlib.import_module("shadowscan.train")
 
 _TINY = ModelConfig(channels=2, state_dim=2, expansion=2, unet_depth=1, patch_size=2, seed=1)
 
@@ -48,7 +46,7 @@ def test_cosine_endpoints_and_clamps():
 
 def test_adam_matches_reference_arithmetic():
     rng = np.random.default_rng(0)
-    params = [Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(2)]
+    params = [Tensor(rng.normal(size=(3, 2))) for _ in range(2)]
     ref = [p.data.copy() for p in params]
     m = [np.zeros_like(r) for r in ref]
     v = [np.zeros_like(r) for r in ref]
@@ -72,7 +70,7 @@ def test_adam_matches_reference_arithmetic():
 
 
 def test_adam_missing_grad_counts_as_zero():
-    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    p = Tensor(np.array([1.0, 2.0]))
     state = init_adam([p])
     adam_step([p], state, 1e-2)
     assert np.array_equal(p.data, np.array([1.0, 2.0]))
@@ -165,13 +163,11 @@ def test_streamed_step_is_bitwise_the_one_tape_step(sizes, overrides):
 
 
 def _frozen_mul(a, b):
-    out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
+    out = Tensor(a.data * b.data)
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(g * b.data)
-        if b.requires_grad:
-            b.accumulate(g * a.data)
+        a.accumulate(g * b.data)
+        b.accumulate(g * a.data)
 
     ad._record(out, bw)
     return out
@@ -179,7 +175,7 @@ def _frozen_mul(a, b):
 
 def _frozen_mean_all(a):
     n = a.data.size
-    out = Tensor(a.data.mean(), a.requires_grad)
+    out = Tensor(a.data.mean())
 
     def bw(g):
         a.accumulate(np.full_like(a.data, float(g) / n))
@@ -189,7 +185,7 @@ def _frozen_mean_all(a):
 
 
 def _frozen_absolute(a):
-    out = Tensor(np.abs(a.data), a.requires_grad)
+    out = Tensor(np.abs(a.data))
 
     def bw(g):
         a.accumulate(g * np.sign(a.data))
@@ -263,7 +259,7 @@ def test_step_memory_does_not_grow_with_batch():
 
 
 def test_backward_releases_the_tape_as_it_replays():
-    x = Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
+    x = Tensor(np.linspace(-1.0, 1.0, 6))
     with GradTape() as tape:
         hidden = ad.gelu(ad.add(x, x))
         loss = weighted_sum(ad.gelu(hidden), np.ones(6))
