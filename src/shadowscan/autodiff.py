@@ -2,19 +2,21 @@
 
 The engine covers exactly the operations the scanning network needs: the
 row-wise affine map, addition of operands of equal shape (no broadcasting),
-the activations from the block definitions, small same-padded convolutions
-and 2x bilinear resampling of (H*W, C) token sequences, one row gather
-(reorder, select or reverse by distinct indices) and concatenation; the
-scan and the loss record their own nodes through ``_record``. Every
-differentiable op appends one backward closure to the active GradTape;
-replaying the tape in reverse visits each recorded op once (execution order
-is a topological order of the graph). Outside a tape nothing is
-recorded. There is no per-tensor switch: every tensor recorded on an
-active tape receives its gradient, constants included; a module's
-parameters are its ``Tensor`` attributes. Gradients accumulate into
-``Tensor.grad`` with ``+=`` and are cleared only by ``zero_grad``; the
-first gradient is copied in, unless the op hands over a fresh array it
-drops (``accumulate(g, owned=True)``), which then becomes the gradient.
+the activations from the block definitions (exact GELU's erf is cephes'
+evaluated in numpy over libm ``exp``, see ``erf``), small same-padded
+convolutions and 2x bilinear resampling of (H*W, C) token sequences, one
+row gather (reorder, select or reverse by distinct indices) and
+concatenation; the scan and the loss record their own nodes through
+``_record``. Every differentiable op appends one backward closure to the
+active GradTape; replaying the tape in reverse visits each recorded op
+once (execution order is a topological order of the graph). Outside a
+tape nothing is recorded. There is no per-tensor switch: every tensor
+recorded on an active tape receives its gradient, constants included; a
+module's parameters are its ``Tensor`` attributes. Gradients accumulate
+into ``Tensor.grad`` with ``+=`` and are cleared only by ``zero_grad``;
+the first gradient is copied in, unless the op hands over a fresh array
+it drops (``accumulate(g, owned=True)``), which then becomes the
+gradient.
 
 Replay consumes the tape: ``backward`` pops each closure before it runs it,
 so once an op has handed its gradient down, the activations it captured and
@@ -28,7 +30,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, ContractError, ShapeError, ValidationError
 
@@ -181,9 +182,104 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # activations
 
 
+# cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, else 1 - erfc(|x|)
+# with erfc = exp(-x^2) P(x) / Q(x) below 8 and exp(-x^2) R(x) / S(x) from 8
+# on; U, Q and S have an implied leading 1
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # log(2^1024): exp(-x^2) underflows past it
+_CEXP_EXACT = 709.0  # glibc's cexp rescales above (DBL_MAX_EXP - 1) ln 2
+
+
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Horner's rule in cephes' order: ((c0 x + c1) x + c2) ..."""
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """``_polevl`` with an implied leading coefficient 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _libm_exp(x: np.ndarray) -> np.ndarray:
+    """exp(x) of a 1-D array with the C library's rounding, which cephes
+    assumes.
+
+    numpy's float64 exp is its own SIMD kernel and differs from libm's in
+    the last bit on a few percent of inputs. Its complex exp calls the C
+    library's cexp, whose real part is libm exp(x) for a zero imaginary
+    part up to x = 709; above that cexp rescales, so those rare entries
+    take ``math.exp`` (inf past its overflow, without a warning).
+    """
+    z = x.astype(np.complex128)
+    big = np.flatnonzero(x > _CEXP_EXACT)
+    z[big] = 0.0
+    out = np.exp(z, out=z).real
+    for i in big.tolist():
+        try:
+            out[i] = math.exp(x[i])
+        except OverflowError:
+            out[i] = math.inf
+    return out
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """The error function as cephes ``ndtr.c`` computes it, evaluated in
+    numpy over libm ``exp``: bit for bit the same values, NaN for NaN.
+
+    The |x| <= 1 branch runs over every entry; only the entries past 1
+    are gathered for the erfc branches."""
+    x = np.asarray(x, dtype=np.float64)
+    a = np.abs(x.reshape(-1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = a * a
+        y = _polevl(z, _ERF_T)
+        y *= a
+        y /= _p1evl(z, _ERF_U)
+    y[z > _MAXLOG] = 1.0  # erfc underflows to 0
+    tail = np.flatnonzero((a > 1.0) & (z <= _MAXLOG))
+    if tail.size:
+        at = a[tail]
+        p, q = _polevl(at, _ERFC_P), _p1evl(at, _ERFC_Q)
+        far = np.flatnonzero(at >= 8.0)
+        if far.size:
+            p[far], q[far] = _polevl(at[far], _ERFC_R), _p1evl(at[far], _ERFC_S)
+        y[tail] = 1.0 - _libm_exp(-z[tail]) * p / q
+    return np.copysign(y, x.reshape(-1), out=y).reshape(x.shape)
+
+
+def expit(x: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + exp(-x)), in that operation order and
+    over libm ``exp``: bit for bit the values of cephes-era C code."""
+    x = np.asarray(x, dtype=np.float64)
+    return (1.0 / (1.0 + _libm_exp(-x.reshape(-1)))).reshape(x.shape)
+
+
 def gelu(a: Tensor) -> Tensor:
-    """Exact GELU: x * Phi(x) with the Gaussian CDF via erf (no tanh shortcut)."""
-    phi = 0.5 * (1.0 + special.erf(a.data / _SQRT2))
+    """Exact GELU: x * Phi(x) with the Gaussian CDF via erf (no tanh shortcut);
+    erf is cephes' evaluated in numpy over libm exp."""
+    phi = 0.5 * (1.0 + erf(a.data / _SQRT2))
     out = Tensor(a.data * phi)
 
     def bw(g):

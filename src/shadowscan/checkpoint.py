@@ -102,6 +102,12 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     arrays: dict[str, np.ndarray] = {}
     covered_to, last = 0, None
     for name, (shape, offset) in sorted(entries.items(), key=lambda item: item[1][1]):
+        # a zero dimension lets any other through the size check below, and
+        # numpy refuses dimensions past its own limits with a ValueError
+        if max(shape) > blob_size // 8:
+            raise ValidationError(
+                f"param {name!r} has a dimension larger than the blob's {blob_size // 8} values"
+            )
         count = math.prod(shape)
         if offset + 8 * count > blob_size:
             raise ValidationError(f"param {name!r} runs past the end of the {blob_size}-byte blob")

@@ -24,6 +24,11 @@ history block by block rather than storing them, the history from the
 state row at each block's seam. Every forward fills those seam rows, one
 (C, N) row per block but the last; a taped direction holds them until
 replay, and no (L, C, N) array.
+
+The softplus step's slope in the projections' backward is the logistic
+sigmoid ``autodiff.expit``, which, like GELU's erf (cephes), is evaluated
+in numpy over libm ``exp``; the package needs nothing beyond numpy for its
+special functions.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -297,7 +301,7 @@ def _projections(
         for grad, w in ((cvec.grad, w_c), (b.grad, w_b)):
             x.accumulate(grad @ w.data.T)
             w.accumulate(xd.T @ grad)
-        d_logits = g * special.expit(logits)
+        d_logits = g * ad.expit(logits)
         b_dt.accumulate(d_logits.sum(axis=0))
         x.accumulate(d_logits @ w_dt.data.T)
         w_dt.accumulate(xd.T @ d_logits)

@@ -2,6 +2,7 @@
 finite differences for the backward pass."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -64,7 +65,52 @@ def test_gelu_forward_oracle():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(3, 5))
     phi = 0.5 * (1.0 + special.erf(x / np.sqrt(2.0)))
-    assert np.allclose(ad.gelu(Tensor(x)).data, x * phi, atol=1e-15)
+    assert np.array_equal(ad.gelu(Tensor(x)).data, x * phi)
+
+
+def _assert_same_bits(got, want):
+    """Equal float64 bit patterns entry by entry; any NaN matches any NaN."""
+    assert got.shape == want.shape and got.dtype == np.float64
+    same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+    bad = np.flatnonzero(~same)
+    assert bad.size == 0, f"{bad.size} entries differ, first {got.flat[bad[0]]!r} vs {want.flat[bad[0]]!r}"
+
+
+def _assert_oracle_bits(x):
+    """ad.erf and ad.expit match scipy.special bit for bit on x, and on -x,
+    with every numpy RuntimeWarning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (x, np.negative(x)):
+            _assert_same_bits(ad.erf(v), special.erf(v))
+            _assert_same_bits(ad.expit(v), special.expit(v))
+
+
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, width=64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(1, 64), elements=_ANY_FLOAT))
+def test_erf_and_expit_match_scipy_on_any_finite_float(x):
+    _assert_oracle_bits(x)
+
+
+def test_erf_and_expit_match_scipy_across_the_branch_seams():
+    # erf switches branch at |x| = 1 and 8, and erfc underflows past
+    # sqrt(MAXLOG) ~ 26.64; each seam is swept densely, with its neighbours
+    for seam in (1.0, 8.0, np.sqrt(ad._MAXLOG)):
+        around = (np.float64(seam).view(np.int64) + np.arange(-64, 65)).view(np.float64)
+        _assert_oracle_bits(np.concatenate([np.linspace(seam - 1e-3, seam + 1e-3, 100_001), around]))
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1e-200, 1e154, 1e300, 1.7976931348622157e308, np.inf, np.nan]
+    _assert_oracle_bits(np.array(edges))
+    x = np.random.default_rng(11).normal(size=(64, 48)) * 4.0
+    _assert_oracle_bits(x)
+    _assert_oracle_bits(x.T)  # a non-contiguous operand keeps its shape
+
+
+def test_expit_matches_scipy_where_exp_nears_overflow():
+    # cexp stops being libm exp above 709; math.exp takes those entries
+    _assert_oracle_bits(np.linspace(-709.9, -708.9, 400_001))
 
 
 def test_gelu_grads():

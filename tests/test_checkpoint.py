@@ -146,6 +146,19 @@ def test_load_rejects_malformed_manifest_fields(tmp_path):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("shape", ["0x99999999999999999999", "0x9223372036854775807x2", "2x0x{over}"])
+def test_load_rejects_a_dimension_past_the_blob_behind_a_zero(tmp_path, shape):
+    # the count is 0, so the param cannot run past the blob; numpy refuses
+    # the first two shapes in reshape with a ValueError
+    head, sep, rest = _saved_bytes(tmp_path).partition(b"\nparam ")
+    name, _, tail = rest.partition(b" ")
+    over = int(rest.partition(b"\nblob ")[2].partition(b"\n")[0]) // 8 + 1
+    path = tmp_path / "dims.ckpt"
+    path.write_bytes(head + sep + name + b" " + shape.format(over=over).encode() + b" " + tail.partition(b" ")[2])
+    with pytest.raises(ValidationError, match=f"param '{name.decode()}' has a dimension larger"):
+        load_checkpoint(str(path))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_load_rejects_a_non_finite_param(tmp_path, value):
     model = ShadowNet(_CFG)

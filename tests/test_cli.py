@@ -505,6 +505,8 @@ def _repeated_config(lines, blob_size):
         _append_field,
         _set_field(0, 2, b"2xq"),
         _set_field(0, 2, b"-2"),
+        _set_field(0, 2, b"0x99999999999999999999"),
+        _set_field(0, 2, b"0x9223372036854775807x2"),
         _set_field(0, 3, lambda size, _: str(size - 8).encode()),
         _set_field(1, 3, b"8"),
         _non_ascii,
@@ -518,6 +520,8 @@ def _repeated_config(lines, blob_size):
         "wrong-field-count",
         "dimension-not-integer",
         "negative-dimension",
+        "dimension-numpy-refuses",
+        "array-numpy-refuses",
         "param-runs-past-blob",
         "overlapping-params",
         "non-ascii-manifest",
@@ -537,6 +541,24 @@ def test_forward_rejects_malformed_checkpoint(tmp_path, edit):
     proc = run_cli(["forward", "in.ppm", "mask.pgm", "--checkpoint", "m.ckpt"], tmp_path)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # the package's special functions are numpy code; scipy is only the
+    # tests' oracle and must not be loaded, at import or by a forward
+    save_checkpoint(str(tmp_path / "m.ckpt"), ShadowNet(ModelConfig(channels=2, state_dim=2, unet_depth=1, patch_size=2)))
+    write_ppm(str(tmp_path / "in.ppm"), np.random.default_rng(4).uniform(size=(3, 8, 8)))
+    write_pgm(str(tmp_path / "mask.pgm"), np.eye(8))
+    script = (
+        "import sys\n"
+        "from shadowscan import cli\n"
+        "code = cli.main(['forward', 'in.ppm', 'mask.pgm', '--checkpoint', 'm.ckpt'])\n"
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = run_python(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
+    assert (tmp_path / "pred.ppm").exists()
 
 
 def test_forward_and_eval_reject_non_numeric_netpbm_header(tmp_path):
@@ -630,7 +652,11 @@ def test_malformed_inputs_exit_2_with_one_error_line(fuzz_inputs, command, size,
                 raw[at % len(raw)] = value
             blob = bytes(raw[:keep]) + tail
         (work / name).write_bytes(blob)
-    code, err = _run_in_process(line.format(d=work).split())
+    _assert_clean_exit(*_run_in_process(line.format(d=work).split()))
+
+
+def _assert_clean_exit(code, err):
+    """Success, or exit 2 whose last stderr line is its only ``error:``."""
     assert "Traceback" not in err
     if code != 0:
         assert code == 2, err
@@ -638,6 +664,24 @@ def test_malformed_inputs_exit_2_with_one_error_line(fuzz_inputs, command, size,
         assert [text for text in lines if "error:" in text] == lines[-1:], err
         # input bytes are shown escaped: no control byte but each line's end
         assert err.endswith("\n") and not any(ch < " " or ch == "\x7f" for ch in err.replace("\n", "")), err
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    index=st.integers(-8, 7),
+    dims=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 1 << 70)), min_size=1, max_size=4),
+)
+def test_manifest_dimensions_exit_0_or_2_with_one_error_line(fuzz_inputs, index, dims):
+    # one param line of the checkpoint gets another shape: any count of
+    # dimensions, zeros among them, sizes past what numpy can index
+    work, blobs = fuzz_inputs
+    for name, blob in blobs[8].items():
+        (work / name).write_bytes(blob)
+    head, sep, rest = blobs[8]["m.ckpt"].partition(b"\nblob ")
+    shape = b"x".join(str(d).encode() for d in dims)
+    lines = _set_field(index, 2, shape)(head.split(b"\n"), None)
+    (work / "m.ckpt").write_bytes(b"\n".join(lines) + sep + rest)
+    _assert_clean_exit(*_run_in_process(_FUZZ_COMMANDS["forward"][0].format(d=work).split()))
 
 
 def test_eval_names_the_cut_short_mask(fuzz_inputs):
