@@ -104,10 +104,6 @@ class DualScanGroup(Module):
         gathered = self.mas_stage.forward(gathered, height, width, training)
         return ad.permute_gather(gathered, inverse)
 
-    def silence(self) -> None:
-        self.row_stage.silence()
-        self.mas_stage.silence()
-
 
 def _interleave_index(height: int, width: int) -> np.ndarray:
     units = (height // 2) * (width // 2)
@@ -166,14 +162,11 @@ class DualScaleFusion(Module):
         fused = self.fusion.forward(woven, height // 2, 5 * (width // 2), training)
         return fold_back(fused, height, width)
 
-    def silence(self) -> None:
-        self.full.silence()
-        self.half.silence()
-        self.fusion.silence()
-
 
 class SkipProjection(Module):
     """1x1 projection of an up-path sequence concatenated with its skip."""
+
+    SILENT = ("w", "b")
 
     def __init__(self, channels: int, rng: np.random.Generator) -> None:
         self.w = ad.param((2 * channels, channels), rng, fan_in=2 * channels)
@@ -224,19 +217,11 @@ class ScanUnet(Module):
             cur = self.up[level].forward(cur, orders[level], h, w, training)
         return cur
 
-    def silence(self) -> None:
-        for g in self.down:
-            g.silence()
-        self.bottleneck.silence()
-        for proj in self.proj:
-            proj.w.data[:] = 0.0
-            proj.b.data[:] = 0.0
-        for g in self.up:
-            g.silence()
-
 
 class ShadowNet(Module):
     """The full shadow-removal network over one image."""
+
+    SILENT = ("dec_w", "dec_b")
 
     def __init__(self, config: ModelConfig) -> None:
         config.validate()
@@ -255,7 +240,6 @@ class ShadowNet(Module):
         self.dec_w = ad.param((3, c, 3, 3), rng, fan_in=c * 9, scale=0.01)
         self.dec_b = Tensor(np.zeros(3))
         self.config = config
-        self.rng = rng
 
     def forward(self, image: np.ndarray, mask: np.ndarray, training: bool = False) -> Tensor:
         image = np.asarray(image, dtype=np.float64)
@@ -278,12 +262,3 @@ class ShadowNet(Module):
         if cfg.residual_output:
             return ad.clamp01(ad.add(Tensor(image), residual))
         return ad.clamp01(residual)
-
-    def silence(self) -> None:
-        """Parameter setting under which the model is the bitwise identity
-        (with residual output): every scan and MLP contribution and the
-        decoder emit exact zeros."""
-        self.fusion.silence()
-        self.unet.silence()
-        self.dec_w.data[:] = 0.0
-        self.dec_b.data[:] = 0.0

@@ -82,7 +82,8 @@ def _parse_int(name: str, raw) -> int:
 
 def _parse_float(name: str, raw) -> float:
     text = str(raw)
-    if "_" not in text:
+    # float() would also take "1_0", surrounding whitespace and non-ASCII digits
+    if text.isascii() and not any(ch == "_" or ch.isspace() for ch in text):
         try:
             return float(text)
         except ValueError:

@@ -11,10 +11,10 @@ shadow rectangle first. The mask-aware order is built from two pieces:
   unvisited 4-neighbor touching the most visited cells, and jumps to the
   nearest unvisited cell when boxed in.
 
-All tie-breaks are fixed: edges in top, bottom, left, right order; steps
-in the direction order up, down, left, right; jumps and perimeter picks
-in row-major order. With those rules every grid and rect has exactly one
-mask-aware order.
+All tie-breaks are fixed: the start corner is chosen per axis, top row
+and left column on a tie; steps in the direction order up, down, left,
+right; jumps and perimeter picks in row-major order. With those rules
+every grid and rect has exactly one mask-aware order.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import NoShadowRegion, ValidationError
 from .maskgrid import PatchGrid, RegionRect, shadow_rect
 
 DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
-_EDGE_ORDER = ("top", "bottom", "left", "right")
 
 KIND_HORIZONTAL = "horizontal"
 KIND_MAS = "mas"
@@ -63,26 +62,15 @@ def horizontal_order(rows: int, cols: int, patch: int = 1) -> ScanPath:
 
 
 def select_start_a(rect: RegionRect, rows: int, cols: int) -> tuple[int, int]:
-    """Grid corner where the two nearest grid edges around the rect meet.
-
-    The primary edge is the grid edge closest to the rect; the secondary is
-    the nearer of the two orthogonal edges. Ties fall to the fixed edge
-    order. The returned corner can lie inside the rect when the rect hugs
-    it; the greedy traversal tolerates that.
+    """Grid corner nearest the rect, chosen per axis: row 0 unless the rect
+    is strictly nearer the bottom edge, column 0 unless it is strictly
+    nearer the right edge. The returned corner can lie inside the rect when
+    the rect hugs it; the greedy traversal tolerates that.
     """
-    dist = {
-        "top": rect.top,
-        "bottom": rows - 1 - rect.bottom,
-        "left": rect.left,
-        "right": cols - 1 - rect.right,
-    }
-    if min(dist.values()) < 0:
+    below, right = rows - 1 - rect.bottom, cols - 1 - rect.right
+    if min(rect.top, below, rect.left, right) < 0:
         raise ValidationError(f"rect {rect} exceeds grid {rows}x{cols}")
-    edge1 = min(_EDGE_ORDER, key=lambda e: (dist[e], _EDGE_ORDER.index(e)))
-    orthogonal = ("left", "right") if edge1 in ("top", "bottom") else ("top", "bottom")
-    edge2 = min(orthogonal, key=lambda e: (dist[e], _EDGE_ORDER.index(e)))
-    picked = {edge1, edge2}
-    return (0 if "top" in picked else rows - 1, 0 if "left" in picked else cols - 1)
+    return (rows - 1 if below < rect.top else 0, cols - 1 if right < rect.left else 0)
 
 
 def _on_perimeter(rect: RegionRect, cell: tuple[int, int]) -> bool:
@@ -188,8 +176,7 @@ def gbs_traverse(grid: PatchGrid, rect: RegionRect, start: tuple[int, int]) -> l
         cur = best
         visited[cur] = True
         seen += 1
-        if not rect.contains(cur):
-            path.append(cur)
+        path.append(cur)
     return path
 
 

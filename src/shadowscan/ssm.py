@@ -317,8 +317,11 @@ class SsmDirection(Module):
     mixing vectors B and C come from per-token projections shared across
     channels, and the diagonal A = -exp(a_log) and direct term d are shared
     across tokens. a_log starts so that abar is about 0.9 at the
-    softplus(0) step; d starts at 1 (pure pass-through).
+    softplus(0) step; d starts at 1 (pure pass-through). Silencing zeroes
+    the output mixing and the direct term: the scan then emits zeros.
     """
+
+    SILENT = ("w_c", "d")
 
     def __init__(self, channels: int, state_dim: int, rng: np.random.Generator) -> None:
         if channels < 1 or state_dim < 1:
@@ -331,7 +334,6 @@ class SsmDirection(Module):
         self.w_b = ad.param((channels, state_dim), rng, fan_in=channels)
         self.w_c = ad.param((channels, state_dim), rng, fan_in=channels)
         self.channels = channels
-        self.state_dim = state_dim
 
     def scan(self, x: Tensor) -> Tensor:
         """Run the selective recurrence over an (L, C) sequence."""
@@ -340,34 +342,13 @@ class SsmDirection(Module):
         dt, b, cvec = _projections(x, self.w_dt, self.b_dt, self.w_b, self.w_c)
         return ssm_recurrence(Zoh(dt, b, self.a_log), cvec, x, self.d)
 
-    def silence(self) -> None:
-        """Zero the output mixing and the direct term: the scan emits zeros."""
-        self.w_c.data[:] = 0.0
-        self.d.data[:] = 0.0
-
-
-def bidirectional_ssm_block(
-    seq: Tensor,
-    forward_dir: SsmDirection,
-    backward_dir: SsmDirection,
-    ln_gain: Tensor,
-    ln_bias: Tensor,
-) -> Tensor:
-    """Pre-norm bidirectional scan with a residual connection.
-
-    Normalizes the sequence, scans it and its token-reversed copy,
-    re-reverses the latter, sums both directions, and adds the input back.
-    """
-    u = ad.layer_norm(seq, ln_gain, ln_bias)
-    y_fwd = forward_dir.scan(u)
-    reverse = np.arange(seq.shape[0] - 1, -1, -1)
-    y_bwd = ad.permute_gather(backward_dir.scan(ad.permute_gather(u, reverse)), reverse)
-    return ad.add(seq, ad.add(y_fwd, y_bwd))
-
 
 class ConvMlp(Module):
     """Pointwise expand, 3x3 depthwise mix over the token grid, exact GELU,
-    pointwise contract, dropout, plus the residual."""
+    pointwise contract, dropout, plus the residual. Silencing zeroes the
+    contraction: the block reduces to the identity."""
+
+    SILENT = ("w2", "b2")
 
     def __init__(self, channels: int, expansion: int, dropout: float, rng: np.random.Generator) -> None:
         if expansion < 1:
@@ -390,14 +371,10 @@ class ConvMlp(Module):
         t = ad.dropout(t, self.rate, self._rng, training)
         return ad.add(x, t)
 
-    def silence(self) -> None:
-        """Zero the contraction: the block reduces to the identity."""
-        self.w2.data[:] = 0.0
-        self.b2.data[:] = 0.0
-
 
 class SsmStage(Module):
-    """One full scan stage: bidirectional SSM block, then the conv MLP."""
+    """One full scan stage: a pre-norm bidirectional scan with a residual
+    connection, then the conv MLP."""
 
     def __init__(
         self,
@@ -414,10 +391,11 @@ class SsmStage(Module):
         self.mlp = ConvMlp(channels, expansion, dropout, rng)
 
     def forward(self, seq: Tensor, height: int, width: int, training: bool = False) -> Tensor:
-        u = bidirectional_ssm_block(seq, self.fwd, self.bwd, self.ln_gain, self.ln_bias)
-        return self.mlp.forward(u, height, width, training)
-
-    def silence(self) -> None:
-        self.fwd.silence()
-        self.bwd.silence()
-        self.mlp.silence()
+        """Normalize the sequence, scan it and its token-reversed copy,
+        re-reverse the latter, add both directions and the input, then
+        run the conv MLP."""
+        u = ad.layer_norm(seq, self.ln_gain, self.ln_bias)
+        y_fwd = self.fwd.scan(u)
+        reverse = np.arange(seq.shape[0] - 1, -1, -1)
+        y_bwd = ad.permute_gather(self.bwd.scan(ad.permute_gather(u, reverse)), reverse)
+        return self.mlp.forward(ad.add(seq, ad.add(y_fwd, y_bwd)), height, width, training)

@@ -89,7 +89,7 @@ def _assert_oracle_bits(x):
 _ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, width=64)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(arrays(np.float64, st.integers(1, 64), elements=_ANY_FLOAT))
 def test_erf_and_expit_match_scipy_on_any_finite_float(x):
     _assert_oracle_bits(x)
@@ -449,7 +449,7 @@ def _conv_runner(conv, depthwise_conv, case):
     return lambda t: conv(t["x"], h, w, t["kernel"], t["b"])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_conv_case())
 def test_convs_bitwise_match_the_column_keeping_copies(case):
     # the model's depthwise conv sits between sequence ops, so it is
@@ -475,7 +475,7 @@ def _resample_case(draw):
     return case
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(_resample_case())
 def test_resampling_bitwise_matches_the_map_ops_between_layout_ops(case):
     h, w = case["h"], case["w"]
@@ -618,7 +618,7 @@ def _row_case(draw):
     return case, idx, frozen
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_row_case())
 def test_permute_gather_is_bitwise_the_gather_rows_path(row_case):
     case, idx, frozen = row_case

@@ -2,6 +2,7 @@
 full model's contracts."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -264,6 +265,23 @@ def test_silenced_model_identity_and_residual_toggle():
     )
     direct.silence()
     assert np.array_equal(direct.forward(image, mask).data, np.zeros((3, 8, 8)))
+
+
+_SILENCED = re.compile(r".*\.(fwd|bwd)\.(w_c|d)|.*\.mlp\.(w2|b2)|unet\.proj\.\d+\.(w|b)|dec_(w|b)")
+
+
+@pytest.mark.parametrize("overrides, count", [({}, 70), ({"channels": 32, "state_dim": 16, "unet_depth": 4}, 148)])
+def test_silence_zeroes_exactly_the_scan_outputs_mlp_contractions_projections_and_decoder(overrides, count):
+    # every composite module reaches its leaves through the one walk; a
+    # decoder-only silence would still pass the identity checks, not this
+    model = ShadowNet(ModelConfig(**overrides))
+    for _, p in model.named_params():
+        p.data[:] = 1.0
+    model.silence()
+    zeroed = [n for n, p in model.named_params() if _SILENCED.fullmatch(n)]
+    assert len(zeroed) == count
+    for name, p in model.named_params():
+        assert np.all(p.data == (0.0 if name in zeroed else 1.0)), name
 
 
 def test_model_output_shape_and_range():

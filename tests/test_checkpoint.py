@@ -183,7 +183,7 @@ def test_load_rejects_an_offset_off_the_8_byte_grid(tmp_path):
         load_checkpoint(str(path))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_load_checkpoint_fuzz_loads_or_raises_validation_error(tmp_path_factory, data):
     raw = bytearray(_saved_bytes(tmp_path_factory.mktemp("ckpt")))

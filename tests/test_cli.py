@@ -5,7 +5,9 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from helpers import SRC, run_cli, run_python
 from shadowscan import checkpoint, cli
 from shadowscan.blocks import ShadowNet
 from shadowscan.checkpoint import load_checkpoint, save_checkpoint
-from shadowscan.config import ModelConfig
+from shadowscan.config import ModelConfig, _parse_bool, _parse_float, _parse_int
+from shadowscan.errors import ConfigError
 from shadowscan.imageio import read_ppm, write_pgm, write_ppm
 from shadowscan.scanorder import dump_path, horizontal_order
 
@@ -77,6 +80,10 @@ def test_a_model_flag_the_subcommand_does_not_read_is_rejected(tmp_path, args):
         ("--channels", "banana", "channels must be an integer"),
         ("--channels", "1_6", "channels must be an integer"),
         ("--tau", "0_5", "tau must be a number"),
+        ("--tau", "\u0660.\u0665", "tau must be a number"),  # Arabic-Indic digits
+        ("--tau", "\uff10.5", "tau must be a number"),  # fullwidth zero
+        ("--tau", " 0.5 ", "tau must be a number"),
+        ("--tau", "0.5\n", "tau must be a number"),
         ("--residual-output", "maybe", "residual_output must be a boolean"),
     ],
 )
@@ -85,6 +92,48 @@ def test_train_toy_rejects_a_malformed_flag_value(tmp_path, flag, value, kind):
     assert proc.returncode == 2
     assert proc.stderr == f"error: {kind}, got {value!r}\n"
     assert not (tmp_path / "toy.ckpt").exists()
+
+
+@settings(max_examples=500)
+@given(text=st.one_of(st.text(), st.from_regex(r"\A\s*[-+]?\d+\s*\Z")))
+def test_int_parses_iff_ascii_digits_with_an_optional_minus(text):
+    if re.fullmatch(r"-?[0-9]+", text):
+        assert _parse_int("n", text) == int(text)
+    else:
+        with pytest.raises(ConfigError):
+            _parse_int("n", text)
+
+
+@settings(max_examples=500)
+@given(text=st.one_of(st.text(), st.floats().map(repr), st.from_regex(r"\A\s*-?[0-9]+(\.[0-9]*)?([eE]-?[0-9]+)?\s*\Z")))
+def test_float_parses_only_ascii_without_separators_or_whitespace(text):
+    # anything else raises ConfigError and nothing else
+    try:
+        value = _parse_float("x", text)
+    except ConfigError:
+        return
+    assert text.isascii() and "_" not in text and not any(ch.isspace() for ch in text)
+    assert value == float(text) or (math.isnan(value) and math.isnan(float(text)))
+
+
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
+
+
+# one of the spellings, in upper or lower case, with surrounding whitespace
+_BOOL_TEXT = st.tuples(st.text(" \t\n"), st.sampled_from(sorted(_BOOLS)), st.booleans(), st.text(" \t\n")).map(
+    lambda t: t[0] + (t[1].upper() if t[2] else t[1]) + t[3]
+)
+
+
+@settings(max_examples=500)
+@given(text=st.one_of(st.text(), _BOOL_TEXT))
+def test_bool_parses_iff_one_of_eight_spellings_up_to_case_and_whitespace(text):
+    word = text.strip().lower()
+    if word in _BOOLS:
+        assert _parse_bool("b", text) is _BOOLS[word]
+    else:
+        with pytest.raises(ConfigError):
+            _parse_bool("b", text)
 
 
 def test_child_imports_the_checkout_src(tmp_path):
@@ -630,7 +679,7 @@ _FUZZ_COMMANDS = {
 }
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(
     command=st.sampled_from(sorted(_FUZZ_COMMANDS)),
     size=st.sampled_from([8, 12, 16]),
@@ -666,7 +715,7 @@ def _assert_clean_exit(code, err):
         assert err.endswith("\n") and not any(ch < " " or ch == "\x7f" for ch in err.replace("\n", "")), err
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     index=st.integers(-8, 7),
     dims=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 1 << 70)), min_size=1, max_size=4),

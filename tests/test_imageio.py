@@ -93,7 +93,7 @@ def test_reader_rejects_bad_files(tmp_path):
             read_ppm(str(path))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     magic=st.sampled_from([b"P6", b"P5"]),
     flips=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 255)), max_size=4),
