@@ -18,9 +18,21 @@ the first gradient is copied in, unless the op hands over a fresh array
 it drops (``accumulate(g, owned=True)``), which then becomes the
 gradient.
 
+A tensor keeps its gradient in a ``GradSlot`` apart from its data. A
+backward closure captures three kinds of things: the slots of the tensors
+it sends gradient to (and, through ``_record``, its output's slot, to read
+the output's gradient), by name the arrays its backward reads, and plain
+shapes and indices. It never captures a ``Tensor``. So a tensor's data
+lives only as long as the caller holds the tensor or some recorded
+backward reads that array: ``add``, ``concat``, the layout and resampling
+ops and the row gather keep no data at all, ``clamp01``, ``leaky_relu``
+and ``dropout`` keep only their mask or factor, and ``layer_norm`` keeps
+its normalized input, not its input.
+
 Replay consumes the tape: ``backward`` pops each closure before it runs it,
-so once an op has handed its gradient down, the activations it captured and
-the gradient of its output are no longer reachable from the tape. Only the
+so once an op has handed its gradient down, the arrays it captured and the
+gradient of its output are no longer reachable from the tape, and an
+activation's data is freed as soon as no later backward reads it. Only the
 leaves' gradients, and whatever tensors the caller still holds, outlive the
 replay; the tape is empty afterwards.
 """
@@ -68,25 +80,15 @@ class GradTape:
         self._ops.append(replay)
 
 
-class Tensor:
-    """A float64 array plus an accumulated gradient of the same shape."""
+class GradSlot:
+    """A tensor's accumulated gradient, held apart from its data so that a
+    tape closure can send gradient to a tensor without keeping its data
+    alive."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("grad",)
 
-    def __init__(self, data) -> None:
-        self.data = np.asarray(data, dtype=np.float64)
+    def __init__(self) -> None:
         self.grad: np.ndarray | None = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def accumulate(self, g: np.ndarray, *, owned: bool = False) -> None:
         if self.grad is None:
@@ -99,6 +101,38 @@ class Tensor:
             self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad += g
+
+
+class Tensor:
+    """A float64 array plus a slot for its accumulated gradient."""
+
+    __slots__ = ("data", "slot")
+
+    def __init__(self, data) -> None:
+        self.data = np.asarray(data, dtype=np.float64)
+        self.slot = GradSlot()
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self.slot.grad = value
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.data.ndim
+
+    def zero_grad(self) -> None:
+        self.slot.grad = None
+
+    def accumulate(self, g: np.ndarray, *, owned: bool = False) -> None:
+        self.slot.accumulate(g, owned=owned)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
@@ -117,9 +151,10 @@ def _record(out: Tensor, backward_fn) -> None:
     tape = active_tape()
     if tape is None:
         return
+    slot = out.slot
 
     def replay():
-        g = out.grad
+        g = slot.grad
         if g is not None:
             backward_fn(g)
 
@@ -152,10 +187,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add needs operands of equal shape, got {a.shape} and {b.shape}")
     out = Tensor(a.data + b.data)
+    a_slot, b_slot = a.slot, b.slot
 
     def bw(g):
-        a.accumulate(g)
-        b.accumulate(g)
+        a_slot.accumulate(g)
+        b_slot.accumulate(g)
 
     _record(out, bw)
     return out
@@ -165,14 +201,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Row-wise affine map: (L, C_in) @ (C_in, C_out) plus a (C_out,) bias."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"linear needs (L,k) @ (k,n) + (n,), got {x.shape} @ {w.shape} + {b.shape}")
-    y = x.data @ w.data
+    xd, wd = x.data, w.data
+    y = xd @ wd
     y += b.data
     out = Tensor(y)
+    x_slot, w_slot, b_slot = x.slot, w.slot, b.slot
 
     def bw(g):
-        b.accumulate(g.sum(axis=0))
-        x.accumulate(g @ w.data.T)
-        w.accumulate(x.data.T @ g)
+        b_slot.accumulate(g.sum(axis=0))
+        x_slot.accumulate(g @ wd.T)
+        w_slot.accumulate(xd.T @ g)
 
     _record(out, bw)
     return out
@@ -279,12 +317,14 @@ def expit(x: np.ndarray) -> np.ndarray:
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with the Gaussian CDF via erf (no tanh shortcut);
     erf is cephes' evaluated in numpy over libm exp."""
-    phi = 0.5 * (1.0 + erf(a.data / _SQRT2))
-    out = Tensor(a.data * phi)
+    xd = a.data
+    phi = 0.5 * (1.0 + erf(xd / _SQRT2))
+    out = Tensor(xd * phi)
+    a_slot = a.slot
 
     def bw(g):
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
-        a.accumulate(g * (phi + a.data * pdf))
+        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
+        a_slot.accumulate(g * (phi + xd * pdf))
 
     _record(out, bw)
     return out
@@ -293,9 +333,10 @@ def gelu(a: Tensor) -> Tensor:
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     factor = np.where(a.data >= 0.0, 1.0, slope)
     out = Tensor(a.data * factor)
+    a_slot = a.slot
 
     def bw(g):
-        a.accumulate(g * factor)
+        a_slot.accumulate(g * factor)
 
     _record(out, bw)
     return out
@@ -304,10 +345,11 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
 def clamp01(a: Tensor) -> Tensor:
     """Clip to [0, 1]; gradient passes through the closed interval only."""
     out = Tensor(np.clip(a.data, 0.0, 1.0))
+    inside = (a.data >= 0.0) & (a.data <= 1.0)
+    a_slot = a.slot
 
     def bw(g):
-        inside = (a.data >= 0.0) & (a.data <= 1.0)
-        a.accumulate(g * inside)
+        a_slot.accumulate(g * inside)
 
     _record(out, bw)
     return out
@@ -320,9 +362,10 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
         return a
     keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
     out = Tensor(a.data * keep)
+    a_slot = a.slot
 
     def bw(g):
-        a.accumulate(g * keep)
+        a_slot.accumulate(g * keep)
 
     _record(out, bw)
     return out
@@ -343,15 +386,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    gd = gain.data
+    out = Tensor(xhat * gd + bias.data)
+    x_slot, gain_slot, bias_slot = x.slot, gain.slot, bias.slot
 
     def bw(g):
-        gain.accumulate((g * xhat).sum(axis=0))
-        bias.accumulate(g.sum(axis=0))
-        gh = g * gain.data
+        gain_slot.accumulate((g * xhat).sum(axis=0))
+        bias_slot.accumulate(g.sum(axis=0))
+        gh = g * gd
         m1 = gh.mean(axis=-1, keepdims=True)
         m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-        x.accumulate(inv * (gh - m1 - xhat * m2))
+        x_slot.accumulate(inv * (gh - m1 - xhat * m2))
 
     _record(out, bw)
     return out
@@ -384,10 +429,10 @@ def _seq(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(m.reshape(m.shape[0], -1).T)
 
 
-def _hand_back(x: Tensor, dx: np.ndarray) -> None:
+def _hand_back(x_slot: GradSlot, dx: np.ndarray) -> None:
     """Give x the gradient of its folded map, dx, a fresh (C, H, W) array
     or a view into one."""
-    x.accumulate(np.ascontiguousarray(dx.reshape(dx.shape[0], -1)).T, owned=True)
+    x_slot.accumulate(np.ascontiguousarray(dx.reshape(dx.shape[0], -1)).T, owned=True)
 
 
 def _windows(x: np.ndarray, k: int):
@@ -437,19 +482,22 @@ def conv2d(x: Tensor, height: int, width: int, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != (c_out,):
         raise ShapeError(f"conv2d bias must be ({c_out},), got {b.shape}")
 
-    def columns():
-        return _im2col(_map(x.data, height, width), k).reshape(c_in * k * k, -1)
+    xd, wd = x.data, w.data
 
-    y = _seq(w.data.reshape(c_out, -1) @ columns())
+    def columns():
+        return _im2col(_map(xd, height, width), k).reshape(c_in * k * k, -1)
+
+    y = _seq(wd.reshape(c_out, -1) @ columns())
     y += b.data
     out = Tensor(y)
+    x_slot, w_slot, b_slot = x.slot, w.slot, b.slot
 
     def bw(g):
         g2 = np.ascontiguousarray(g.T)
-        w.accumulate((g2 @ columns().T).reshape(w.data.shape))
-        b.accumulate(g2.sum(axis=1))
-        dcols = (w.data.reshape(c_out, -1).T @ g2).reshape(c_in, k, k, height, width)
-        _hand_back(x, _scatter_windows(lambda di, dj: dcols[:, di, dj], (c_in, height, width), k))
+        w_slot.accumulate((g2 @ columns().T).reshape(wd.shape))
+        b_slot.accumulate(g2.sum(axis=1))
+        dcols = (wd.reshape(c_out, -1).T @ g2).reshape(c_in, k, k, height, width)
+        _hand_back(x_slot, _scatter_windows(lambda di, dj: dcols[:, di, dj], (c_in, height, width), k))
 
     _record(out, bw)
     return out
@@ -467,26 +515,29 @@ def depthwise_conv2d(x: Tensor, height: int, width: int, w: Tensor) -> Tensor:
     if ck != c:
         raise ShapeError(f"depthwise channel mismatch: input {x.shape} vs kernels {w.shape}")
 
+    xd, wd = x.data, w.data
+
     def windows():
         # C-ordered padding for every shape, so the dw sums reduce alike
-        return _windows(np.ascontiguousarray(_map(x.data, height, width)), k)
+        return _windows(np.ascontiguousarray(_map(xd, height, width)), k)
 
     # tap by tap in kernel order, from +0.0 as numpy's sum over the taps
     # starts: the same rounding and signed zeros as that sum
     y = np.zeros((c, height, width))
     for di, dj, window in windows():
-        y += w.data[:, di, dj, None, None] * window
+        y += wd[:, di, dj, None, None] * window
     out = Tensor(_seq(y))
+    x_slot, w_slot = x.slot, w.slot
 
     def bw(g):
         g = _map(g, height, width)
         # one window at a time: each tap's sum runs over the same
         # contiguous H*W products as a row of the column array did
-        dw = np.empty_like(w.data)
+        dw = np.empty_like(wd)
         for di, dj, window in windows():
             dw[:, di, dj] = (window * g).reshape(c, -1).sum(axis=1)
-        w.accumulate(dw)
-        _hand_back(x, _scatter_windows(lambda di, dj: w.data[:, di, dj, None, None] * g, (c, height, width), k))
+        w_slot.accumulate(dw)
+        _hand_back(x_slot, _scatter_windows(lambda di, dj: wd[:, di, dj, None, None] * g, (c, height, width), k))
 
     _record(out, bw)
     return out
@@ -505,6 +556,7 @@ def bilinear_downsample2x(x: Tensor, height: int, width: int) -> Tensor:
     d = _map(x.data, height, width)
     y = 0.25 * (d[:, ::2, ::2] + d[:, 1::2, ::2] + d[:, ::2, 1::2] + d[:, 1::2, 1::2])
     out = Tensor(_seq(y))
+    x_slot = x.slot
 
     def bw(g):
         dx = np.zeros((c, height, width))
@@ -513,7 +565,7 @@ def bilinear_downsample2x(x: Tensor, height: int, width: int) -> Tensor:
         dx[:, 1::2, ::2] += q
         dx[:, ::2, 1::2] += q
         dx[:, 1::2, 1::2] += q
-        _hand_back(x, dx)
+        _hand_back(x_slot, dx)
 
     _record(out, bw)
     return out
@@ -539,6 +591,7 @@ def bilinear_upsample2x(x: Tensor, height: int, width: int) -> Tensor:
     top = (1.0 - fc_) * d[:, r0][:, :, c0] + fc_ * d[:, r0][:, :, c1]
     bot = (1.0 - fc_) * d[:, r1][:, :, c0] + fc_ * d[:, r1][:, :, c1]
     out = Tensor(_seq((1.0 - fr_) * top + fr_ * bot))
+    x_slot = x.slot
 
     def bw(g):
         g = _map(g, 2 * height, 2 * width)
@@ -550,7 +603,7 @@ def bilinear_upsample2x(x: Tensor, height: int, width: int) -> Tensor:
         for a in range(2):
             for b_ in range(2):
                 np.add.at(dx, (slice(None), rows[a][:, None], cols[b_][None, :]), wr[a] * wc[b_] * g)
-        _hand_back(x, dx)
+        _hand_back(x_slot, dx)
 
     _record(out, bw)
     return out
@@ -590,11 +643,12 @@ def permute_gather(x: Tensor, idx: np.ndarray) -> Tensor:
         raise ValidationError("row index repeats an entry")
     # the same copy as x.data[idx], without fancy indexing's overhead
     out = Tensor(np.take(x.data, idx, axis=0))
+    x_shape, x_slot = x.shape, x.slot
 
     def bw(g):
-        dx = np.zeros_like(x.data)
+        dx = np.zeros(x_shape)
         dx[idx] = g
-        x.accumulate(dx, owned=True)
+        x_slot.accumulate(dx, owned=True)
 
     _record(out, bw)
     return out
@@ -605,11 +659,12 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
     if a.ndim != b.ndim or a.shape[:axis] + a.shape[axis + 1 :] != b.shape[:axis] + b.shape[axis + 1 :]:
         raise ShapeError(f"concat on axis {axis} needs matching other dims, got {a.shape}, {b.shape}")
     out = Tensor(np.concatenate([a.data, b.data], axis=axis))
+    split, a_slot, b_slot = a.shape[axis], a.slot, b.slot
 
     def bw(g):
-        ga, gb = np.split(g, [a.shape[axis]], axis=axis)
-        a.accumulate(ga)
-        b.accumulate(gb)
+        ga, gb = np.split(g, [split], axis=axis)
+        a_slot.accumulate(ga)
+        b_slot.accumulate(gb)
 
     _record(out, bw)
     return out
@@ -619,9 +674,10 @@ def seq_to_map(x: Tensor, height: int, width: int) -> Tensor:
     """(H*W, C) token sequence to a C-contiguous (C, H, W) map."""
     _check_fold(x, height, width, "seq_to_map")
     out = Tensor(np.ascontiguousarray(_map(x.data, height, width)))
+    x_slot = x.slot
 
     def bw(g):
-        x.accumulate(g.reshape(g.shape[0], -1).T)
+        x_slot.accumulate(g.reshape(g.shape[0], -1).T)
 
     _record(out, bw)
     return out

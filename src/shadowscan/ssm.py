@@ -154,6 +154,10 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
     already hold gradient from elsewhere, so its updates stay separate
     and in this order: summed first or reordered, they would round
     differently.
+
+    Until replay the node saves the dt, B, cvec, x and d arrays, exp(a_log)
+    and its negation, the seam rows, and the gradient slots of those six
+    inputs; not the Zoh tuple, no Tensor, and neither a_log's data nor y.
     """
     if zoh.dt.ndim != 2 or zoh.b.ndim != 2:
         raise ShapeError(f"dt and b must be (L,C) and (L,N), got {zoh.dt.shape} and {zoh.b.shape}")
@@ -169,8 +173,8 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
             f"a_log, cvec, x and d must be ({channels},{state}), ({length},{state}), ({length},{channels}) "
             f"and ({channels},), got {zoh.a_log.shape}, {cvec.shape}, {x.shape} and {d.shape}"
         )
-    dt, c_d = zoh.dt.data, cvec.data
-    dt3, b3, x3 = dt[:, :, None], zoh.b.data[:, None, :], x.data[:, :, None]
+    dt, c_d, xd, dd = zoh.dt.data, cvec.data, x.data, d.data
+    dt3, b3, x3 = dt[:, :, None], zoh.b.data[:, None, :], xd[:, :, None]
     exp_a = np.exp(zoh.a_log.data)
     neg_a = -exp_a
     blocks = _row_blocks(length, channels, state)
@@ -195,12 +199,14 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
         if rows.stop < length:
             np.copyto(seams[k], h[-1])
         np.einsum("tcn,tn->tc", h, c_d[rows], out=y[rows])
-    y += x.data * d.data
+    y += xd * dd
     out = Tensor(y)
+    x_slot, d_slot, a_log_slot = x.slot, d.slot, zoh.a_log.slot
+    slots = (cvec.slot, zoh.b.slot, zoh.dt.slot)
 
     def bw(g):
-        x.accumulate(g * d.data, owned=True)
-        d.accumulate((g * x.data).sum(axis=0))
+        x_slot.accumulate(g * dd, owned=True)
+        d_slot.accumulate((g * xd).sum(axis=0))
         abar_b, der_b = np.empty(block_shape), np.empty(block_shape)
         # a pair row holds the state history in slot 0, run forward in
         # time, and the adjoint in slot 1, stored time-reversed so that the
@@ -214,7 +220,7 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
         d_ab_b = pair_b.reshape((2,) + block_shape)[0]
         terms = _zoh_buffers(block_shape)
         abar_next, adj_next = np.empty((channels, state)), np.empty((channels, state))
-        d_x = np.empty_like(x.data)
+        d_x = np.empty_like(xd)
         d_dt = np.empty_like(dt)
         d_b = np.empty((length, state))
         d_cv = np.empty((length, state))
@@ -272,10 +278,10 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
             g_u += d_ab
             d_dt[rows] += np.multiply(g_u, neg_a, out=der).sum(axis=2)
             np.multiply(g_u, dt_r, out=d_ua[rows])
-        x.accumulate(d_x, owned=True)
-        zoh.a_log.accumulate(-d_ua.sum(axis=0) * exp_a)
-        for t, grad in ((cvec, d_cv), (zoh.b, d_b), (zoh.dt, d_dt)):
-            t.accumulate(grad, owned=True)
+        x_slot.accumulate(d_x, owned=True)
+        a_log_slot.accumulate(-d_ua.sum(axis=0) * exp_a)
+        for slot, grad in zip(slots, (d_cv, d_b, d_dt)):
+            slot.accumulate(grad, owned=True)
 
     ad._record(out, bw)
     return out
@@ -287,24 +293,30 @@ def _projections(
     """The per-token step dt = softplus(x @ w_dt + b_dt) (L, C) and the
     mixing vectors B = x @ w_b and C = x @ w_c (L, N), as one tape node.
 
-    The node keeps x and the logits. Its backward hands x one gradient
-    per path, in the order C, B, step, for the reason ssm_recurrence
-    gives."""
-    xd = x.data
-    logits = xd @ w_dt.data + b_dt.data
+    Until replay the node saves x's data, the logits, the w_dt, w_b and
+    w_c arrays, and the gradient slots of x, the four parameters and the
+    B and C outputs, whose gradients its backward reads with dt's; not
+    b_dt's data, nor the data of any output. Its backward hands x one
+    gradient per path, in the order C, B, step, for the reason
+    ssm_recurrence gives."""
+    xd, w_dt_d, w_b_d, w_c_d = x.data, w_dt.data, w_b.data, w_c.data
+    logits = xd @ w_dt_d + b_dt.data
     dt = Tensor(np.logaddexp(0.0, logits))
-    b = Tensor(xd @ w_b.data)
-    cvec = Tensor(xd @ w_c.data)
+    b = Tensor(xd @ w_b_d)
+    cvec = Tensor(xd @ w_c_d)
+    x_slot, b_dt_slot, w_dt_slot = x.slot, b_dt.slot, w_dt.slot
+    paths = ((cvec.slot, w_c.slot, w_c_d), (b.slot, w_b.slot, w_b_d))
 
     def bw(g):
         # ssm_recurrence hands all three outputs a gradient, or none
-        for grad, w in ((cvec.grad, w_c), (b.grad, w_b)):
-            x.accumulate(grad @ w.data.T)
-            w.accumulate(xd.T @ grad)
+        for out_slot, w_slot, wd in paths:
+            grad = out_slot.grad
+            x_slot.accumulate(grad @ wd.T)
+            w_slot.accumulate(xd.T @ grad)
         d_logits = g * ad.expit(logits)
-        b_dt.accumulate(d_logits.sum(axis=0))
-        x.accumulate(d_logits @ w_dt.data.T)
-        w_dt.accumulate(xd.T @ d_logits)
+        b_dt_slot.accumulate(d_logits.sum(axis=0))
+        x_slot.accumulate(d_logits @ w_dt_d.T)
+        w_dt_slot.accumulate(xd.T @ d_logits)
 
     ad._record(dt, bw)
     return dt, b, cvec

@@ -80,12 +80,13 @@ def batch_loss(model: ShadowNet, batch: list[Pair], training: bool) -> Tensor:
     for d in diffs:
         total += np.abs(d).mean()
     out = Tensor(total * scale)
+    slots = [pred.slot for pred in preds]
 
     def bw(g):
         g = g * scale
-        for pred, d in zip(preds, diffs):
+        for slot, d in zip(slots, diffs):
             # subgradient 0 where the prediction is exact
-            pred.accumulate(np.full_like(d, float(g) / d.size) * np.sign(d), owned=True)
+            slot.accumulate(np.full_like(d, float(g) / d.size) * np.sign(d), owned=True)
 
     ad._record(out, bw)
     return out

@@ -1,8 +1,10 @@
 """Tape engine tests: every op against a numpy forward oracle and central
-finite differences for the backward pass."""
+finite differences for the backward pass, and what each op's tape node
+keeps until replay."""
 
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from scipy import special
 
 from helpers import assert_grads_match, tape_grads, weighted_sum
 from shadowscan import autodiff as ad
+from shadowscan import ssm, train
 from shadowscan.autodiff import GradTape, Tensor, backward
 from shadowscan.errors import ConfigError, ContractError, ShapeError, ValidationError
 
@@ -732,3 +735,151 @@ def test_param_init():
     assert np.abs(q.data).max() <= 0.01 / 5.0
     with pytest.raises(ConfigError):
         ad.param((3,), rng, fan_in=0)
+
+
+# What each tape node may keep until replay: the gradient slots of the
+# tensors it sends gradient to, the arrays its backward reads and plain
+# shapes. Each case builds its inputs, runs the op and names the inputs
+# whose data the backward reads; every other input's data, and the
+# output's, must be freed once the caller drops its references.
+
+
+def _scan_inputs(rng):
+    # 600 tokens of 8 x 16 state: three row blocks, so two seams
+    return {
+        "dt": Tensor(rng.uniform(0.05, 1.0, size=(600, 8))),
+        "b": _t(rng, 600, 16),
+        "a_log": _t(rng, 8, 16),
+        "cvec": _t(rng, 600, 16),
+        "x": _t(rng, 600, 8),
+        "d": _t(rng, 8),
+    }
+
+
+def _scan(t):
+    return ssm.ssm_recurrence(ssm.Zoh(t["dt"], t["b"], t["a_log"]), t["cvec"], t["x"], t["d"])
+
+
+class _Replaying:
+    """A model stand-in whose forward hands out the given predictions in turn."""
+
+    def __init__(self, preds):
+        self._preds = iter(preds)
+
+    def forward(self, shadowed, mask, training):
+        return next(self._preds)
+
+
+def _loss_of(t):
+    rng = np.random.default_rng(26)
+    batch = [(None, None, rng.uniform(size=(3, 4, 4))) for _ in range(2)]
+    return train.batch_loss(_Replaying([t["p0"], t["p1"]]), batch, training=True)
+
+
+_RETENTION = {
+    "add": (lambda r: {"a": _t(r, 5, 3), "b": _t(r, 5, 3)}, lambda t: ad.add(t["a"], t["b"]), ()),
+    "concat": (lambda r: {"a": _t(r, 5, 3), "b": _t(r, 2, 3)}, lambda t: ad.concat(t["a"], t["b"], 0), ()),
+    "seq_to_map": (lambda r: {"x": _t(r, 12, 2)}, lambda t: ad.seq_to_map(t["x"], 3, 4), ()),
+    "downsample": (lambda r: {"x": _t(r, 24, 2)}, lambda t: ad.bilinear_downsample2x(t["x"], 4, 6), ()),
+    "upsample": (lambda r: {"x": _t(r, 12, 2)}, lambda t: ad.bilinear_upsample2x(t["x"], 3, 4), ()),
+    "permute_gather": (lambda r: {"x": _t(r, 6, 2)}, lambda t: ad.permute_gather(t["x"], np.array([4, 1, 5, 0])), ()),
+    "layer_norm": (
+        lambda r: {"x": _t(r, 5, 4), "gain": _t(r, 4), "bias": _t(r, 4)},
+        lambda t: ad.layer_norm(t["x"], t["gain"], t["bias"]),
+        ("gain",),
+    ),
+    "clamp01": (
+        lambda r: {"a": Tensor(np.concatenate([r.uniform(-0.5, 1.5, size=8), [0.0, 1.0, -0.0]]))},
+        lambda t: ad.clamp01(t["a"]),
+        (),
+    ),
+    "leaky_relu": (lambda r: {"a": _t(r, 5, 3)}, lambda t: ad.leaky_relu(t["a"]), ()),
+    "dropout": (
+        lambda r: {"a": _t(r, 5, 3)},
+        lambda t: ad.dropout(t["a"], 0.5, np.random.default_rng(9), training=True),
+        (),
+    ),
+    "linear": (
+        lambda r: {"x": _t(r, 5, 3), "w": _t(r, 3, 2), "b": _t(r, 2)},
+        lambda t: ad.linear(t["x"], t["w"], t["b"]),
+        ("x", "w"),
+    ),
+    "conv2d": (
+        lambda r: {"x": _t(r, 12, 2), "w": _t(r, 3, 2, 3, 3), "b": _t(r, 3)},
+        lambda t: ad.conv2d(t["x"], 3, 4, t["w"], t["b"]),
+        ("x", "w"),
+    ),
+    "depthwise_conv2d": (
+        lambda r: {"x": _t(r, 12, 2), "w": _t(r, 2, 3, 3)},
+        lambda t: ad.depthwise_conv2d(t["x"], 3, 4, t["w"]),
+        ("x", "w"),
+    ),
+    "gelu": (lambda r: {"a": _t(r, 5, 3)}, lambda t: ad.gelu(t["a"]), ("a",)),
+    "ssm_recurrence": (_scan_inputs, _scan, ("dt", "b", "cvec", "x", "d")),
+    "projections": (
+        lambda r: {"x": _t(r, 6, 3), "w_dt": _t(r, 3, 3), "b_dt": _t(r, 3), "w_b": _t(r, 3, 2), "w_c": _t(r, 3, 2)},
+        lambda t: ssm._projections(t["x"], t["w_dt"], t["b_dt"], t["w_b"], t["w_c"]),
+        ("x", "w_dt", "w_b", "w_c"),
+    ),
+    "batch_loss": (lambda r: {"p0": _t(r, 3, 4, 4), "p1": _t(r, 3, 4, 4)}, _loss_of, ()),
+}
+
+
+def _seed_slots(outs, weights):
+    """sum(out * weight) over the outputs as one tape node that keeps only
+    their gradient slots, so that it frees their data as the model's
+    consumers would."""
+    slots = [out.slot for out in outs]
+    loss = Tensor(sum(np.sum(out.data * w) for out, w in zip(outs, weights)))
+
+    def bw(g):
+        for slot, w in zip(slots, weights):
+            slot.accumulate(g * w, owned=True)
+
+    ad._record(loss, bw)
+    return loss
+
+
+def _captured(fn):
+    """Everything a closure reaches through its cells, nested closures and
+    tuples followed, other objects not entered."""
+    found, todo = [], [fn]
+    while todo:
+        obj = todo.pop()
+        if callable(obj) and getattr(obj, "__closure__", None) is not None:
+            todo.extend(cell.cell_contents for cell in obj.__closure__)
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        else:
+            found.append(obj)
+    return found
+
+
+def _replay_op(name, drop):
+    """The op's inputs' gradients after one replay; with ``drop``, the
+    arrays whose data was freed before the replay, checked before it."""
+    make, op, read = _RETENTION[name]
+    inputs = make(np.random.default_rng(25))
+    slots = {key: t.slot for key, t in inputs.items()}
+    with GradTape() as tape:
+        outs = op(inputs)
+        outs = outs if isinstance(outs, tuple) else (outs,)
+        weights = [np.random.default_rng(27 + i).normal(size=out.shape) for i, out in enumerate(outs)]
+        loss = _seed_slots(outs, weights)
+    if drop:
+        freed = {key: weakref.ref(t.data) for key, t in inputs.items() if key not in read}
+        freed.update((f"out{i}", weakref.ref(out.data)) for i, out in enumerate(outs))
+        del inputs, outs
+        assert [key for key, ref in freed.items() if ref() is not None] == []
+        held = [obj for replay in tape._ops for obj in _captured(replay)]
+        assert not any(isinstance(obj, Tensor) for obj in held)
+    backward(loss, tape)
+    return {key: slot.grad for key, slot in slots.items()}
+
+
+@pytest.mark.parametrize("name", list(_RETENTION))
+def test_tape_keeps_only_what_each_backward_reads(name):
+    got = _replay_op(name, drop=True)
+    want = _replay_op(name, drop=False)
+    for key in want:
+        assert want[key] is not None and np.array_equal(got[key], want[key]), key

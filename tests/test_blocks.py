@@ -1,7 +1,10 @@
 """Network assembly: interleave weave, scan groups, UNet plumbing, and the
 full model's contracts."""
 
+import ctypes
+import glob
 import hashlib
+import os
 import re
 import tracemalloc
 
@@ -295,15 +298,9 @@ def test_model_output_shape_and_range():
     assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
 
-def test_taped_forward_of_one_image_holds_at_most_16_5_mb():
-    # one default 32 px image's tape held 58.7 MB while each scan kept bx
-    # beside its history and each depthwise conv kept its im2col columns,
-    # 39.5 MB while each scan direction held abar until replay, 30.8 MB
-    # while the model folded sequences to maps through copying layout ops,
-    # 28.3 MB while linear and the scan's direct term were two ops each,
-    # and 24.4 MB while each scan direction held its state history; 15.8 MB
-    # since it holds only the seam rows between its row blocks
-    model = ShadowNet(ModelConfig())
+def _held_by_taped_forward(config):
+    """Bytes traced as held after one taped forward of the toy 32 px image."""
+    model = ShadowNet(config)
     image, mask, _ = make_toy_pairs(1, 32, seed=0)[0]
     tracemalloc.start()
     try:
@@ -313,7 +310,28 @@ def test_taped_forward_of_one_image_holds_at_most_16_5_mb():
     finally:
         tracemalloc.stop()
     assert out.shape == (3, 32, 32) and len(tape._ops) > 0
-    assert held <= 16.5e6, held
+    return held
+
+
+def test_taped_forward_of_one_image_holds_at_most_12_5_mb():
+    # one default 32 px image's tape held 58.7 MB while each scan kept bx
+    # beside its history and each depthwise conv kept its im2col columns,
+    # 39.5 MB while each scan direction held abar until replay, 30.8 MB
+    # while the model folded sequences to maps through copying layout ops,
+    # 28.3 MB while linear and the scan's direct term were two ops each,
+    # 24.4 MB while each scan direction held its state history, and
+    # 15.8 MB while every closure held its operands' tensors, and with
+    # them the data of every activation, until replay; 11.5 MB since the
+    # closures keep gradient slots and only the arrays their backward reads
+    held = _held_by_taped_forward(ModelConfig())
+    assert held <= 12.5e6, held
+
+
+def test_taped_forward_of_one_full_size_image_holds_at_most_48_5_mb():
+    # 64.6 MB while every closure held its operands' tensors; 46.1 MB since
+    # it keeps only gradient slots and the arrays its backward reads
+    held = _held_by_taped_forward(ModelConfig(channels=32, state_dim=16, unet_depth=4))
+    assert held <= 48.5e6, held
 
 
 def test_model_same_seed_same_output():
@@ -383,6 +401,30 @@ _PINNED = [
 ]
 
 
+# The CPU class the digests were pinned on. numpy dispatches its exp and
+# expm1 kernels, and OpenBLAS its dgemm core, by the CPU it runs on, and
+# other kernels round some entries differently in the last bit.
+_PINNED_ON = "numpy AVX512_SKX+X86_V4, OpenBLAS SkylakeX"
+
+
+def _pinned_vs_running():
+    """The pinned CPU class and this machine's: numpy's AVX-512 dispatch
+    and OpenBLAS's core."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        __cpu_features__ = {}
+    dispatch = "+".join(f for f in ("AVX512_SKX", "X86_V4") if __cpu_features__.get(f)) or "no AVX512_SKX/X86_V4"
+    core = "unknown"
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "libscipy_openblas*")
+    for path in glob.glob(libs):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    return f"pinned on {_PINNED_ON}, running on numpy {dispatch}, OpenBLAS {core}"
+
+
 @pytest.mark.parametrize(
     "overrides, crop, out_sha, grads_sha",
     _PINNED,
@@ -407,5 +449,5 @@ def test_output_and_gradients_of_one_image_are_pinned(overrides, crop, out_sha, 
     grads = hashlib.sha256()
     for _, p in model.named_params():
         grads.update(np.ascontiguousarray(p.grad).tobytes())
-    assert hashlib.sha256(pred.data.tobytes()).hexdigest() == out_sha
-    assert grads.hexdigest() == grads_sha
+    assert hashlib.sha256(pred.data.tobytes()).hexdigest() == out_sha, _pinned_vs_running()
+    assert grads.hexdigest() == grads_sha, _pinned_vs_running()
