@@ -10,13 +10,15 @@ concatenation; the scan and the loss record their own nodes through
 ``_record``. Every differentiable op appends one backward closure to the
 active GradTape; replaying the tape in reverse visits each recorded op
 once (execution order is a topological order of the graph). Outside a
-tape nothing is recorded. There is no per-tensor switch: every tensor
-recorded on an active tape receives its gradient, constants included; a
-module's parameters are its ``Tensor`` attributes. Gradients accumulate
-into ``Tensor.grad`` with ``+=`` and are cleared only by ``zero_grad``;
-the first gradient is copied in, unless the op hands over a fresh array
-it drops (``accumulate(g, owned=True)``), which then becomes the
-gradient.
+tape nothing is recorded, and ``dropout`` is the identity: a forward
+draws dropout masks only while a tape records, so every taped forward
+trains and every untaped one infers. There is no per-tensor switch:
+every tensor recorded on an active tape receives its gradient, constants
+included; a module's parameters are its ``Tensor`` attributes. Gradients
+accumulate into ``Tensor.grad`` with ``+=`` and are cleared only by
+``zero_grad``; the first gradient is copied in, unless the op hands over
+a fresh array it drops (``accumulate(g, owned=True)``), which then
+becomes the gradient.
 
 A tensor keeps its gradient in a ``GradSlot`` apart from its data. A
 backward closure captures three kinds of things: the slots of the tensors
@@ -44,6 +46,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError, ValidationError
+from .imageio import linear_taps
 
 _TAPE_STACK: list["GradTape"] = []
 
@@ -355,10 +358,13 @@ def clamp01(a: Tensor) -> Tensor:
     return out
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
+def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout while a tape records: keep each entry where
+    ``rng.random(shape) >= rate`` and scale it by 1/(1 - rate). Outside a
+    tape, or at rate 0, it returns ``a`` itself and draws nothing."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if active_tape() is None or rate == 0.0:
         return a
     keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
     out = Tensor(a.data * keep)
@@ -571,20 +577,13 @@ def bilinear_downsample2x(x: Tensor, height: int, width: int) -> Tensor:
     return out
 
 
-def _up_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # output sample i reads source position (i + 0.5)/2 - 0.5, edges clamped
-    src = (np.arange(2 * n) + 0.5) / 2.0 - 0.5
-    i0 = np.floor(src).astype(np.int64)
-    frac = src - i0
-    return np.clip(i0, 0, n - 1), np.clip(i0 + 1, 0, n - 1), frac
-
-
 def bilinear_upsample2x(x: Tensor, height: int, width: int) -> Tensor:
-    """Double an (H*W, C) sequence's map bilinearly, edge-replicated."""
+    """Double an (H*W, C) sequence's map bilinearly, edge-replicated, on
+    the taps ``imageio.resize_bilinear`` uses for the same sizes."""
     _check_fold(x, height, width, "upsample")
     c = x.shape[1]
-    r0, r1, fr = _up_indices(height)
-    c0, c1, fc = _up_indices(width)
+    r0, r1, fr = linear_taps(height, 2 * height)
+    c0, c1, fc = linear_taps(width, 2 * width)
     d = _map(x.data, height, width)
     fr_ = fr[None, :, None]
     fc_ = fc[None, None, :]

@@ -62,10 +62,9 @@ def scan_orders(mask: np.ndarray, levels: int, patch: int, tau: float) -> list[S
 class Encoder(Module):
     """3x3 convolution over the image+mask stack, slope-0.2 LeakyReLU."""
 
-    def __init__(self, channels: int, rng: np.random.Generator) -> None:
-        fan_in = 4 * 9
-        self.w = ad.param((channels, 4, 3, 3), rng, fan_in=fan_in)
-        self.b = Tensor(np.zeros(channels))
+    def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
+        self.w = ad.param((config.channels, 4, 3, 3), rng, fan_in=4 * 9)
+        self.b = Tensor(np.zeros(config.channels))
 
     def forward(self, image: np.ndarray, mask: np.ndarray) -> Tensor:
         h, w = mask.shape
@@ -82,26 +81,17 @@ class DualScanGroup(Module):
     sequence untouched bit for bit.
     """
 
-    def __init__(
-        self,
-        channels: int,
-        state_dim: int,
-        expansion: int,
-        dropout: float,
-        rng: np.random.Generator,
-    ) -> None:
-        self.row_stage = SsmStage(channels, state_dim, expansion, dropout, rng)
-        self.mas_stage = SsmStage(channels, state_dim, expansion, dropout, rng)
+    def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
+        self.row_stage = SsmStage(config, rng)
+        self.mas_stage = SsmStage(config, rng)
 
-    def forward(
-        self, seq: Tensor, order: ScanOrder, height: int, width: int, training: bool = False
-    ) -> Tensor:
+    def forward(self, seq: Tensor, order: ScanOrder, height: int, width: int) -> Tensor:
         perm, inverse = order
         if perm.size != height * width:
             raise ShapeError(f"scan order of {perm.size} pixels does not cover {height}x{width}")
-        out = self.row_stage.forward(seq, height, width, training)
+        out = self.row_stage.forward(seq, height, width)
         gathered = ad.permute_gather(out, perm)
-        gathered = self.mas_stage.forward(gathered, height, width, training)
+        gathered = self.mas_stage.forward(gathered, height, width)
         return ad.permute_gather(gathered, inverse)
 
 
@@ -139,27 +129,18 @@ class DualScaleFusion(Module):
     """Parallel full- and half-resolution scan groups, fused by one scan
     stage over the interleaved sequence, then folded back to full size."""
 
-    def __init__(
-        self,
-        channels: int,
-        state_dim: int,
-        expansion: int,
-        dropout: float,
-        rng: np.random.Generator,
-    ) -> None:
-        self.full = DualScanGroup(channels, state_dim, expansion, dropout, rng)
-        self.half = DualScanGroup(channels, state_dim, expansion, dropout, rng)
-        self.fusion = SsmStage(channels, state_dim, expansion, dropout, rng)
+    def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
+        self.full = DualScanGroup(config, rng)
+        self.half = DualScanGroup(config, rng)
+        self.fusion = SsmStage(config, rng)
 
-    def forward(
-        self, seq: Tensor, orders: list[ScanOrder], height: int, width: int, training: bool = False
-    ) -> Tensor:
-        big = self.full.forward(seq, orders[0], height, width, training)
+    def forward(self, seq: Tensor, orders: list[ScanOrder], height: int, width: int) -> Tensor:
+        big = self.full.forward(seq, orders[0], height, width)
         down_seq = ad.bilinear_downsample2x(seq, height, width)
-        down = self.half.forward(down_seq, orders[1], height // 2, width // 2, training)
+        down = self.half.forward(down_seq, orders[1], height // 2, width // 2)
         woven = dfmb_interleave(big, down, height, width)
         # the 5-token units of one block row tile a (H/2, 5W/2) map exactly
-        fused = self.fusion.forward(woven, height // 2, 5 * (width // 2), training)
+        fused = self.fusion.forward(woven, height // 2, 5 * (width // 2))
         return fold_back(fused, height, width)
 
 
@@ -168,9 +149,10 @@ class SkipProjection(Module):
 
     SILENT = ("w", "b")
 
-    def __init__(self, channels: int, rng: np.random.Generator) -> None:
-        self.w = ad.param((2 * channels, channels), rng, fan_in=2 * channels)
-        self.b = Tensor(np.zeros(channels))
+    def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
+        c = config.channels
+        self.w = ad.param((2 * c, c), rng, fan_in=2 * c)
+        self.b = Tensor(np.zeros(c))
 
 
 class ScanUnet(Module):
@@ -180,41 +162,30 @@ class ScanUnet(Module):
     upsample, channel concat with the skip, 1x1 projection, group.
     """
 
-    def __init__(
-        self,
-        channels: int,
-        state_dim: int,
-        expansion: int,
-        depth: int,
-        dropout: float,
-        rng: np.random.Generator,
-    ) -> None:
-        self.down = [
-            DualScanGroup(channels, state_dim, expansion, dropout, rng) for _ in range(depth)
-        ]
-        self.bottleneck = DualScanGroup(channels, state_dim, expansion, dropout, rng)
-        self.proj = [SkipProjection(channels, rng) for _ in range(depth)]
-        self.up = [DualScanGroup(channels, state_dim, expansion, dropout, rng) for _ in range(depth)]
+    def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
+        depth = config.unet_depth
+        self.down = [DualScanGroup(config, rng) for _ in range(depth)]
+        self.bottleneck = DualScanGroup(config, rng)
+        self.proj = [SkipProjection(config, rng) for _ in range(depth)]
+        self.up = [DualScanGroup(config, rng) for _ in range(depth)]
         self.depth = depth
 
-    def forward(
-        self, seq: Tensor, orders: list[ScanOrder], height: int, width: int, training: bool = False
-    ) -> Tensor:
+    def forward(self, seq: Tensor, orders: list[ScanOrder], height: int, width: int) -> Tensor:
         cur = seq
         h, w = height, width
         skips = []
         for level in range(self.depth):
-            cur = self.down[level].forward(cur, orders[level], h, w, training)
+            cur = self.down[level].forward(cur, orders[level], h, w)
             skips.append(cur)
             cur = ad.bilinear_downsample2x(cur, h, w)
             h, w = h // 2, w // 2
-        cur = self.bottleneck.forward(cur, orders[self.depth], h, w, training)
+        cur = self.bottleneck.forward(cur, orders[self.depth], h, w)
         for level in range(self.depth - 1, -1, -1):
             cur = ad.bilinear_upsample2x(cur, h, w)
             h, w = h * 2, w * 2
             proj = self.proj[level]
             cur = ad.linear(ad.concat(cur, skips[level], 1), proj.w, proj.b)
-            cur = self.up[level].forward(cur, orders[level], h, w, training)
+            cur = self.up[level].forward(cur, orders[level], h, w)
         return cur
 
 
@@ -224,14 +195,11 @@ class ShadowNet(Module):
     SILENT = ("dec_w", "dec_b")
 
     def __init__(self, config: ModelConfig) -> None:
-        config.validate()
         rng = np.random.default_rng(config.seed)
         c = config.channels
-        self.encoder = Encoder(c, rng)
-        self.fusion = DualScaleFusion(c, config.state_dim, config.expansion, config.dropout, rng)
-        self.unet = ScanUnet(
-            c, config.state_dim, config.expansion, config.unet_depth, config.dropout, rng
-        )
+        self.encoder = Encoder(config, rng)
+        self.fusion = DualScaleFusion(config, rng)
+        self.unet = ScanUnet(config, rng)
         # the residual stream grows additively through the pre-norm stages,
         # so the decoder starts two orders smaller than the generic rule:
         # the fresh model then predicts a near-zero residual instead of a
@@ -241,7 +209,7 @@ class ShadowNet(Module):
         self.dec_b = Tensor(np.zeros(3))
         self.config = config
 
-    def forward(self, image: np.ndarray, mask: np.ndarray, training: bool = False) -> Tensor:
+    def forward(self, image: np.ndarray, mask: np.ndarray) -> Tensor:
         image = np.asarray(image, dtype=np.float64)
         mask = validate_mask(mask)
         if image.ndim != 3 or image.shape[0] != 3:
@@ -256,8 +224,8 @@ class ShadowNet(Module):
         # the fusion reaches one level below the full size even at depth 0
         orders = scan_orders(mask, max(cfg.unet_depth, 1) + 1, cfg.patch_size, cfg.tau)
         seq = self.encoder.forward(image, mask)
-        seq = self.fusion.forward(seq, orders, h, w, training)
-        seq = self.unet.forward(seq, orders, h, w, training)
+        seq = self.fusion.forward(seq, orders, h, w)
+        seq = self.unet.forward(seq, orders, h, w)
         residual = ad.seq_to_map(ad.conv2d(seq, h, w, self.dec_w, self.dec_b), h, w)
         if cfg.residual_output:
             return ad.clamp01(ad.add(Tensor(image), residual))

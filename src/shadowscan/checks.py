@@ -187,6 +187,10 @@ def _grad_fixture(seed: int):
 def check_gradients(tol: float = 1e-3, eps: float = 1e-5, seed: int = 0) -> CheckResult:
     """Every parameter of a small full model against central differences.
 
+    The fixture keeps dropout at 0: the analytic pass runs on a tape, where
+    dropout would draw masks, but the finite differences run untaped, where
+    it is the identity, so the two would differentiate different functions.
+
     Relative error uses a 1e-4 denominator floor: below that scale the
     comparison is effectively absolute, which is all central differences
     can resolve.
@@ -195,7 +199,7 @@ def check_gradients(tol: float = 1e-3, eps: float = 1e-5, seed: int = 0) -> Chec
     batch = [(image, mask, target)]
     tape = GradTape()
     with tape:
-        loss = batch_loss(model, batch, training=False)
+        loss = batch_loss(model, batch)
     backward(loss, tape)
     worst = 0.0
     ok = True
@@ -211,9 +215,9 @@ def check_gradients(tol: float = 1e-3, eps: float = 1e-5, seed: int = 0) -> Chec
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + eps
-            up = float(batch_loss(model, batch, training=False).data)
+            up = float(batch_loss(model, batch).data)
             flat[i] = keep - eps
-            down = float(batch_loss(model, batch, training=False).data)
+            down = float(batch_loss(model, batch).data)
             flat[i] = keep
             fd = (up - down) / (2.0 * eps)
             rel = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-4)

@@ -25,7 +25,6 @@ from .config import ModelConfig
 from .errors import (
     ConfigError,
     ContractError,
-    EmptyRegionError,
     NoShadowRegion,
     ShapeError,
     ValidationError,
@@ -150,7 +149,12 @@ def cmd_forward(args) -> int:
         log.info("config %s=%s", key, value)
     image = read_image(args.image)
     mask = read_mask(args.mask)
-    pred = model.forward(image, mask)
+    # finite weights can still overflow float64; numpy would only warn
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            pred = model.forward(image, mask)
+    except FloatingPointError as exc:
+        raise ValidationError(f"{args.checkpoint}: the forward pass leaves float64 range ({exc})") from None
     write_image(args.out, pred.data)
     log.info("wrote %s", args.out)
     return 0
@@ -272,7 +276,6 @@ _INPUT_ERRORS = (
     ShapeError,
     ValidationError,
     ContractError,
-    EmptyRegionError,
     NoShadowRegion,
     OSError,
 )

@@ -12,9 +12,13 @@ from .errors import ConfigError, ShapeError
 MAX_UNET_DEPTH = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """Desk-scale defaults; every field is overridable via config file or flags.
+
+    A config checks its ranges once, when it is built, and cannot change
+    afterwards, so every holder can rely on the values without checking
+    them again.
 
     ``unet_depth`` defaults to 1 so toy training stays in single-core
     budgets; the full-scale architecture uses depth 4 and is reachable
@@ -31,7 +35,7 @@ class ModelConfig:
     residual_output: bool = True
     seed: int = 0
 
-    def validate(self) -> "ModelConfig":
+    def __post_init__(self) -> None:
         if self.channels < 1:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
         if self.state_dim < 1:
@@ -48,10 +52,8 @@ class ModelConfig:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        return self
 
     def check_spatial(self, height: int, width: int) -> None:
-        self.validate()
         # the dual-scale fusion needs one halving even at depth 0
         div = 2 ** max(self.unet_depth, 1)
         if height % div or width % div or height < div or width < div:
@@ -64,13 +66,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "ModelConfig":
-        """Parse each value by its field's type (flags, config files and checkpoints alike), then validate."""
+        """Parse each value by its field's type (flags, config files and checkpoints alike)."""
         unknown = set(values) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(
-            **{f.name: _PARSERS[f.type](f.name, values[f.name]) for f in fields(cls) if f.name in values}
-        ).validate()
+        parsed = {f.name: _PARSERS[f.type](f.name, values[f.name]) for f in fields(cls) if f.name in values}
+        return cls(**parsed)
 
 
 def _parse_int(name: str, raw) -> int:

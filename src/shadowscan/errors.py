@@ -19,7 +19,3 @@ class ContractError(RuntimeError):
 
 class NoShadowRegion(Exception):
     """A patch grid contains no shadow-labeled patch."""
-
-
-class EmptyRegionError(ValueError):
-    """A metric region selects zero pixels."""

@@ -160,9 +160,10 @@ def write_image(path: str, img: np.ndarray) -> None:
     image_writer(path)(path, img)
 
 
-def _lin_taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def linear_taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Source taps and blend weight for half-pixel-centered linear resampling
-    (edges clamp, so up- and downsizing share one rule)."""
+    (edges clamp, so up- and downsizing share one rule, and the autodiff
+    2x upsample shares it too)."""
     src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     lo = np.floor(src).astype(int)
     frac = src - lo
@@ -174,7 +175,7 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"target size {out_h}x{out_w} is not positive")
     h, w = img.shape[-2:]
-    r0, r1, rf = _lin_taps(h, out_h)
-    c0, c1, cf = _lin_taps(w, out_w)
+    r0, r1, rf = linear_taps(h, out_h)
+    c0, c1, cf = linear_taps(w, out_w)
     rows = img[..., r0, :] * (1.0 - rf)[..., :, None] + img[..., r1, :] * rf[..., :, None]
     return rows[..., :, c0] * (1.0 - cf) + rows[..., :, c1] * cf

@@ -1,7 +1,9 @@
 """Region-aware image quality metrics: PSNR, SSIM, and CIELAB RMSE.
 
 All three are reported over the shadowed region (S), the rest (NS), and the
-whole frame (ALL). Regions come from thresholding the mask at 0.5.
+whole frame (ALL). Regions come from thresholding the mask at 0.5. PSNR is
+in dB against a peak of 1.0, capped at 100 dB so identical images stay
+finite; the Lab RMSE's mean runs over pixels times the three channels.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyRegionError, ShapeError
+from .errors import ConfigError, ShapeError
 from .imageio import resize_bilinear
 
 PSNR_CAP = 100.0
@@ -50,14 +52,11 @@ def _check_pair(pred: np.ndarray, gt: np.ndarray) -> None:
 
 
 def _region_mean(stack: np.ndarray, region: np.ndarray | None) -> float:
-    """Mean of per-pixel values (any leading channel axis) under a boolean
-    region. With region=None the whole frame is used."""
+    """Mean of per-pixel values (any leading channel axis) under a boolean,
+    non-empty region of the image's shape. With region=None the whole frame
+    is used."""
     if region is None:
         return float(stack.reshape(-1).mean())
-    if region.shape != stack.shape[-2:]:
-        raise ShapeError(f"region shape {region.shape} does not match image {stack.shape[-2:]}")
-    if not region.any():
-        raise EmptyRegionError("metric region is empty")
     return float(stack[..., region].reshape(-1).mean())
 
 
@@ -65,13 +64,6 @@ def _psnr_from_mse(mse: float) -> float:
     if mse <= 0.0:
         return PSNR_CAP
     return min(PSNR_CAP, 10.0 * math.log10(1.0 / mse))
-
-
-def psnr(pred: np.ndarray, gt: np.ndarray, region: np.ndarray | None = None) -> float:
-    """Peak signal-to-noise ratio in dB against a peak of 1.0, capped at
-    100 dB so identical images stay finite."""
-    _check_pair(pred, gt)
-    return _psnr_from_mse(_region_mean((pred - gt) ** 2, region))
 
 
 def _gauss_kernel() -> np.ndarray:
@@ -116,10 +108,6 @@ def ssim_map(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return num / den
 
 
-def ssim(pred: np.ndarray, gt: np.ndarray, region: np.ndarray | None = None) -> float:
-    return _region_mean(ssim_map(pred, gt), region)
-
-
 def srgb_to_lab(img: np.ndarray) -> np.ndarray:
     """(3, H, W) sRGB in [0, 1] to CIELAB under D65."""
     linear = np.where(img <= 0.04045, img / 12.92, ((img + 0.055) / 1.055) ** 2.4)
@@ -134,13 +122,6 @@ def srgb_to_lab(img: np.ndarray) -> np.ndarray:
 
 def _lab_sq_error(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return (srgb_to_lab(pred) - srgb_to_lab(gt)) ** 2
-
-
-def rmse_lab(pred: np.ndarray, gt: np.ndarray, region: np.ndarray | None = None) -> float:
-    """Root-mean-square error in CIELAB; the mean runs over pixels times the
-    three Lab channels."""
-    _check_pair(pred, gt)
-    return math.sqrt(_region_mean(_lab_sq_error(pred, gt), region))
 
 
 @dataclass(frozen=True)

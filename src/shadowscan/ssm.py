@@ -39,6 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import ModelConfig
 from .errors import ConfigError, ShapeError
 from .module import Module
 
@@ -335,9 +336,8 @@ class SsmDirection(Module):
 
     SILENT = ("w_c", "d")
 
-    def __init__(self, channels: int, state_dim: int, rng: np.random.Generator) -> None:
-        if channels < 1 or state_dim < 1:
-            raise ConfigError(f"channels and state_dim must be >= 1, got {channels}, {state_dim}")
+    def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
+        channels, state_dim = config.channels, config.state_dim
         a0 = -np.log(_INIT_ABAR) / np.log(2.0)
         self.a_log = Tensor(np.full((channels, state_dim), np.log(a0)))
         self.d = Tensor(np.ones(channels))
@@ -358,29 +358,27 @@ class SsmDirection(Module):
 class ConvMlp(Module):
     """Pointwise expand, 3x3 depthwise mix over the token grid, exact GELU,
     pointwise contract, dropout, plus the residual. Silencing zeroes the
-    contraction: the block reduces to the identity."""
+    contraction: the block reduces to the identity. Dropout draws its mask
+    from the construction generator, and only while a GradTape records."""
 
     SILENT = ("w2", "b2")
 
-    def __init__(self, channels: int, expansion: int, dropout: float, rng: np.random.Generator) -> None:
-        if expansion < 1:
-            raise ConfigError(f"expansion must be >= 1, got {expansion}")
-        if not 0.0 <= dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {dropout}")
-        hidden = channels * expansion
+    def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
+        channels = config.channels
+        hidden = channels * config.expansion
         self.w1 = ad.param((channels, hidden), rng, fan_in=channels)
         self.b1 = Tensor(np.zeros(hidden))
         self.dw = ad.param((hidden, _MLP_KERNEL, _MLP_KERNEL), rng, fan_in=_MLP_KERNEL * _MLP_KERNEL)
         self.w2 = ad.param((hidden, channels), rng, fan_in=hidden)
         self.b2 = Tensor(np.zeros(channels))
-        self.rate = dropout
+        self.rate = config.dropout
         self._rng = rng
 
-    def forward(self, x: Tensor, height: int, width: int, training: bool = False) -> Tensor:
+    def forward(self, x: Tensor, height: int, width: int) -> Tensor:
         t = ad.linear(x, self.w1, self.b1)
         t = ad.gelu(ad.depthwise_conv2d(t, height, width, self.dw))
         t = ad.linear(t, self.w2, self.b2)
-        t = ad.dropout(t, self.rate, self._rng, training)
+        t = ad.dropout(t, self.rate, self._rng)
         return ad.add(x, t)
 
 
@@ -388,21 +386,14 @@ class SsmStage(Module):
     """One full scan stage: a pre-norm bidirectional scan with a residual
     connection, then the conv MLP."""
 
-    def __init__(
-        self,
-        channels: int,
-        state_dim: int,
-        expansion: int,
-        dropout: float,
-        rng: np.random.Generator,
-    ) -> None:
-        self.ln_gain = Tensor(np.ones(channels))
-        self.ln_bias = Tensor(np.zeros(channels))
-        self.fwd = SsmDirection(channels, state_dim, rng)
-        self.bwd = SsmDirection(channels, state_dim, rng)
-        self.mlp = ConvMlp(channels, expansion, dropout, rng)
+    def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
+        self.ln_gain = Tensor(np.ones(config.channels))
+        self.ln_bias = Tensor(np.zeros(config.channels))
+        self.fwd = SsmDirection(config, rng)
+        self.bwd = SsmDirection(config, rng)
+        self.mlp = ConvMlp(config, rng)
 
-    def forward(self, seq: Tensor, height: int, width: int, training: bool = False) -> Tensor:
+    def forward(self, seq: Tensor, height: int, width: int) -> Tensor:
         """Normalize the sequence, scan it and its token-reversed copy,
         re-reverse the latter, add both directions and the input, then
         run the conv MLP."""
@@ -410,4 +401,4 @@ class SsmStage(Module):
         y_fwd = self.fwd.scan(u)
         reverse = np.arange(seq.shape[0] - 1, -1, -1)
         y_bwd = ad.permute_gather(self.bwd.scan(ad.permute_gather(u, reverse)), reverse)
-        return self.mlp.forward(ad.add(seq, ad.add(y_fwd, y_bwd)), height, width, training)
+        return self.mlp.forward(ad.add(seq, ad.add(y_fwd, y_bwd)), height, width)

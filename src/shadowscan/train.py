@@ -67,13 +67,13 @@ def adam_step(params: list[Tensor], state: AdamState, lr: float) -> None:
 Pair = tuple[np.ndarray, np.ndarray, np.ndarray]  # shadowed (3,H,W), mask (H,W), clean (3,H,W)
 
 
-def batch_loss(model: ShadowNet, batch: list[Pair], training: bool) -> Tensor:
+def batch_loss(model: ShadowNet, batch: list[Pair]) -> Tensor:
     """Mean absolute error between predictions and clean images, averaged
-    over the batch, as one tape node. Must run inside a GradTape when used
-    for a step."""
+    over the batch, as one tape node. Inside a GradTape the forwards train
+    (dropout draws masks); outside one they infer."""
     if not batch:
         raise ValidationError("the loss needs at least one image pair")
-    preds = [model.forward(shadowed, mask, training=training) for shadowed, mask, _ in batch]
+    preds = [model.forward(shadowed, mask) for shadowed, mask, _ in batch]
     diffs = [pred.data - clean for pred, (_, _, clean) in zip(preds, batch)]
     scale = 1.0 / len(batch)
     total = 0.0
@@ -99,7 +99,7 @@ def dataset_loss(model: ShadowNet, pairs: list[Pair]) -> float:
         raise ValidationError("the loss needs at least one image pair")
     total = 0.0
     for pair in pairs:
-        total += batch_loss(model, [pair], training=False).data
+        total += batch_loss(model, [pair]).data
     return float(total * (1.0 / len(pairs)))
 
 
@@ -113,7 +113,9 @@ def train_step(model: ShadowNet, state: AdamState, batch: list[Pair], lr: float)
     ``1/B`` and replays the images last to first, and every parameter gets
     exactly one contribution per image. So each image's replay is seeded
     with ``1/B``, and its parameter gradients are summed last image first.
-    Forwards stay in batch order, so dropout draws the same numbers.
+    Forwards stay in batch order, so dropout draws the same numbers; it
+    draws them because each forward runs on a tape, and an untaped forward
+    (``dataset_loss``, inference) draws none.
 
     Raises ValidationError, before the update, when the loss or a
     parameter gradient is not finite; the message names the step by the
@@ -128,7 +130,7 @@ def train_step(model: ShadowNet, state: AdamState, batch: list[Pair], lr: float)
         model.zero_grads()
         tape = GradTape()
         with tape:
-            err = batch_loss(model, [pair], training=True)
+            err = batch_loss(model, [pair])
         backward(err, tape, seed)
         total = err.data if total is None else total + err.data
         grads.append([p.grad for p in params])

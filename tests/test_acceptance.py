@@ -19,7 +19,7 @@ from shadowscan.checks import (
 )
 from shadowscan.config import ModelConfig
 from shadowscan.imageio import write_pgm, write_ppm
-from shadowscan.metrics import psnr, rmse_lab, srgb_to_lab, ssim
+from shadowscan.metrics import evaluate, srgb_to_lab
 from shadowscan.train import dataset_loss, make_toy_pairs, train
 
 
@@ -83,7 +83,7 @@ def _mean_shadow_psnr(model, pairs):
     total = 0.0
     for shadowed, mask, clean in pairs:
         pred = model.forward(shadowed, mask).data
-        total += psnr(pred, clean, mask >= 0.5)
+        total += evaluate(pred, clean, mask).shadow.psnr
     return total / len(pairs)
 
 
@@ -110,19 +110,22 @@ def test_criterion_08_toy_training_convergence():
 def test_criterion_09_metric_values():
     rng = np.random.default_rng(0)
     img = rng.uniform(0.0, 1.0, size=(3, 16, 16))
-    assert psnr(img, img) == 100.0
-    assert ssim(img, img) == 1.0
-    assert rmse_lab(img, img) == 0.0
+    no_shadow = np.zeros((16, 16))
+    same = evaluate(img, img, no_shadow).full
+    assert same.psnr == 100.0
+    assert same.ssim == 1.0
+    assert same.rmse == 0.0
     pred = np.full((3, 16, 16), 0.4)
     gt = np.full((3, 16, 16), 0.5)
-    assert abs(psnr(pred, gt) - 20.0) < 1e-6
+    assert abs(evaluate(pred, gt, no_shadow).full.psnr - 20.0) < 1e-6
     a, b = rng.uniform(size=(3, 16, 16)), rng.uniform(size=(3, 16, 16))
     region = np.zeros((16, 16), dtype=bool)
     region[3:11, 5:14] = True
     n_s, n_ns = 3 * int(region.sum()), 3 * int((~region).sum())
-    mse_s = 10.0 ** (-psnr(a, b, region) / 10.0)
-    mse_ns = 10.0 ** (-psnr(a, b, ~region) / 10.0)
-    mse_all = 10.0 ** (-psnr(a, b) / 10.0)
+    report = evaluate(a, b, region.astype(float))
+    mse_s = 10.0 ** (-report.shadow.psnr / 10.0)
+    mse_ns = 10.0 ** (-report.clear.psnr / 10.0)
+    mse_all = 10.0 ** (-report.full.psnr / 10.0)
     assert abs(n_s * mse_s + n_ns * mse_ns - (n_s + n_ns) * mse_all) < 1e-12
     white = srgb_to_lab(np.ones((3, 1, 1)))[0, 0, 0]
     assert abs(white - 100.0) < 0.01

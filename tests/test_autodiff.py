@@ -18,6 +18,7 @@ from shadowscan import autodiff as ad
 from shadowscan import ssm, train
 from shadowscan.autodiff import GradTape, Tensor, backward
 from shadowscan.errors import ConfigError, ContractError, ShapeError, ValidationError
+from shadowscan.imageio import linear_taps
 
 
 def _t(rng, *shape):
@@ -140,14 +141,27 @@ def test_clamp01():
 def test_dropout():
     rng = np.random.default_rng(8)
     a = _t(rng, 6, 3)
-    assert ad.dropout(a, 0.5, rng, training=False) is a
-    assert ad.dropout(a, 0.0, rng, training=True) is a
-    out = ad.dropout(a, 0.5, np.random.default_rng(9), training=True)
+    state = rng.bit_generator.state
+    # untaped, the op is the identity and draws nothing
+    assert ad.dropout(a, 0.5, rng) is a
+    assert rng.bit_generator.state == state
+    with GradTape():
+        assert ad.dropout(a, 0.0, rng) is a
+        out = ad.dropout(a, 0.5, np.random.default_rng(9))
     keep = (np.random.default_rng(9).random(a.shape) >= 0.5) / 0.5
     assert np.array_equal(out.data, a.data * keep)
-    assert_grads_match(lambda t: ad.dropout(t, 0.4, np.random.default_rng(3), True), [a])
     with pytest.raises(ConfigError):
-        ad.dropout(a, 1.0, rng, training=True)
+        ad.dropout(a, 1.0, rng)
+
+
+def test_dropout_gradient_is_the_cotangent_times_the_kept_scale():
+    # finite differences run untaped, where dropout is the identity, so the
+    # gradient is checked against its closed form instead
+    a = _t(np.random.default_rng(8), 6, 3)
+    weight = np.random.default_rng(3).normal(size=a.shape)
+    keep = (np.random.default_rng(9).random(a.shape) >= 0.4) / (1.0 - 0.4)
+    (grad,) = tape_grads(lambda t: ad.dropout(t, 0.4, np.random.default_rng(9)), [a], weight)
+    assert np.array_equal(grad, weight * keep)
 
 
 def test_layer_norm():
@@ -358,8 +372,8 @@ def _frozen_downsample(x):
 
 def _frozen_upsample(x):
     c, h, w = x.shape
-    r0, r1, fr = ad._up_indices(h)
-    c0, c1, fc = ad._up_indices(w)
+    r0, r1, fr = linear_taps(h, 2 * h)
+    c0, c1, fc = linear_taps(w, 2 * w)
     d = x.data
     fr_ = fr[None, :, None]
     fc_ = fc[None, None, :]
@@ -766,14 +780,14 @@ class _Replaying:
     def __init__(self, preds):
         self._preds = iter(preds)
 
-    def forward(self, shadowed, mask, training):
+    def forward(self, shadowed, mask):
         return next(self._preds)
 
 
 def _loss_of(t):
     rng = np.random.default_rng(26)
     batch = [(None, None, rng.uniform(size=(3, 4, 4))) for _ in range(2)]
-    return train.batch_loss(_Replaying([t["p0"], t["p1"]]), batch, training=True)
+    return train.batch_loss(_Replaying([t["p0"], t["p1"]]), batch)
 
 
 _RETENTION = {
@@ -796,7 +810,7 @@ _RETENTION = {
     "leaky_relu": (lambda r: {"a": _t(r, 5, 3)}, lambda t: ad.leaky_relu(t["a"]), ()),
     "dropout": (
         lambda r: {"a": _t(r, 5, 3)},
-        lambda t: ad.dropout(t["a"], 0.5, np.random.default_rng(9), training=True),
+        lambda t: ad.dropout(t["a"], 0.5, np.random.default_rng(9)),
         (),
     ),
     "linear": (

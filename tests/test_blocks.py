@@ -2,6 +2,7 @@
 full model's contracts."""
 
 import ctypes
+import dataclasses
 import glob
 import hashlib
 import os
@@ -85,7 +86,7 @@ def test_forward_builds_each_level_order_once(monkeypatch, depth, levels):
 
 def test_encoder_output_layout():
     rng = np.random.default_rng(0)
-    enc = Encoder(5, rng)
+    enc = Encoder(ModelConfig(channels=5), rng)
     image = rng.uniform(size=(3, 6, 4))
     mask = (rng.uniform(size=(6, 4)) < 0.5).astype(float)
     seq = enc.forward(image, mask)
@@ -161,7 +162,7 @@ def test_silenced_group_is_bitwise_identity():
     # silenced the group must leave the sequence untouched, including on
     # multi-column patch grids where the scatter permutation is nontrivial
     rng = np.random.default_rng(3)
-    group = DualScanGroup(2, 2, 2, 0.0, rng)
+    group = DualScanGroup(ModelConfig(channels=2, state_dim=2), rng)
     group.silence()
     cases = [
         (_shadow_mask(16, 16, (4, 10, 6, 12)), 4, 16, 16),
@@ -176,7 +177,7 @@ def test_silenced_group_is_bitwise_identity():
 
 def test_group_grid_must_tile_the_level():
     rng = np.random.default_rng(4)
-    group = DualScanGroup(2, 2, 2, 0.0, rng)
+    group = DualScanGroup(ModelConfig(channels=2, state_dim=2), rng)
     order = scan_orders(np.zeros((4, 4)), 1, 2, 0.5)[0]
     with pytest.raises(ShapeError):
         group.forward(Tensor(np.zeros((64, 2))), order, 8, 8)
@@ -184,7 +185,7 @@ def test_group_grid_must_tile_the_level():
 
 def test_silenced_fusion_is_bitwise_identity():
     rng = np.random.default_rng(5)
-    fusion = DualScaleFusion(3, 2, 2, 0.0, rng)
+    fusion = DualScaleFusion(ModelConfig(channels=3, state_dim=2), rng)
     fusion.silence()
     mask = _shadow_mask(8, 8, (2, 6, 2, 6))
     seq = Tensor(rng.normal(size=(64, 3)))
@@ -194,7 +195,7 @@ def test_silenced_fusion_is_bitwise_identity():
 
 def test_fusion_output_shape():
     rng = np.random.default_rng(6)
-    fusion = DualScaleFusion(2, 2, 2, 0.0, rng)
+    fusion = DualScaleFusion(ModelConfig(channels=2, state_dim=2), rng)
     mask = _shadow_mask(8, 12, (0, 4, 0, 6))
     out = fusion.forward(Tensor(rng.normal(size=(96, 2))), scan_orders(mask, 2, 4, 0.5), 8, 12)
     assert out.shape == (96, 2)
@@ -202,7 +203,7 @@ def test_fusion_output_shape():
 
 def test_silenced_unet_depth_zero_is_identity():
     rng = np.random.default_rng(7)
-    unet = ScanUnet(2, 2, 2, 0, 0.0, rng)
+    unet = ScanUnet(ModelConfig(channels=2, state_dim=2, unet_depth=0), rng)
     unet.silence()
     mask = _shadow_mask(4, 4, (0, 2, 0, 2))
     seq = Tensor(rng.normal(size=(16, 2)))
@@ -213,7 +214,7 @@ def test_silenced_unet_depth_zero_is_identity():
 def test_silenced_unet_with_depth_maps_to_zero():
     # zeroed skip projections kill the up path entirely
     rng = np.random.default_rng(8)
-    unet = ScanUnet(2, 2, 2, 1, 0.0, rng)
+    unet = ScanUnet(ModelConfig(channels=2, state_dim=2, unet_depth=1), rng)
     unet.silence()
     mask = _shadow_mask(8, 8, (2, 6, 2, 6))
     out = unet.forward(Tensor(rng.normal(size=(64, 2))), scan_orders(mask, 2, 2, 0.5), 8, 8)
@@ -222,7 +223,7 @@ def test_silenced_unet_with_depth_maps_to_zero():
 
 def test_unet_depth_two_shapes():
     rng = np.random.default_rng(9)
-    unet = ScanUnet(2, 2, 2, 2, 0.0, rng)
+    unet = ScanUnet(ModelConfig(channels=2, state_dim=2, unet_depth=2), rng)
     mask = _shadow_mask(16, 16, (4, 12, 4, 12))
     out = unet.forward(Tensor(rng.normal(size=(256, 2))), scan_orders(mask, 3, 4, 0.5), 16, 16)
     assert out.shape == (256, 2)
@@ -230,7 +231,7 @@ def test_unet_depth_two_shapes():
 
 def test_unet_named_params_cover_everything():
     rng = np.random.default_rng(10)
-    unet = ScanUnet(2, 2, 2, 2, 0.0, rng)
+    unet = ScanUnet(ModelConfig(channels=2, state_dim=2, unet_depth=2), rng)
     names = [n for n, _ in unet.named_params()]
     assert len(names) == len(set(names))
     assert any(n.startswith("down.0.") for n in names)
@@ -249,7 +250,7 @@ def test_unet_param_names_are_pinned():
     expected = [f"{g}.{n}" for g in ("down.0", "down.1", "bottleneck") for n in group]
     expected += ["proj.0.w", "proj.0.b", "proj.1.w", "proj.1.b"]
     expected += [f"up.{i}.{n}" for i in (0, 1) for n in group]
-    unet = ScanUnet(2, 2, 2, 2, 0.0, np.random.default_rng(10))
+    unet = ScanUnet(ModelConfig(channels=2, state_dim=2, unet_depth=2), np.random.default_rng(10))
     assert [n for n, _ in unet.named_params()] == expected
 
 
@@ -305,7 +306,7 @@ def _held_by_taped_forward(config):
     tracemalloc.start()
     try:
         with GradTape() as tape:
-            out = model.forward(image, mask, training=True)
+            out = model.forward(image, mask)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -361,13 +362,44 @@ def test_model_input_validation():
 
 
 def test_unet_depth_has_a_ceiling():
-    ModelConfig(unet_depth=MAX_UNET_DEPTH).validate()
+    # an oversized depth fails when the config is built, so no size check
+    # ever computes 2**depth
+    assert ModelConfig(unet_depth=MAX_UNET_DEPTH).unet_depth == MAX_UNET_DEPTH
     for depth in (MAX_UNET_DEPTH + 1, 10**6):
         with pytest.raises(ConfigError, match="unet_depth"):
-            ModelConfig(unet_depth=depth).validate()
-    # the size check validates first, so it never prints 2**depth
-    with pytest.raises(ConfigError, match="unet_depth"):
-        ModelConfig(unet_depth=10**6).check_spatial(32, 32)
+            ModelConfig(unet_depth=depth)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("channels", 0), ("state_dim", 0), ("expansion", 0), ("unet_depth", -1), ("patch_size", 0),
+        ("tau", 0.0), ("tau", 1.5), ("dropout", -0.1), ("dropout", 1.0), ("seed", -1),
+    ],
+)
+def test_an_out_of_range_config_field_fails_at_construction(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig(**{field: value})
+
+
+def test_a_config_cannot_be_changed_after_construction():
+    config = ModelConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.channels = 0
+    assert config.channels == 8
+
+
+def test_dropout_acts_only_on_a_taped_forward():
+    image, mask, _ = make_toy_pairs(1, 16, seed=0)[0]
+    tiny = {"channels": 2, "state_dim": 2, "patch_size": 2}
+    plain = ShadowNet(ModelConfig(**tiny)).forward(image, mask).data
+    model = ShadowNet(ModelConfig(**tiny, dropout=0.1))
+    assert np.array_equal(model.forward(image, mask).data, plain)
+    with GradTape():
+        taped = model.forward(image, mask).data
+    assert not np.array_equal(taped, plain)
+    # the taped forward drew masks; an untaped one still draws none
+    assert np.array_equal(model.forward(image, mask).data, plain)
 
 
 def test_model_param_names_are_stable():
@@ -443,7 +475,7 @@ def test_output_and_gradients_of_one_image_are_pinned(overrides, crop, out_sha, 
 
     monkeypatch.setattr(model, "forward", recorded_forward)
     with GradTape() as tape:
-        loss = batch_loss(model, [(image, mask, clean)], training=True)
+        loss = batch_loss(model, [(image, mask, clean)])
     backward(loss, tape)
     (pred,) = preds
     grads = hashlib.sha256()

@@ -467,6 +467,25 @@ def test_forward_rejects_a_non_finite_checkpoint_param(tmp_path):
     assert not (tmp_path / "pred.ppm").exists()
 
 
+@pytest.mark.parametrize("name, value", [("encoder.w", 1e308), ("dec_w", 1e308)])
+def test_forward_rejects_a_checkpoint_whose_forward_overflows(tmp_path, name, value):
+    # finite weights whose products leave float64: the encoder's turn the
+    # prediction to NaN, the decoder's to infinities that the output clamp
+    # would hide in a finite image
+    model = ShadowNet(ModelConfig(channels=2, state_dim=2, expansion=2, unet_depth=1, patch_size=4))
+    dict(model.named_params())[name].data[:] = value
+    save_checkpoint(str(tmp_path / "m.ckpt"), model)
+    write_ppm(str(tmp_path / "in.ppm"), np.random.default_rng(5).uniform(size=(3, 16, 16)))
+    write_pgm(str(tmp_path / "mask.pgm"), np.zeros((16, 16)))
+    proc = run_cli(["forward", "in.ppm", "mask.pgm", "--checkpoint", "m.ckpt"], tmp_path)
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, proc.stderr
+    assert errors[0].startswith("error: m.ckpt: the forward pass leaves float64 range ("), proc.stderr
+    assert "Warning" not in proc.stderr
+    assert not (tmp_path / "pred.ppm").exists()
+
+
 def test_eval_mismatched_sizes_need_resize(tmp_path):
     rng = np.random.default_rng(2)
     write_ppm(str(tmp_path / "pred.ppm"), rng.uniform(size=(3, 16, 16)))

@@ -5,18 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from shadowscan.errors import ConfigError, EmptyRegionError, ShapeError
-from shadowscan.metrics import (
-    _KERNEL,
-    PSNR_CAP,
-    evaluate,
-    format_report,
-    psnr,
-    rmse_lab,
-    srgb_to_lab,
-    ssim,
-    ssim_map,
-)
+from shadowscan.errors import ConfigError, ShapeError
+from shadowscan.metrics import _KERNEL, PSNR_CAP, evaluate, format_report, srgb_to_lab, ssim_map
 
 
 def _pair(seed, h=16, w=16):
@@ -24,17 +14,21 @@ def _pair(seed, h=16, w=16):
     return rng.uniform(0.0, 1.0, size=(3, h, w)), rng.uniform(0.0, 1.0, size=(3, h, w))
 
 
+_NO_SHADOW = np.zeros((16, 16))
+
+
 def test_identical_images_hit_the_caps():
     img = _pair(0)[0]
-    assert psnr(img, img) == PSNR_CAP
-    assert ssim(img, img) == 1.0
-    assert rmse_lab(img, img) == 0.0
+    scores = evaluate(img, img, _NO_SHADOW).full
+    assert scores.psnr == PSNR_CAP
+    assert scores.ssim == 1.0
+    assert scores.rmse == 0.0
 
 
 def test_psnr_constant_offset():
     pred = np.full((3, 16, 16), 0.4)
     gt = np.full((3, 16, 16), 0.5)
-    assert abs(psnr(pred, gt) - 20.0) < 1e-6
+    assert abs(evaluate(pred, gt, _NO_SHADOW).full.psnr - 20.0) < 1e-6
 
 
 def test_psnr_region_decomposition():
@@ -44,30 +38,25 @@ def test_psnr_region_decomposition():
     mask[4:12, 3:9] = True
     n_s = 3 * int(mask.sum())
     n_ns = 3 * int((~mask).sum())
-    mse_s = 10.0 ** (-psnr(pred, gt, mask) / 10.0)
-    mse_ns = 10.0 ** (-psnr(pred, gt, ~mask) / 10.0)
-    mse_all = 10.0 ** (-psnr(pred, gt) / 10.0)
+    report = evaluate(pred, gt, mask.astype(float))
+    mse_s = 10.0 ** (-report.shadow.psnr / 10.0)
+    mse_ns = 10.0 ** (-report.clear.psnr / 10.0)
+    mse_all = 10.0 ** (-report.full.psnr / 10.0)
     assert abs(n_s * mse_s + n_ns * mse_ns - (n_s + n_ns) * mse_all) < 1e-12
-
-
-def test_empty_region_raises():
-    pred, gt = _pair(2)
-    with pytest.raises(EmptyRegionError):
-        psnr(pred, gt, np.zeros((16, 16), dtype=bool))
 
 
 def test_image_validation():
     pred, gt = _pair(3)
     with pytest.raises(ShapeError):
-        psnr(pred[0], gt[0])
+        evaluate(pred[0], gt[0], _NO_SHADOW)
     with pytest.raises(ShapeError):
-        psnr(pred, gt[:, :8, :])
+        evaluate(pred, gt[:, :8, :], _NO_SHADOW)
     with pytest.raises(ShapeError):
-        psnr(pred + 1.0, gt)
+        evaluate(pred + 1.0, gt, _NO_SHADOW)
     bad = pred.copy()
     bad[0, 0, 0] = np.nan
     with pytest.raises(ShapeError):
-        psnr(bad, gt)
+        evaluate(bad, gt, _NO_SHADOW)
 
 
 def test_ssim_map_matches_per_window_brute_force():
@@ -119,8 +108,9 @@ def test_rmse_lab_region_decomposition():
     mask[2:9, 5:14] = True
     n_s = 3 * int(mask.sum())
     n_ns = 3 * int((~mask).sum())
-    full_sq = (n_s + n_ns) * rmse_lab(pred, gt) ** 2
-    part_sq = n_s * rmse_lab(pred, gt, mask) ** 2 + n_ns * rmse_lab(pred, gt, ~mask) ** 2
+    report = evaluate(pred, gt, mask.astype(float))
+    full_sq = (n_s + n_ns) * report.full.rmse**2
+    part_sq = n_s * report.shadow.rmse**2 + n_ns * report.clear.rmse**2
     assert abs(full_sq - part_sq) < 1e-9 * max(1.0, full_sq)
 
 
@@ -131,11 +121,16 @@ def test_evaluate_regions_and_report():
     report = evaluate(pred, gt, mask)
     assert report.shadow is not None and report.clear is not None
     region = mask >= 0.5
-    # evaluate builds each map once; its region means match the single metrics bitwise
-    for scores, where in ((report.shadow, region), (report.clear, ~region), (report.full, None)):
-        assert scores.psnr == psnr(pred, gt, where)
-        assert scores.ssim == ssim(pred, gt, where)
-        assert scores.rmse == rmse_lab(pred, gt, where)
+    # each score is its per-pixel map's mean over the region's pixels and
+    # channels, summed in one flat pass (a (3, n) mean would round differently)
+    sq = (pred - gt) ** 2
+    smap = ssim_map(pred, gt)
+    lab_sq = (srgb_to_lab(pred) - srgb_to_lab(gt)) ** 2
+    everywhere = np.ones_like(region)
+    for scores, where in ((report.shadow, region), (report.clear, ~region), (report.full, everywhere)):
+        assert scores.psnr == 10.0 * math.log10(1.0 / sq[:, where].ravel().mean())
+        assert scores.ssim == smap[:, where].ravel().mean()
+        assert scores.rmse == math.sqrt(lab_sq[:, where].ravel().mean())
     text = format_report(report)
     lines = text.splitlines()
     assert lines[0] == "region psnr ssim rmse"

@@ -16,6 +16,7 @@ from shadowscan import autodiff as ad
 from shadowscan import ssm
 from shadowscan.autodiff import GradTape, Tensor, backward
 from shadowscan.checks import _conv_and_recurrence
+from shadowscan.config import ModelConfig
 from shadowscan.errors import ConfigError, ShapeError
 from shadowscan.ssm import (
     ZOH_SERIES_THRESHOLD,
@@ -172,20 +173,21 @@ def test_conv_form_matches_recurrence():
 
 def test_selective_direction_init():
     rng = np.random.default_rng(5)
-    direction = SsmDirection(3, 4, rng)
+    direction = SsmDirection(ModelConfig(channels=3, state_dim=4), rng)
     # the decay starts at 0.9 per token at the softplus(0) step size
     dt0 = float(np.log1p(np.exp(0.0)))
     abar0 = np.exp(dt0 * -np.exp(direction.a_log.data))
     assert np.abs(abar0 - 0.9).max() <= 1e-12
     assert np.array_equal(direction.d.data, np.ones(3))
     assert np.array_equal(direction.b_dt.data, np.zeros(3))
-    with pytest.raises(ConfigError):
-        SsmDirection(0, 4, rng)
+    # ranges are the config's to check, once, when it is built
+    with pytest.raises(ConfigError, match="channels"):
+        ModelConfig(channels=0, state_dim=4)
 
 
 def test_selective_scan_channels_must_match():
     rng = np.random.default_rng(6)
-    direction = SsmDirection(2, 2, rng)
+    direction = SsmDirection(ModelConfig(channels=2, state_dim=2), rng)
     with pytest.raises(ShapeError):
         direction.scan(Tensor(rng.normal(size=(5, 3))))
 
@@ -193,7 +195,7 @@ def test_selective_scan_channels_must_match():
 def test_selective_scan_oracle():
     # recompute the selective path with plain numpy, one token at a time
     rng = np.random.default_rng(7)
-    direction = SsmDirection(2, 3, rng)
+    direction = SsmDirection(ModelConfig(channels=2, state_dim=3), rng)
     x = rng.normal(size=(6, 2))
     y = direction.scan(Tensor(x)).data
     a = -np.exp(direction.a_log.data)
@@ -212,7 +214,7 @@ def test_selective_scan_oracle():
 
 def test_selective_scan_grads():
     rng = np.random.default_rng(8)
-    direction = SsmDirection(2, 2, rng)
+    direction = SsmDirection(ModelConfig(channels=2, state_dim=2), rng)
     x = Tensor(rng.normal(size=(5, 2)))
     params = [x, direction.a_log, direction.d, direction.w_dt, direction.b_dt, direction.w_b, direction.w_c]
 
@@ -404,7 +406,7 @@ def _scan_and_grads(case, scan, prior):
 
 def _direction_scan(x, p):
     channels, state = p["w_b"].shape
-    direction = SsmDirection(channels, state, np.random.default_rng(0))
+    direction = SsmDirection(ModelConfig(channels=channels, state_dim=state), np.random.default_rng(0))
     for name in _PARAMS:
         setattr(direction, name, p[name])
     return direction.scan(x)
@@ -432,7 +434,8 @@ _FULL_SIZE = (1024, 32, 16)
 def _full_size_direction():
     length, channels, state = _FULL_SIZE
     rng = np.random.default_rng(17)
-    return SsmDirection(channels, state, rng), Tensor(rng.normal(size=(length, channels)))
+    direction = SsmDirection(ModelConfig(channels=channels, state_dim=state), rng)
+    return direction, Tensor(rng.normal(size=(length, channels)))
 
 
 def _traced(fn):
@@ -505,7 +508,7 @@ def test_full_size_replay_peaks_at_most_11_5_mb():
 
 def test_silenced_direction_emits_zeros():
     rng = np.random.default_rng(9)
-    direction = SsmDirection(2, 3, rng)
+    direction = SsmDirection(ModelConfig(channels=2, state_dim=3), rng)
     direction.silence()
     y = direction.scan(Tensor(rng.normal(size=(7, 2))))
     assert np.array_equal(y.data, np.zeros((7, 2)))
@@ -514,7 +517,7 @@ def test_silenced_direction_emits_zeros():
 def _scan_only_stage(channels, rng):
     """A stage whose conv MLP is silenced, so it is exactly the identity
     and the stage's output is its bidirectional scan with the residual."""
-    stage = SsmStage(channels, 2, 2, 0.0, rng)
+    stage = SsmStage(ModelConfig(channels=channels, state_dim=2), rng)
     stage.mlp.silence()
     return stage
 
@@ -545,7 +548,7 @@ def test_conv_mlp_identity_parameters():
     # W1 = W2 = I and a delta depthwise kernel reduce the block to
     # x + GELU(x)
     rng = np.random.default_rng(12)
-    mlp = ConvMlp(3, 1, 0.0, rng)
+    mlp = ConvMlp(ModelConfig(channels=3, expansion=1), rng)
     mlp.w1.data[:] = np.eye(3)
     mlp.b1.data[:] = 0.0
     mlp.dw.data[:] = 0.0
@@ -560,21 +563,21 @@ def test_conv_mlp_identity_parameters():
 
 def test_conv_mlp_silence_and_validation():
     rng = np.random.default_rng(13)
-    mlp = ConvMlp(2, 2, 0.0, rng)
+    mlp = ConvMlp(ModelConfig(channels=2), rng)
     mlp.silence()
     x = Tensor(rng.normal(size=(6, 2)))
     assert np.array_equal(mlp.forward(x, 2, 3).data, x.data)
     with pytest.raises(ShapeError):
         mlp.forward(x, 2, 2)
-    with pytest.raises(ConfigError):
-        ConvMlp(2, 0, 0.0, rng)
-    with pytest.raises(ConfigError):
-        ConvMlp(2, 2, 1.0, rng)
+    with pytest.raises(ConfigError, match="expansion"):
+        ModelConfig(channels=2, expansion=0)
+    with pytest.raises(ConfigError, match="dropout"):
+        ModelConfig(channels=2, dropout=1.0)
 
 
 def test_stage_shape_and_silence():
     rng = np.random.default_rng(14)
-    stage = SsmStage(4, 3, 2, 0.0, rng)
+    stage = SsmStage(ModelConfig(channels=4, state_dim=3), rng)
     x = Tensor(rng.normal(size=(12, 4)))
     out = stage.forward(x, 3, 4)
     assert out.shape == (12, 4)
@@ -584,7 +587,7 @@ def test_stage_shape_and_silence():
 
 def test_stage_grads_flow_to_all_params():
     rng = np.random.default_rng(15)
-    stage = SsmStage(2, 2, 2, 0.0, rng)
+    stage = SsmStage(ModelConfig(channels=2, state_dim=2), rng)
     x = Tensor(rng.normal(size=(6, 2)))
     with GradTape() as tape:
         loss = weighted_sum(stage.forward(x, 2, 3), np.ones(x.shape))

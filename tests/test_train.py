@@ -80,7 +80,7 @@ def test_batch_loss_is_mean_absolute_error():
     model = ShadowNet(_TINY)
     model.silence()
     pairs = make_toy_pairs(2, 8, seed=2)
-    got = float(batch_loss(model, pairs, training=False).data)
+    got = float(batch_loss(model, pairs).data)
     want = 0.5 * sum(np.abs(shadowed - clean).mean() for shadowed, _, clean in pairs)
     assert abs(got - want) < 1e-15
     assert dataset_loss(model, pairs) == got
@@ -125,7 +125,7 @@ def _one_tape_step(model, batch):
     """Loss and gradients of the batch from a single tape over all images."""
     model.zero_grads()
     with GradTape() as tape:
-        loss = batch_loss(model, batch, training=True)
+        loss = batch_loss(model, batch)
     backward(loss, tape)
     return float(loss.data), [p.grad for p in model.params()]
 
@@ -194,10 +194,10 @@ def _frozen_absolute(a):
     return out
 
 
-def _frozen_batch_loss(model, batch, training):
+def _frozen_batch_loss(model, batch):
     total = None
     for shadowed, mask, clean in batch:
-        pred = model.forward(shadowed, mask, training=training)
+        pred = model.forward(shadowed, mask)
         err = _frozen_mean_all(_frozen_absolute(ad.add(pred, Tensor(-clean))))
         total = err if total is None else ad.add(total, err)
     return _frozen_mul(total, Tensor(1.0 / len(batch)))
@@ -206,7 +206,7 @@ def _frozen_batch_loss(model, batch, training):
 def _loss_and_grads(loss_fn, config, batch, seed):
     model = ShadowNet(config)
     with GradTape() as tape:
-        loss = loss_fn(model, batch, training=True)
+        loss = loss_fn(model, batch)
     backward(loss, tape, seed)
     return [loss.data] + [p.grad for p in model.params()]
 
@@ -222,7 +222,7 @@ def test_loss_node_is_bitwise_the_op_chain(size, dropout, seed):
         assert (g is None) == (w is None)
         assert g is None or np.array_equal(g.view(np.int64), w.view(np.int64))
     model = ShadowNet(config)
-    assert dataset_loss(model, batch) == float(_frozen_batch_loss(model, batch, training=False).data)
+    assert dataset_loss(model, batch) == float(_frozen_batch_loss(model, batch).data)
 
 
 @pytest.mark.parametrize(
@@ -233,7 +233,7 @@ def test_loss_node_is_bitwise_the_op_chain(size, dropout, seed):
 def test_one_image_records_its_forward_and_one_loss_node(overrides, closures):
     model = ShadowNet(ModelConfig(**overrides))
     with GradTape() as tape:
-        batch_loss(model, make_toy_pairs(1, 32, seed=0), training=True)
+        batch_loss(model, make_toy_pairs(1, 32, seed=0))
     assert len(tape._ops) == closures
 
 
