@@ -45,7 +45,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError, ValidationError
+from .errors import InputError
 from .imageio import linear_taps
 
 _TAPE_STACK: list["GradTape"] = []
@@ -144,7 +144,7 @@ class Tensor:
 def param(shape: tuple[int, ...], rng: np.random.Generator, fan_in: int, scale: float = 1.0) -> Tensor:
     """A trainable tensor drawn uniform in +-scale/sqrt(fan_in)."""
     if fan_in <= 0:
-        raise ConfigError("fan_in must be positive for random init")
+        raise InputError("fan_in must be positive for random init")
     bound = scale / math.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, size=shape))
 
@@ -172,9 +172,9 @@ def backward(output: Tensor, tape: GradTape, seed: float = 1.0) -> None:
     been handed down, and the tape is empty when this returns.
     """
     if output.data.size != 1:
-        raise ContractError(f"backward needs a scalar output, got shape {output.shape}")
+        raise InputError(f"backward needs a scalar output, got shape {output.shape}")
     if tape._consumed:
-        raise ContractError("tape already replayed; build a fresh tape per backward pass")
+        raise InputError("tape already replayed; build a fresh tape per backward pass")
     tape._consumed = True
     output.accumulate(np.full_like(output.data, seed))
     ops = tape._ops
@@ -188,7 +188,7 @@ def backward(output: Tensor, tape: GradTape, seed: float = 1.0) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
-        raise ShapeError(f"add needs operands of equal shape, got {a.shape} and {b.shape}")
+        raise InputError(f"add needs operands of equal shape, got {a.shape} and {b.shape}")
     out = Tensor(a.data + b.data)
     a_slot, b_slot = a.slot, b.slot
 
@@ -203,7 +203,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Row-wise affine map: (L, C_in) @ (C_in, C_out) plus a (C_out,) bias."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
-        raise ShapeError(f"linear needs (L,k) @ (k,n) + (n,), got {x.shape} @ {w.shape} + {b.shape}")
+        raise InputError(f"linear needs (L,k) @ (k,n) + (n,), got {x.shape} @ {w.shape} + {b.shape}")
     xd, wd = x.data, w.data
     y = xd @ wd
     y += b.data
@@ -363,7 +363,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     ``rng.random(shape) >= rate`` and scale it by 1/(1 - rate). Outside a
     tape, or at rate 0, it returns ``a`` itself and draws nothing."""
     if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+        raise InputError(f"dropout rate must be in [0, 1), got {rate}")
     if active_tape() is None or rate == 0.0:
         return a
     keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
@@ -384,7 +384,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift per channel."""
     if x.shape[-1] != gain.data.shape[-1] or x.shape[-1] != bias.data.shape[-1]:
-        raise ShapeError(
+        raise InputError(
             f"layer_norm channel mismatch: x {x.shape}, gain {gain.shape}, bias {bias.shape}"
         )
     mu = x.data.mean(axis=-1, keepdims=True)
@@ -422,7 +422,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def _check_fold(x: Tensor, height: int, width: int, op: str) -> None:
     if x.ndim != 2 or x.shape[0] != height * width:
-        raise ShapeError(f"{op} needs an (H*W, C) sequence that folds to {height}x{width}, got {x.shape}")
+        raise InputError(f"{op} needs an (H*W, C) sequence that folds to {height}x{width}, got {x.shape}")
 
 
 def _map(a: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -479,14 +479,14 @@ def conv2d(x: Tensor, height: int, width: int, w: Tensor, b: Tensor) -> Tensor:
     sequence."""
     _check_fold(x, height, width, "conv2d")
     if w.ndim != 4:
-        raise ShapeError(f"conv2d needs (O,C,k,k) weights, got {w.shape}")
+        raise InputError(f"conv2d needs (O,C,k,k) weights, got {w.shape}")
     c_out, c_in, k, k2 = w.shape
     if k != k2 or k % 2 == 0:
-        raise ConfigError(f"conv2d kernel must be square and odd, got {k}x{k2}")
+        raise InputError(f"conv2d kernel must be square and odd, got {k}x{k2}")
     if c_in != x.shape[1]:
-        raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs weights {w.shape}")
+        raise InputError(f"conv2d channel mismatch: input {x.shape} vs weights {w.shape}")
     if b.shape != (c_out,):
-        raise ShapeError(f"conv2d bias must be ({c_out},), got {b.shape}")
+        raise InputError(f"conv2d bias must be ({c_out},), got {b.shape}")
 
     xd, wd = x.data, w.data
 
@@ -513,13 +513,13 @@ def depthwise_conv2d(x: Tensor, height: int, width: int, w: Tensor) -> Tensor:
     """Per-channel same-padded convolution of an (H*W, C) sequence, (C,k,k) kernels."""
     _check_fold(x, height, width, "depthwise_conv2d")
     if w.ndim != 3:
-        raise ShapeError(f"depthwise_conv2d needs (C,k,k) kernels, got {w.shape}")
+        raise InputError(f"depthwise_conv2d needs (C,k,k) kernels, got {w.shape}")
     c = x.shape[1]
     ck, k, k2 = w.shape
     if k != k2 or k % 2 == 0:
-        raise ConfigError(f"depthwise kernel must be square and odd, got {k}x{k2}")
+        raise InputError(f"depthwise kernel must be square and odd, got {k}x{k2}")
     if ck != c:
-        raise ShapeError(f"depthwise channel mismatch: input {x.shape} vs kernels {w.shape}")
+        raise InputError(f"depthwise channel mismatch: input {x.shape} vs kernels {w.shape}")
 
     xd, wd = x.data, w.data
 
@@ -557,7 +557,7 @@ def bilinear_downsample2x(x: Tensor, height: int, width: int) -> Tensor:
     """Halve an (H*W, C) sequence's map: the 2x2 block mean (aligned centers)."""
     _check_fold(x, height, width, "downsample")
     if height % 2 or width % 2:
-        raise ShapeError(f"downsample needs even spatial dims, got {height}x{width}")
+        raise InputError(f"downsample needs even spatial dims, got {height}x{width}")
     c = x.shape[1]
     d = _map(x.data, height, width)
     y = 0.25 * (d[:, ::2, ::2] + d[:, 1::2, ::2] + d[:, ::2, 1::2] + d[:, 1::2, 1::2])
@@ -617,11 +617,11 @@ def invert_permutation(perm: np.ndarray) -> np.ndarray:
     in-range entries, a slot left unwritten means some entry repeats."""
     n = perm.size
     if perm.ndim != 1 or (n and (perm.min() < 0 or perm.max() >= n)):
-        raise ValidationError(f"not a permutation of range({n})")
+        raise InputError(f"not a permutation of range({n})")
     inv = np.full(n, -1, dtype=np.int64)
     inv[perm] = np.arange(n)
     if (inv < 0).any():
-        raise ValidationError(f"not a permutation of range({n})")
+        raise InputError(f"not a permutation of range({n})")
     return inv
 
 
@@ -633,13 +633,13 @@ def permute_gather(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     n = x.shape[0]
     if idx.ndim != 1:
-        raise ShapeError(f"row index must be 1-D, got shape {idx.shape}")
+        raise InputError(f"row index must be 1-D, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValidationError(f"row index out of range({n})")
+        raise InputError(f"row index out of range({n})")
     seen = np.zeros(n, dtype=bool)
     seen[idx] = True
     if np.count_nonzero(seen) != idx.size:
-        raise ValidationError("row index repeats an entry")
+        raise InputError("row index repeats an entry")
     # the same copy as x.data[idx], without fancy indexing's overhead
     out = Tensor(np.take(x.data, idx, axis=0))
     x_shape, x_slot = x.shape, x.slot
@@ -656,7 +656,7 @@ def permute_gather(x: Tensor, idx: np.ndarray) -> Tensor:
 def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
     """Join two tensors along ``axis``; every other dim must match."""
     if a.ndim != b.ndim or a.shape[:axis] + a.shape[axis + 1 :] != b.shape[:axis] + b.shape[axis + 1 :]:
-        raise ShapeError(f"concat on axis {axis} needs matching other dims, got {a.shape}, {b.shape}")
+        raise InputError(f"concat on axis {axis} needs matching other dims, got {a.shape}, {b.shape}")
     out = Tensor(np.concatenate([a.data, b.data], axis=axis))
     split, a_slot, b_slot = a.shape[axis], a.slot, b.slot
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
-from .errors import ShapeError
+from .errors import InputError
 from .maskgrid import partition_patches, validate_mask
 from .module import Module
 from .scanorder import mas_order, pixel_order
@@ -30,7 +30,7 @@ def max_pool_mask2x(mask: np.ndarray) -> np.ndarray:
     """Halve a mask, keeping shadow presence: 2x2 block maximum."""
     h, w = mask.shape
     if h % 2 or w % 2:
-        raise ShapeError(f"mask {h}x{w} must have even dims to pool")
+        raise InputError(f"mask {h}x{w} must have even dims to pool")
     return mask.reshape(h // 2, 2, w // 2, 2).max(axis=(1, 3))
 
 
@@ -88,7 +88,7 @@ class DualScanGroup(Module):
     def forward(self, seq: Tensor, order: ScanOrder, height: int, width: int) -> Tensor:
         perm, inverse = order
         if perm.size != height * width:
-            raise ShapeError(f"scan order of {perm.size} pixels does not cover {height}x{width}")
+            raise InputError(f"scan order of {perm.size} pixels does not cover {height}x{width}")
         out = self.row_stage.forward(seq, height, width)
         gathered = ad.permute_gather(out, perm)
         gathered = self.mas_stage.forward(gathered, height, width)
@@ -109,9 +109,9 @@ def dfmb_interleave(fine: Tensor, coarse: Tensor, height: int, width: int) -> Te
     bottom-right) then the one coarse token; units follow row-major block
     order."""
     if height % 2 or width % 2:
-        raise ShapeError(f"interleave needs even dims, got {height}x{width}")
+        raise InputError(f"interleave needs even dims, got {height}x{width}")
     if fine.shape[0] != height * width or coarse.shape[0] != (height // 2) * (width // 2):
-        raise ShapeError(
+        raise InputError(
             f"token counts {fine.shape[0]}/{coarse.shape[0]} do not match {height}x{width} and its half"
         )
     source = ad.concat(fine, coarse, 0)
@@ -213,11 +213,11 @@ class ShadowNet(Module):
         image = np.asarray(image, dtype=np.float64)
         mask = validate_mask(mask)
         if image.ndim != 3 or image.shape[0] != 3:
-            raise ShapeError(f"image must be (3,H,W), got {image.shape}")
+            raise InputError(f"image must be (3,H,W), got {image.shape}")
         if image.shape[1:] != mask.shape:
-            raise ShapeError(f"image {image.shape} and mask {mask.shape} disagree on size")
+            raise InputError(f"image {image.shape} and mask {mask.shape} disagree on size")
         if not np.isfinite(image).all():
-            raise ShapeError("image must be finite")
+            raise InputError("image must be finite")
         h, w = mask.shape
         cfg = self.config
         cfg.check_spatial(h, w)

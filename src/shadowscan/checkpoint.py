@@ -23,7 +23,7 @@ import numpy as np
 
 from .blocks import ShadowNet
 from .config import ModelConfig
-from .errors import ConfigError, ValidationError
+from .errors import InputError
 
 _MAGIC = b"SHADOWSCAN CKPT 1"
 
@@ -49,7 +49,7 @@ def save_checkpoint(path: str, model: ShadowNet) -> None:
 def _count(text: str, what: str) -> int:
     """A non-negative decimal integer field of the manifest."""
     if not text.isdigit():
-        raise ValidationError(f"checkpoint {what} must be a non-negative integer, got {text!r}")
+        raise InputError(f"checkpoint {what} must be a non-negative integer, got {text!r}")
     return int(text)
 
 
@@ -58,62 +58,62 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         raw = f.read()
     end = raw.find(b"\n")
     if end < 0 or raw[:end] != _MAGIC:
-        raise ValidationError(f"{path} is not a checkpoint (bad magic)")
+        raise InputError(f"{path} is not a checkpoint (bad magic)")
     pos = end + 1
     config_values: dict[str, str] = {}
     entries: dict[str, tuple[tuple[int, ...], int]] = {}
     while True:
         end = raw.find(b"\n", pos)
         if end < 0:
-            raise ValidationError("truncated checkpoint manifest")
+            raise InputError("truncated checkpoint manifest")
         try:
             line = raw[pos:end].decode("ascii")
         except UnicodeDecodeError:
-            raise ValidationError("checkpoint manifest holds non-ASCII bytes") from None
+            raise InputError("checkpoint manifest holds non-ASCII bytes") from None
         pos = end + 1
         if line.startswith("config "):
             key, _, value = line[len("config ") :].partition("=")
             if key in config_values:
-                raise ValidationError(f"config {key!r} appears twice in the manifest")
+                raise InputError(f"config {key!r} appears twice in the manifest")
             config_values[key] = value
         elif line.startswith("param "):
             fields = line.split(" ")
             if len(fields) != 4:
-                raise ValidationError(f"param line needs name, shape and offset: {line!r}")
+                raise InputError(f"param line needs name, shape and offset: {line!r}")
             _, name, shape_text, offset = fields
             if name in entries:
-                raise ValidationError(f"param {name!r} appears twice in the manifest")
+                raise InputError(f"param {name!r} appears twice in the manifest")
             shape = tuple(_count(d, f"dimension of {name!r}") for d in shape_text.split("x"))
             start = _count(offset, f"offset of {name!r}")
             if start % 8:
-                raise ValidationError(f"offset of {name!r} must be a multiple of 8, got {start}")
+                raise InputError(f"offset of {name!r} must be a multiple of 8, got {start}")
             entries[name] = (shape, start)
         elif line.startswith("blob "):
             fields = line.split(" ")
             if len(fields) != 2:
-                raise ValidationError(f"blob line needs exactly one size: {line!r}")
+                raise InputError(f"blob line needs exactly one size: {line!r}")
             blob_size = _count(fields[1], "blob size")
             break
         else:
-            raise ValidationError(f"bad manifest line: {line!r}")
+            raise InputError(f"bad manifest line: {line!r}")
     blob = raw[pos:]
     if len(blob) != blob_size:
-        raise ValidationError(f"checkpoint blob has {len(blob)} bytes, manifest promises {blob_size}")
+        raise InputError(f"checkpoint blob has {len(blob)} bytes, manifest promises {blob_size}")
     arrays: dict[str, np.ndarray] = {}
     covered_to, last = 0, None
     for name, (shape, offset) in sorted(entries.items(), key=lambda item: item[1][1]):
         # a zero dimension lets any other through the size check below, and
         # numpy refuses dimensions past its own limits with a ValueError
         if max(shape) > blob_size // 8:
-            raise ValidationError(
+            raise InputError(
                 f"param {name!r} has a dimension larger than the blob's {blob_size // 8} values"
             )
         count = math.prod(shape)
         if offset + 8 * count > blob_size:
-            raise ValidationError(f"param {name!r} runs past the end of the {blob_size}-byte blob")
+            raise InputError(f"param {name!r} runs past the end of the {blob_size}-byte blob")
         if count:
             if offset < covered_to:
-                raise ValidationError(f"params {last!r} and {name!r} overlap in the blob")
+                raise InputError(f"params {last!r} and {name!r} overlap in the blob")
             covered_to, last = offset + 8 * count, name
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         arrays[name] = arr.reshape(shape).astype(np.float64)
@@ -121,14 +121,14 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     if not np.isfinite(np.frombuffer(blob, dtype="<f8", count=blob_size // 8)).all():
         for name, arr in arrays.items():
             if not np.isfinite(arr).all():
-                raise ValidationError(f"param {name!r} holds a non-finite value")
+                raise InputError(f"param {name!r} holds a non-finite value")
     missing = [f.name for f in dataclasses.fields(ModelConfig) if f.name not in config_values]
     if missing:
-        raise ValidationError(f"checkpoint manifest lacks config {', '.join(missing)}")
+        raise InputError(f"checkpoint manifest lacks config {', '.join(missing)}")
     try:
         config = ModelConfig.from_dict(config_values)
-    except ConfigError as exc:
-        raise ValidationError(f"checkpoint config: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"checkpoint config: {exc}") from None
     return config, arrays
 
 
@@ -137,10 +137,10 @@ def restore_model(model: ShadowNet, arrays: dict[str, np.ndarray]) -> None:
     if set(named) != set(arrays):
         missing = sorted(set(named) - set(arrays))
         extra = sorted(set(arrays) - set(named))
-        raise ValidationError(f"parameter names disagree (missing {missing}, extra {extra})")
+        raise InputError(f"parameter names disagree (missing {missing}, extra {extra})")
     for name, tensor in named.items():
         if tensor.data.shape != arrays[name].shape:
-            raise ValidationError(
+            raise InputError(
                 f"shape mismatch for {name}: model {tensor.data.shape} vs checkpoint {arrays[name].shape}"
             )
         tensor.data[...] = arrays[name]

@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import GradTape, Tensor, backward
 from .blocks import ShadowNet, dfmb_interleave, fold_back
 from .config import ModelConfig
-from .errors import ConfigError
+from .errors import InputError
 from .maskgrid import partition_patches, shadow_rect
 from .scanorder import horizontal_order, mas_order, mean_adjacent_gap
 from .ssm import Zoh, discretize, ssm_recurrence
@@ -258,4 +258,4 @@ def run_suite(suite: str, seed: int = 0) -> list[CheckResult]:
         for name in SUITES:
             results.extend(run_suite(name, seed))
         return results
-    raise ConfigError(f"unknown check suite {suite!r} (choose from {', '.join(SUITES + ('all',))})")
+    raise InputError(f"unknown check suite {suite!r} (choose from {', '.join(SUITES + ('all',))})")

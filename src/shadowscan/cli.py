@@ -22,13 +22,7 @@ from .blocks import ShadowNet
 from .checkpoint import model_from_checkpoint, save_checkpoint
 from .checks import SUITES, run_suite
 from .config import ModelConfig
-from .errors import (
-    ConfigError,
-    ContractError,
-    NoShadowRegion,
-    ShapeError,
-    ValidationError,
-)
+from .errors import InputError
 from .imageio import image_writer, read_image, read_mask, write_image, write_pgm, write_ppm
 from .maskgrid import partition_patches
 from .metrics import evaluate, format_report
@@ -43,7 +37,7 @@ def _read_config_file(path: str) -> dict[str, str]:
         with open(path, "r", encoding="ascii") as f:
             lines = f.readlines()
     except UnicodeDecodeError:
-        raise ConfigError(f"{path}: config file holds non-ASCII bytes") from None
+        raise InputError(f"{path}: config file holds non-ASCII bytes") from None
     values: dict[str, str] = {}
     for lineno, line in enumerate(lines, 1):
         text = line.strip()
@@ -51,10 +45,10 @@ def _read_config_file(path: str) -> dict[str, str]:
             continue
         key, sep, value = text.partition("=")
         if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
+            raise InputError(f"{path}:{lineno}: expected key=value, got {text!r}")
         key = key.strip()
         if key in values:
-            raise ConfigError(f"{path}:{lineno}: {key!r} is set twice")
+            raise InputError(f"{path}:{lineno}: {key!r} is set twice")
         values[key] = value.strip()
     return values
 
@@ -125,24 +119,27 @@ def cmd_check(args) -> int:
 
 
 def _check_out_dirs(*paths: str) -> None:
-    """Each output's directory must exist, so a command that would fail to
-    write its result fails before any work, with nothing written."""
+    """Each output's directory must exist and the output itself must not be
+    a directory, so a command that would fail to write its result fails
+    before any work, with nothing written."""
     for path in paths:
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent):
-            raise ValidationError(f"{path}: directory {parent} does not exist")
+            raise InputError(f"{path}: directory {parent} does not exist")
+        if os.path.isdir(path):
+            raise InputError(f"{path}: is a directory, not a file")
 
 
 def cmd_forward(args) -> int:
     if image_writer(args.out) is write_pgm:
-        raise ValidationError(f"{args.out}: a PGM holds one channel but the prediction has three; use .ppm or .png")
+        raise InputError(f"{args.out}: a PGM holds one channel but the prediction has three; use .ppm or .png")
     _check_out_dirs(args.out)
     model = model_from_checkpoint(args.checkpoint)
     stored = model.config.to_dict()
     for key, value in _collect_overrides(args).items():
         resolved = ModelConfig.from_dict({key: value}).to_dict()[key]
         if resolved != stored[key]:
-            raise ConfigError(
+            raise InputError(
                 f"config override {key}={resolved} conflicts with checkpoint value {stored[key]}"
             )
     for key, value in stored.items():
@@ -154,7 +151,7 @@ def cmd_forward(args) -> int:
         with np.errstate(over="raise", invalid="raise"):
             pred = model.forward(image, mask)
     except FloatingPointError as exc:
-        raise ValidationError(f"{args.checkpoint}: the forward pass leaves float64 range ({exc})") from None
+        raise InputError(f"{args.checkpoint}: the forward pass leaves float64 range ({exc})") from None
     write_image(args.out, pred.data)
     log.info("wrote %s", args.out)
     return 0
@@ -163,15 +160,18 @@ def cmd_forward(args) -> int:
 def cmd_train_toy(args) -> int:
     log_path = args.log if args.log else args.out + ".log"
     if os.path.realpath(log_path) == os.path.realpath(args.out):
-        raise ValidationError(f"--log {log_path} names the same file as --out {args.out}")
+        raise InputError(f"--log {log_path} names the same file as --out {args.out}")
+    for flag, value in (("--synth", args.synth), ("--size", args.size)):
+        if args.data is not None and value is not None:
+            raise InputError(f"--data trains on the directory's pairs and excludes {flag}")
     _check_out_dirs(args.out, log_path)
     config = _resolve_config(args)
     if args.data:
         pairs = load_dir_pairs(args.data)
     elif args.synth:
-        pairs = make_toy_pairs(count=args.synth, size=args.size, seed=config.seed)
+        pairs = make_toy_pairs(count=args.synth, size=32 if args.size is None else args.size, seed=config.seed)
     else:
-        raise ValidationError("need --data DIR or --synth N to train on")
+        raise InputError("need --data DIR or --synth N to train on")
     check_run(pairs, args.steps, args.batch)
     model = ShadowNet(config)
     initial = dataset_loss(model, pairs)
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synth", type=int, metavar="N", help="generate N synthetic pairs instead")
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--size", type=int, default=32, help="synthetic image side")
+    p.add_argument("--size", type=int, help="synthetic image side")
     p.add_argument("--log", metavar="PATH", help="loss log path (default: <out>.log)")
     p.add_argument("--out", default="toy.ckpt", metavar="PATH", help="checkpoint path")
     _add_config_flags(p)
@@ -271,23 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INPUT_ERRORS = (
-    ConfigError,
-    ShapeError,
-    ValidationError,
-    ContractError,
-    NoShadowRegion,
-    OSError,
-)
-
-
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, ShapeError
+from .errors import InputError
 
 # each UNet level halves the image, so sides must be multiples of
 # 2**unet_depth; at 16 that is 65,536 px, past any image this model can hold
@@ -37,27 +37,27 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         if self.channels < 1:
-            raise ConfigError(f"channels must be >= 1, got {self.channels}")
+            raise InputError(f"channels must be >= 1, got {self.channels}")
         if self.state_dim < 1:
-            raise ConfigError(f"state_dim must be >= 1, got {self.state_dim}")
+            raise InputError(f"state_dim must be >= 1, got {self.state_dim}")
         if self.expansion < 1:
-            raise ConfigError(f"expansion must be >= 1, got {self.expansion}")
+            raise InputError(f"expansion must be >= 1, got {self.expansion}")
         if not 0 <= self.unet_depth <= MAX_UNET_DEPTH:
-            raise ConfigError(f"unet_depth must lie in [0, {MAX_UNET_DEPTH}], got {self.unet_depth}")
+            raise InputError(f"unet_depth must lie in [0, {MAX_UNET_DEPTH}], got {self.unet_depth}")
         if self.patch_size < 1:
-            raise ConfigError(f"patch_size must be >= 1, got {self.patch_size}")
+            raise InputError(f"patch_size must be >= 1, got {self.patch_size}")
         if not 0.0 < self.tau <= 1.0:
-            raise ConfigError(f"tau must lie in (0, 1], got {self.tau}")
+            raise InputError(f"tau must lie in (0, 1], got {self.tau}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+            raise InputError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
     def check_spatial(self, height: int, width: int) -> None:
         # the dual-scale fusion needs one halving even at depth 0
         div = 2 ** max(self.unet_depth, 1)
         if height % div or width % div or height < div or width < div:
-            raise ShapeError(
+            raise InputError(
                 f"input {height}x{width} must be divisible by {div} for unet_depth={self.unet_depth}"
             )
 
@@ -69,7 +69,7 @@ class ModelConfig:
         """Parse each value by its field's type (flags, config files and checkpoints alike)."""
         unknown = set(values) - {f.name for f in fields(cls)}
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise InputError(f"unknown config keys: {sorted(unknown)}")
         parsed = {f.name: _PARSERS[f.type](f.name, values[f.name]) for f in fields(cls) if f.name in values}
         return cls(**parsed)
 
@@ -77,7 +77,7 @@ class ModelConfig:
 def _parse_int(name: str, raw) -> int:
     # int() would also take "1_6", "+4" and non-ASCII digits
     if not re.fullmatch(r"-?[0-9]+", str(raw)):
-        raise ConfigError(f"{name} must be an integer, got {raw!r}")
+        raise InputError(f"{name} must be an integer, got {raw!r}")
     return int(raw)
 
 
@@ -89,7 +89,7 @@ def _parse_float(name: str, raw) -> float:
             return float(text)
         except ValueError:
             pass
-    raise ConfigError(f"{name} must be a number, got {raw!r}")
+    raise InputError(f"{name} must be a number, got {raw!r}")
 
 
 def _parse_bool(name: str, raw) -> bool:
@@ -98,7 +98,7 @@ def _parse_bool(name: str, raw) -> bool:
         return True
     if text in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"{name} must be a boolean, got {raw!r}")
+    raise InputError(f"{name} must be a boolean, got {raw!r}")
 
 
 # keyed by the field annotations, which stay strings under `from __future__ import annotations`

@@ -12,7 +12,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import InputError
 
 
 def _read_tokens(path: str, raw: bytes, count: int) -> tuple[list[bytes], int]:
@@ -23,7 +23,7 @@ def _read_tokens(path: str, raw: bytes, count: int) -> tuple[list[bytes], int]:
     pos = 0
     while len(tokens) < count:
         if pos >= len(raw):
-            raise ValidationError(f"{path}: truncated netpbm header")
+            raise InputError(f"{path}: truncated netpbm header")
         byte = raw[pos : pos + 1]
         if byte == b"#":
             nl = raw.find(b"\n", pos)
@@ -38,7 +38,7 @@ def _read_tokens(path: str, raw: bytes, count: int) -> tuple[list[bytes], int]:
             pos = end
     # exactly one whitespace byte separates the maxval token from raster data
     if pos >= len(raw) or not raw[pos : pos + 1].isspace():
-        raise ValidationError(f"{path}: missing whitespace before netpbm raster")
+        raise InputError(f"{path}: missing whitespace before netpbm raster")
     return tokens, pos + 1
 
 
@@ -48,18 +48,18 @@ def _read_netpbm(path: str, magic: bytes, channels: int) -> np.ndarray:
     tokens, data_at = _read_tokens(path, raw, 4)
     # header tokens are shown escaped: raw bytes never reach the terminal
     if tokens[0] != magic:
-        raise ValidationError(f"{path}: expected {magic.decode()} file, got {tokens[0]!r}")
+        raise InputError(f"{path}: expected {magic.decode()} file, got {tokens[0]!r}")
     for label, token in zip(("width", "height", "maxval"), tokens[1:]):
         if not token.isdigit() or int(token) < 1:
-            raise ValidationError(f"{path}: netpbm {label} must be a positive integer, got {token!r}")
+            raise InputError(f"{path}: netpbm {label} must be a positive integer, got {token!r}")
     width, height, maxval = (int(t) for t in tokens[1:])
     if maxval != 255:
-        raise ValidationError(f"{path}: only maxval 255 is supported, got {maxval}")
+        raise InputError(f"{path}: only maxval 255 is supported, got {maxval}")
     count = width * height * channels
     # one image per file: a byte past the raster is as malformed as a missing one
     data = raw[data_at:]
     if len(data) != count:
-        raise ValidationError(f"{path}: raster has {len(data)} bytes, expected {count}")
+        raise InputError(f"{path}: raster has {len(data)} bytes, expected {count}")
     arr = np.frombuffer(data, dtype=np.uint8).astype(np.float64) / 255.0
     if channels == 1:
         return arr.reshape(height, width)
@@ -80,7 +80,7 @@ def _quantize(img: np.ndarray) -> np.ndarray:
 
 def write_ppm(path: str, img: np.ndarray) -> None:
     if img.ndim != 3 or img.shape[0] != 3:
-        raise ShapeError(f"PPM writer expects (3, H, W), got {img.shape}")
+        raise InputError(f"PPM writer expects (3, H, W), got {img.shape}")
     _, h, w = img.shape
     body = _quantize(img).transpose(1, 2, 0).tobytes()
     with open(path, "wb") as f:
@@ -90,7 +90,7 @@ def write_ppm(path: str, img: np.ndarray) -> None:
 
 def write_pgm(path: str, img: np.ndarray) -> None:
     if img.ndim != 2:
-        raise ShapeError(f"PGM writer expects (H, W), got {img.shape}")
+        raise InputError(f"PGM writer expects (H, W), got {img.shape}")
     h, w = img.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
@@ -101,7 +101,7 @@ def _require_pillow():
     try:
         from PIL import Image
     except ImportError as exc:  # pragma: no cover - depends on environment
-        raise ValidationError("PNG support needs the Pillow package") from exc
+        raise InputError("PNG support needs the Pillow package") from exc
     return Image
 
 
@@ -118,7 +118,7 @@ def read_image(path: str) -> np.ndarray:
         with Image.open(path) as im:
             arr = np.asarray(im.convert("RGB"), dtype=np.float64) / 255.0
         return arr.transpose(2, 0, 1)
-    raise ValidationError(f"unsupported image format: {path}")
+    raise InputError(f"unsupported image format: {path}")
 
 
 def read_mask(path: str) -> np.ndarray:
@@ -129,7 +129,7 @@ def read_mask(path: str) -> np.ndarray:
         Image = _require_pillow()
         with Image.open(path) as im:
             return np.asarray(im.convert("L"), dtype=np.float64) / 255.0
-    raise ValidationError(f"unsupported mask format: {path}")
+    raise InputError(f"unsupported mask format: {path}")
 
 
 def _write_png(path: str, img: np.ndarray) -> None:
@@ -144,7 +144,7 @@ _WRITERS = {".ppm": write_ppm, ".pgm": write_pgm, ".png": _write_png}
 
 
 def image_writer(path: str) -> Callable[[str, np.ndarray], None]:
-    """The writer for path's extension. Raises ValidationError for an
+    """The writer for path's extension. Raises InputError for an
     extension with no writer, or for PNG when Pillow is missing, so a
     command can reject its output path before doing any work."""
     lower = path.lower()
@@ -153,7 +153,7 @@ def image_writer(path: str) -> Callable[[str, np.ndarray], None]:
             if writer is _write_png:
                 _require_pillow()
             return writer
-    raise ValidationError(f"unsupported image format: {path}")
+    raise InputError(f"unsupported image format: {path}")
 
 
 def write_image(path: str, img: np.ndarray) -> None:
@@ -173,7 +173,7 @@ def linear_taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize of the trailing two axes of (H, W) or (C, H, W)."""
     if out_h < 1 or out_w < 1:
-        raise ShapeError(f"target size {out_h}x{out_w} is not positive")
+        raise InputError(f"target size {out_h}x{out_w} is not positive")
     h, w = img.shape[-2:]
     r0, r1, rf = linear_taps(h, out_h)
     c0, c1, cf = linear_taps(w, out_w)

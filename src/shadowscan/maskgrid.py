@@ -12,17 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NoShadowRegion, ShapeError
+from .errors import InputError
 
 
 def validate_mask(mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask, dtype=np.float64)
     if mask.ndim != 2:
-        raise ShapeError(f"mask must be 2-D, got shape {mask.shape}")
+        raise InputError(f"mask must be 2-D, got shape {mask.shape}")
     if mask.size == 0:
-        raise ShapeError("mask must be non-empty")
+        raise InputError("mask must be non-empty")
     if not np.isfinite(mask).all() or mask.min() < 0.0 or mask.max() > 1.0:
-        raise ConfigError("mask values must be finite and within [0, 1]")
+        raise InputError("mask values must be finite and within [0, 1]")
     return mask
 
 
@@ -37,7 +37,7 @@ class RegionRect:
 
     def __post_init__(self) -> None:
         if self.top > self.bottom or self.left > self.right:
-            raise ConfigError(f"degenerate rect bounds {self}")
+            raise InputError(f"degenerate rect bounds {self}")
 
     @property
     def height(self) -> int:
@@ -75,12 +75,12 @@ def partition_patches(mask: np.ndarray, patch_size: int, tau: float = 0.5) -> Pa
     """Tile the mask into patches and label each by mean coverage >= tau."""
     mask = validate_mask(mask)
     if patch_size < 1:
-        raise ConfigError(f"patch size must be >= 1, got {patch_size}")
+        raise InputError(f"patch size must be >= 1, got {patch_size}")
     if not 0.0 < tau <= 1.0:
-        raise ConfigError(f"tau must lie in (0, 1], got {tau}")
+        raise InputError(f"tau must lie in (0, 1], got {tau}")
     h, w = mask.shape
     if h % patch_size or w % patch_size:
-        raise ShapeError(f"mask {h}x{w} is not divisible by patch size {patch_size}")
+        raise InputError(f"mask {h}x{w} is not divisible by patch size {patch_size}")
     rows = h // patch_size
     cols = w // patch_size
     means = mask.reshape(rows, patch_size, cols, patch_size).mean(axis=(1, 3))
@@ -88,8 +88,8 @@ def partition_patches(mask: np.ndarray, patch_size: int, tau: float = 0.5) -> Pa
 
 
 def shadow_rect(grid: PatchGrid) -> RegionRect:
-    """Tight bounding box of Shadow patches; raises NoShadowRegion when empty."""
+    """Tight bounding box of Shadow patches; raises InputError when empty."""
     rs, cs = np.nonzero(grid.shadow)
     if rs.size == 0:
-        raise NoShadowRegion("grid has no shadow-labeled patch")
+        raise InputError("grid has no shadow-labeled patch")
     return RegionRect(int(rs.min()), int(rs.max()), int(cs.min()), int(cs.max()))

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import InputError
 from .imageio import resize_bilinear
+from .maskgrid import validate_mask
 
 PSNR_CAP = 100.0
 
@@ -37,18 +38,18 @@ _WHITE = np.array([0.95047, 1.0, 1.08883])
 
 def _check_image(img: np.ndarray) -> None:
     if img.ndim != 3 or img.shape[0] != 3:
-        raise ShapeError(f"expected a (3, H, W) image, got {img.shape}")
+        raise InputError(f"expected a (3, H, W) image, got {img.shape}")
     if not np.all(np.isfinite(img)):
-        raise ShapeError("image contains non-finite values")
+        raise InputError("image contains non-finite values")
     if img.min() < -1e-9 or img.max() > 1.0 + 1e-9:
-        raise ShapeError("image values must lie in [0, 1]")
+        raise InputError("image values must lie in [0, 1]")
 
 
 def _check_pair(pred: np.ndarray, gt: np.ndarray) -> None:
     _check_image(pred)
     _check_image(gt)
     if pred.shape != gt.shape:
-        raise ShapeError(f"image shapes differ: {pred.shape} vs {gt.shape}")
+        raise InputError(f"image shapes differ: {pred.shape} vs {gt.shape}")
 
 
 def _region_mean(stack: np.ndarray, region: np.ndarray | None) -> float:
@@ -97,7 +98,7 @@ def ssim_map(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     _check_pair(pred, gt)
     h, w = pred.shape[-2:]
     if h < _WINDOW or w < _WINDOW:
-        raise ConfigError(f"SSIM needs at least {_WINDOW}x{_WINDOW} images, got {h}x{w}")
+        raise InputError(f"SSIM needs at least {_WINDOW}x{_WINDOW} images, got {h}x{w}")
     mu_p = _gauss_filter(pred)
     mu_g = _gauss_filter(gt)
     var_p = _gauss_filter(pred * pred) - mu_p * mu_p
@@ -149,16 +150,15 @@ def evaluate(
     which also reconciles inputs of different sizes."""
     _check_image(pred)
     _check_image(gt)
-    if mask.ndim != 2:
-        raise ShapeError(f"mask must be (H, W), got {mask.shape}")
+    mask = validate_mask(mask)
     if resize_to is not None:
         pred = np.clip(resize_bilinear(pred, resize_to, resize_to), 0.0, 1.0)
         gt = np.clip(resize_bilinear(gt, resize_to, resize_to), 0.0, 1.0)
         mask = resize_bilinear(mask, resize_to, resize_to)
     if pred.shape != gt.shape:
-        raise ShapeError(f"image shapes differ: {pred.shape} vs {gt.shape}")
+        raise InputError(f"image shapes differ: {pred.shape} vs {gt.shape}")
     if mask.shape != pred.shape[-2:]:
-        raise ShapeError(f"mask shape {mask.shape} does not match image {pred.shape[-2:]}")
+        raise InputError(f"mask shape {mask.shape} does not match image {pred.shape[-2:]}")
     shadow = mask >= 0.5
     clear = ~shadow
     smap = ssim_map(pred, gt)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoShadowRegion, ValidationError
+from .errors import InputError
 from .maskgrid import PatchGrid, RegionRect, shadow_rect
 
 DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -56,7 +56,7 @@ def horizontal_order(rows: int, cols: int, patch: int = 1) -> ScanPath:
     horizontal stage is realized downstream by scanning the reversed
     sequence, not by a second path object."""
     if rows < 1 or cols < 1:
-        raise ValidationError(f"grid must be non-empty, got {rows}x{cols}")
+        raise InputError(f"grid must be non-empty, got {rows}x{cols}")
     coords = tuple((r, c) for r in range(rows) for c in range(cols))
     return ScanPath(rows, cols, patch, KIND_HORIZONTAL, coords)
 
@@ -69,7 +69,7 @@ def select_start_a(rect: RegionRect, rows: int, cols: int) -> tuple[int, int]:
     """
     below, right = rows - 1 - rect.bottom, cols - 1 - rect.right
     if min(rect.top, below, rect.left, right) < 0:
-        raise ValidationError(f"rect {rect} exceeds grid {rows}x{cols}")
+        raise InputError(f"rect {rect} exceeds grid {rows}x{cols}")
     return (rows - 1 if below < rect.top else 0, cols - 1 if right < rect.left else 0)
 
 
@@ -98,7 +98,7 @@ def spiral_in(rect: RegionRect, start: tuple[int, int]) -> list[tuple[int, int]]
     that; callers that need strict unit steps enter at a corner.
     """
     if not _on_perimeter(rect, start):
-        raise ValidationError(f"start {start} is not on the perimeter of {rect}")
+        raise InputError(f"start {start} is not on the perimeter of {rect}")
     t, b, l, r = rect.top, rect.bottom, rect.left, rect.right
     out: list[tuple[int, int]] = []
     cur = start
@@ -149,9 +149,9 @@ def gbs_traverse(grid: PatchGrid, rect: RegionRect, start: tuple[int, int]) -> l
     """
     rows, cols = grid.rows, grid.cols
     if not (0 <= start[0] < rows and 0 <= start[1] < cols):
-        raise ValidationError(f"start {start} outside grid {rows}x{cols}")
+        raise InputError(f"start {start} outside grid {rows}x{cols}")
     if not (0 <= rect.top and rect.bottom < rows and 0 <= rect.left and rect.right < cols):
-        raise ValidationError(f"rect {rect} exceeds grid {rows}x{cols}")
+        raise InputError(f"rect {rect} exceeds grid {rows}x{cols}")
     visited = np.zeros((rows, cols), dtype=bool)
     visited[rect.top : rect.bottom + 1, rect.left : rect.right + 1] = True
     seen = int(visited.sum())
@@ -186,10 +186,9 @@ def mas_order(grid: PatchGrid) -> ScanPath:
     The shadow cells occupy the path prefix. With no shadow patch the order
     degrades to plain row-major.
     """
-    try:
-        rect = shadow_rect(grid)
-    except NoShadowRegion:
+    if not grid.shadow.any():
         return horizontal_order(grid.rows, grid.cols, grid.patch)
+    rect = shadow_rect(grid)
     start_a = select_start_a(rect, grid.rows, grid.cols)
     # the rect cell nearest start_a: a grid corner clamps onto the perimeter
     start_b = (min(max(start_a[0], rect.top), rect.bottom), min(max(start_a[1], rect.left), rect.right))

@@ -40,7 +40,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
-from .errors import ConfigError, ShapeError
+from .errors import InputError
 from .module import Module
 
 ZOH_SERIES_THRESHOLD = 1e-8
@@ -83,11 +83,11 @@ def discretize(a_diag: np.ndarray, b_in: np.ndarray, delta: float) -> tuple[np.n
     bbar = delta * b, which the exact expression approaches smoothly.
     """
     if not delta > 0.0:
-        raise ConfigError(f"step size must be positive, got {delta}")
+        raise InputError(f"step size must be positive, got {delta}")
     a = np.asarray(a_diag, dtype=np.float64)
     b = np.asarray(b_in, dtype=np.float64)
     if a.shape != b.shape:
-        raise ShapeError(f"diagonal A {a.shape} and B {b.shape} must match")
+        raise InputError(f"diagonal A {a.shape} and B {b.shape} must match")
     da = delta * a
     abar = np.exp(da)
     factor = _zoh_terms(da, *_zoh_buffers(da.shape))
@@ -161,7 +161,7 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
     inputs; not the Zoh tuple, no Tensor, and neither a_log's data nor y.
     """
     if zoh.dt.ndim != 2 or zoh.b.ndim != 2:
-        raise ShapeError(f"dt and b must be (L,C) and (L,N), got {zoh.dt.shape} and {zoh.b.shape}")
+        raise InputError(f"dt and b must be (L,C) and (L,N), got {zoh.dt.shape} and {zoh.b.shape}")
     length, channels, state = zoh.shape
     if (
         zoh.b.shape[0] != length
@@ -170,7 +170,7 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
         or x.shape != (length, channels)
         or d.shape != (channels,)
     ):
-        raise ShapeError(
+        raise InputError(
             f"a_log, cvec, x and d must be ({channels},{state}), ({length},{state}), ({length},{channels}) "
             f"and ({channels},), got {zoh.a_log.shape}, {cvec.shape}, {x.shape} and {d.shape}"
         )
@@ -350,7 +350,7 @@ class SsmDirection(Module):
     def scan(self, x: Tensor) -> Tensor:
         """Run the selective recurrence over an (L, C) sequence."""
         if x.ndim != 2 or x.shape[1] != self.channels:
-            raise ShapeError(f"expected (L,{self.channels}) sequence, got {x.shape}")
+            raise InputError(f"expected (L,{self.channels}) sequence, got {x.shape}")
         dt, b, cvec = _projections(x, self.w_dt, self.b_dt, self.w_b, self.w_c)
         return ssm_recurrence(Zoh(dt, b, self.a_log), cvec, x, self.d)
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GradTape, Tensor, backward
 from .blocks import ShadowNet
-from .errors import ValidationError
+from .errors import InputError
 from .imageio import read_image, read_mask
 
 
@@ -72,7 +72,7 @@ def batch_loss(model: ShadowNet, batch: list[Pair]) -> Tensor:
     over the batch, as one tape node. Inside a GradTape the forwards train
     (dropout draws masks); outside one they infer."""
     if not batch:
-        raise ValidationError("the loss needs at least one image pair")
+        raise InputError("the loss needs at least one image pair")
     preds = [model.forward(shadowed, mask) for shadowed, mask, _ in batch]
     diffs = [pred.data - clean for pred, (_, _, clean) in zip(preds, batch)]
     scale = 1.0 / len(batch)
@@ -96,7 +96,7 @@ def dataset_loss(model: ShadowNet, pairs: list[Pair]) -> float:
     """batch_loss over all pairs, bit for bit, run one image at a time so
     that one prediction is alive at once, not the whole set's."""
     if not pairs:
-        raise ValidationError("the loss needs at least one image pair")
+        raise InputError("the loss needs at least one image pair")
     total = 0.0
     for pair in pairs:
         total += batch_loss(model, [pair]).data
@@ -117,7 +117,7 @@ def train_step(model: ShadowNet, state: AdamState, batch: list[Pair], lr: float)
     draws them because each forward runs on a tape, and an untaped forward
     (``dataset_loss``, inference) draws none.
 
-    Raises ValidationError, before the update, when the loss or a
+    Raises InputError, before the update, when the loss or a
     parameter gradient is not finite; the message names the step by the
     number of updates ``state`` has made.
     """
@@ -147,21 +147,21 @@ def train_step(model: ShadowNet, state: AdamState, batch: list[Pair], lr: float)
 
 def _check_finite(named: list[tuple[str, Tensor]], loss: float, step: int) -> None:
     if not math.isfinite(loss):
-        raise ValidationError(f"training step {step}: loss is {loss!r}")
+        raise InputError(f"training step {step}: loss is {loss!r}")
     for name, p in named:
         if p.grad is not None and not np.isfinite(p.grad).all():
-            raise ValidationError(f"training step {step}: gradient of {name} is not finite")
+            raise InputError(f"training step {step}: gradient of {name} is not finite")
 
 
 def check_run(pairs: list[Pair], steps: int, batch_size: int) -> None:
-    """Raise ValidationError for a run ``train`` cannot make; cheap, so
+    """Raise InputError for a run ``train`` cannot make; cheap, so
     callers can reject bad arguments before any forward pass."""
     if not pairs:
-        raise ValidationError("training requires at least one image pair")
+        raise InputError("training requires at least one image pair")
     if steps < 0:
-        raise ValidationError(f"steps must be at least 0, got {steps}")
+        raise InputError(f"steps must be at least 0, got {steps}")
     if batch_size < 1:
-        raise ValidationError(f"batch size must be at least 1, got {batch_size}")
+        raise InputError(f"batch size must be at least 1, got {batch_size}")
 
 
 def train(
@@ -194,7 +194,7 @@ def make_toy_pairs(count: int = 8, size: int = 32, seed: int = 0) -> list[Pair]:
     """Synthetic shadow-removal pairs: colored gradient images with one
     rectangular region multiplied by a darkening factor in [0.3, 0.6]."""
     if size < 1:
-        raise ValidationError(f"image size must be at least 1, got {size}")
+        raise InputError(f"image size must be at least 1, got {size}")
     rng = np.random.default_rng(seed)
     ys = np.linspace(0.0, 1.0, size)[None, :, None]
     xs = np.linspace(0.0, 1.0, size)[None, None, :]
@@ -230,7 +230,7 @@ def load_dir_pairs(data_dir: str) -> list[Pair]:
         if m:
             stems.append((m.group("stem"), entry))
     if not stems:
-        raise ValidationError(f"no *_shadow.ppm or *_shadow.png files in {data_dir}")
+        raise InputError(f"no *_shadow.ppm or *_shadow.png files in {data_dir}")
     pairs = []
     for stem, shadow_name in stems:
         shadowed = read_image(os.path.join(data_dir, shadow_name))
@@ -239,7 +239,7 @@ def load_dir_pairs(data_dir: str) -> list[Pair]:
         sizes = [shadowed.shape[1:], mask.shape, clean.shape[1:]]
         if len(set(sizes)) > 1:
             shown = ", ".join(f"{kind} {h}x{w}" for kind, (h, w) in zip(("shadow", "mask", "gt"), sizes))
-            raise ValidationError(f"{stem}: files differ in size ({shown})")
+            raise InputError(f"{stem}: files differ in size ({shown})")
         pairs.append((shadowed, mask, clean))
     return pairs
 
@@ -249,4 +249,4 @@ def _find(data_dir: str, base: str, extensions: tuple[str, ...]) -> str:
         path = os.path.join(data_dir, f"{base}.{ext}")
         if os.path.exists(path):
             return path
-    raise ValidationError(f"missing companion file {base}.{{{','.join(extensions)}}} in {data_dir}")
+    raise InputError(f"missing companion file {base}.{{{','.join(extensions)}}} in {data_dir}")

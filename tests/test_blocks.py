@@ -29,7 +29,7 @@ from shadowscan.blocks import (
     scan_orders,
 )
 from shadowscan.config import MAX_UNET_DEPTH, ModelConfig
-from shadowscan.errors import ConfigError, ShapeError
+from shadowscan.errors import InputError
 from shadowscan.maskgrid import partition_patches
 from shadowscan.scanorder import mas_order, pixel_order
 from shadowscan.train import batch_loss, make_toy_pairs
@@ -48,7 +48,7 @@ def test_max_pool_mask2x():
     mask[3, 3] = 0.25
     out = max_pool_mask2x(mask)
     assert np.array_equal(out, np.array([[1.0, 0.0], [0.0, 0.25]]))
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         max_pool_mask2x(np.zeros((3, 4)))
 
 
@@ -139,9 +139,9 @@ def test_interleave_round_trip_bitwise():
 def test_interleave_validation():
     fine = Tensor(np.zeros((12, 2)))
     coarse = Tensor(np.zeros((3, 2)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         dfmb_interleave(fine, coarse, 3, 4)
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         dfmb_interleave(fine, Tensor(np.zeros((4, 2))), 4, 3)
 
 
@@ -179,7 +179,7 @@ def test_group_grid_must_tile_the_level():
     rng = np.random.default_rng(4)
     group = DualScanGroup(ModelConfig(channels=2, state_dim=2), rng)
     order = scan_orders(np.zeros((4, 4)), 1, 2, 0.5)[0]
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         group.forward(Tensor(np.zeros((64, 2))), order, 8, 8)
 
 
@@ -349,15 +349,15 @@ def test_model_input_validation():
     config = ModelConfig(channels=2, state_dim=2, expansion=2, unet_depth=1, patch_size=2)
     model = ShadowNet(config)
     mask = np.zeros((8, 8))
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         model.forward(np.zeros((1, 8, 8)), mask)
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         model.forward(np.zeros((3, 8, 8)), np.zeros((8, 6)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         model.forward(np.zeros((3, 7, 7)), np.zeros((7, 7)))  # not divisible by 2^depth
     bad = np.zeros((3, 8, 8))
     bad[0, 0, 0] = np.nan
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         model.forward(bad, mask)
 
 
@@ -366,7 +366,7 @@ def test_unet_depth_has_a_ceiling():
     # ever computes 2**depth
     assert ModelConfig(unet_depth=MAX_UNET_DEPTH).unet_depth == MAX_UNET_DEPTH
     for depth in (MAX_UNET_DEPTH + 1, 10**6):
-        with pytest.raises(ConfigError, match="unet_depth"):
+        with pytest.raises(InputError, match="unet_depth"):
             ModelConfig(unet_depth=depth)
 
 
@@ -378,7 +378,7 @@ def test_unet_depth_has_a_ceiling():
     ],
 )
 def test_an_out_of_range_config_field_fails_at_construction(field, value):
-    with pytest.raises(ConfigError, match=field):
+    with pytest.raises(InputError, match=field):
         ModelConfig(**{field: value})
 
 

@@ -13,7 +13,7 @@ from shadowscan.checkpoint import (
     save_checkpoint,
 )
 from shadowscan.config import ModelConfig
-from shadowscan.errors import ValidationError
+from shadowscan.errors import InputError
 
 _CFG = ModelConfig(channels=2, state_dim=2, expansion=2, unet_depth=1, patch_size=2, seed=5)
 
@@ -70,15 +70,15 @@ def test_restore_rejects_name_and_shape_mismatches(tmp_path):
     _, arrays = load_checkpoint(path)
     missing = dict(arrays)
     missing.pop("dec_b")
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         restore_model(model, missing)
     extra = dict(arrays)
     extra["ghost"] = np.zeros(3)
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         restore_model(model, extra)
     wrong = dict(arrays)
     wrong["dec_b"] = np.zeros(4)
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         restore_model(model, wrong)
 
 
@@ -90,18 +90,18 @@ def test_load_rejects_corruption(tmp_path):
 
     bad_magic = tmp_path / "bad1.ckpt"
     bad_magic.write_bytes(b"NOT A CKPT\n" + data)
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         load_checkpoint(str(bad_magic))
 
     truncated = tmp_path / "bad2.ckpt"
     truncated.write_bytes(data[:-16])
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         load_checkpoint(str(truncated))
 
     junk_line = tmp_path / "bad3.ckpt"
     head, _, rest = data.partition(b"\nconfig ")
     junk_line.write_bytes(head + b"\njunk here\nconfig " + rest)
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         load_checkpoint(str(junk_line))
 
 
@@ -137,12 +137,12 @@ def test_load_rejects_malformed_manifest_fields(tmp_path):
     ]:
         assert old in data
         path.write_bytes(data.replace(old, new, 1))
-        with pytest.raises(ValidationError):
+        with pytest.raises(InputError):
             load_checkpoint(str(path))
     head, sep, rest = data.partition(b"\nparam ")
     kept = [line for line in head.split(b"\n") if not line.startswith(b"config ")]
     path.write_bytes(b"\n".join(kept) + sep + rest)  # no config lines at all
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         load_checkpoint(str(path))
 
 
@@ -155,7 +155,7 @@ def test_load_rejects_a_dimension_past_the_blob_behind_a_zero(tmp_path, shape):
     over = int(rest.partition(b"\nblob ")[2].partition(b"\n")[0]) // 8 + 1
     path = tmp_path / "dims.ckpt"
     path.write_bytes(head + sep + name + b" " + shape.format(over=over).encode() + b" " + tail.partition(b" ")[2])
-    with pytest.raises(ValidationError, match=f"param '{name.decode()}' has a dimension larger"):
+    with pytest.raises(InputError, match=f"param '{name.decode()}' has a dimension larger"):
         load_checkpoint(str(path))
 
 
@@ -165,7 +165,7 @@ def test_load_rejects_a_non_finite_param(tmp_path, value):
     dict(model.named_params())["dec_b"].data[0] = value
     path = str(tmp_path / "m.ckpt")
     save_checkpoint(path, model)
-    with pytest.raises(ValidationError, match="param 'dec_b' holds a non-finite value"):
+    with pytest.raises(InputError, match="param 'dec_b' holds a non-finite value"):
         load_checkpoint(path)
 
 
@@ -179,13 +179,13 @@ def test_load_rejects_an_offset_off_the_8_byte_grid(tmp_path):
             lines[i] = b" ".join([b"param", name, shape, str(int(offset) + 4).encode()])
     path = tmp_path / "shifted.ckpt"
     path.write_bytes(b"\n".join(lines) + sep + str(int(size) + 4).encode() + b"\n" + bytes(4) + blob)
-    with pytest.raises(ValidationError, match="multiple of 8"):
+    with pytest.raises(InputError, match="multiple of 8"):
         load_checkpoint(str(path))
 
 
 @settings(max_examples=150)
 @given(data=st.data())
-def test_load_checkpoint_fuzz_loads_or_raises_validation_error(tmp_path_factory, data):
+def test_load_checkpoint_fuzz_loads_or_raises_input_error(tmp_path_factory, data):
     raw = bytearray(_saved_bytes(tmp_path_factory.mktemp("ckpt")))
     manifest_end = raw.index(b"\nblob ") + 16
     # most flips land in the manifest, where the parser has work to do
@@ -197,5 +197,5 @@ def test_load_checkpoint_fuzz_loads_or_raises_validation_error(tmp_path_factory,
     path.write_bytes(bytes(raw))
     try:
         load_checkpoint(str(path))
-    except ValidationError:
+    except InputError:
         pass

@@ -15,7 +15,7 @@ from shadowscan.checks import (
     check_scan_validity,
     run_suite,
 )
-from shadowscan.errors import ConfigError
+from shadowscan.errors import InputError
 
 
 def test_form_equivalence_small():
@@ -55,7 +55,7 @@ def test_run_suite_dispatch():
     results = run_suite("scan")
     assert [r.name for r in results] == ["scan-validity", "scan-locality"]
     assert run_suite("interleave")[0].name == "interleave-roundtrip"
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         run_suite("everything")
     assert set(SUITES) == {"ssm-equiv", "grad", "scan", "interleave"}
 

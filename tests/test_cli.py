@@ -19,7 +19,7 @@ from shadowscan import checkpoint, cli
 from shadowscan.blocks import ShadowNet
 from shadowscan.checkpoint import load_checkpoint, save_checkpoint
 from shadowscan.config import ModelConfig, _parse_bool, _parse_float, _parse_int
-from shadowscan.errors import ConfigError
+from shadowscan.errors import InputError
 from shadowscan.imageio import read_ppm, write_pgm, write_ppm
 from shadowscan.scanorder import dump_path, horizontal_order
 
@@ -100,17 +100,17 @@ def test_int_parses_iff_ascii_digits_with_an_optional_minus(text):
     if re.fullmatch(r"-?[0-9]+", text):
         assert _parse_int("n", text) == int(text)
     else:
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             _parse_int("n", text)
 
 
 @settings(max_examples=500)
 @given(text=st.one_of(st.text(), st.floats().map(repr), st.from_regex(r"\A\s*-?[0-9]+(\.[0-9]*)?([eE]-?[0-9]+)?\s*\Z")))
 def test_float_parses_only_ascii_without_separators_or_whitespace(text):
-    # anything else raises ConfigError and nothing else
+    # anything else raises InputError and nothing else
     try:
         value = _parse_float("x", text)
-    except ConfigError:
+    except InputError:
         return
     assert text.isascii() and "_" not in text and not any(ch.isspace() for ch in text)
     assert value == float(text) or (math.isnan(value) and math.isnan(float(text)))
@@ -132,7 +132,7 @@ def test_bool_parses_iff_one_of_eight_spellings_up_to_case_and_whitespace(text):
     if word in _BOOLS:
         assert _parse_bool("b", text) is _BOOLS[word]
     else:
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             _parse_bool("b", text)
 
 
@@ -330,6 +330,70 @@ def test_scan_viz_and_eval_reject_a_missing_out_directory_before_any_work(tmp_pa
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "directory nodir does not exist" in errors[0], errors
     assert sorted(p.name for p in tmp_path.iterdir()) == ["img.ppm", "mask.pgm"]
+
+
+
+_TRAIN_TOY = ["train-toy", "--synth", "2", "--size", "8", "--steps", "1", "--batch", "1", *_TINY_FLAGS]
+
+
+@pytest.mark.parametrize(
+    "argv,directory,work",
+    [
+        (["forward", "img.ppm", "mask.pgm", "--checkpoint", "m.ckpt", "--out", "D.ppm"], "D.ppm", "model_from_checkpoint"),
+        (["eval", "img.ppm", "img.ppm", "mask.pgm", "--out", "DIR"], "DIR", "evaluate"),
+        (["scan-viz", "mask.pgm", "--out", "v"], "v_path.txt", "render_scan_viz"),
+        (["scan-viz", "mask.pgm", "--out", "v"], "v_viz.ppm", "render_scan_viz"),
+        ([*_TRAIN_TOY, "--out", "DIR"], "DIR", "dataset_loss"),
+        ([*_TRAIN_TOY, "--out", "t2.ckpt", "--log", "DIR"], "DIR", "dataset_loss"),
+        ([*_TRAIN_TOY, "--out", "t2.ckpt"], "t2.ckpt.log", "dataset_loss"),
+    ],
+    ids=["forward", "eval", "scan-viz-path", "scan-viz-viz", "train-toy-out", "train-toy-log", "train-toy-default-log"],
+)
+def test_an_output_that_is_a_directory_is_rejected_before_any_work(
+    tmp_path, monkeypatch, capsys, argv, directory, work
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output paths were checked")
+
+    write_ppm(str(tmp_path / "img.ppm"), np.zeros((3, 8, 8)))
+    write_pgm(str(tmp_path / "mask.pgm"), np.zeros((8, 8)))
+    (tmp_path / directory).mkdir()
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, work, no_work)
+    assert cli.main(argv) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {directory}: is a directory, not a file"]
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("flags", [["--synth", "5"], ["--size", "64"], ["--synth", "5", "--size", "64"]])
+def test_train_toy_data_excludes_synth_and_size(tmp_path, monkeypatch, capsys, flags):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the training data was read before the flags were checked")
+
+    (tmp_path / "pairs").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_dir_pairs", no_work)
+    monkeypatch.setattr(cli, "dataset_loss", no_work)
+    assert cli.main(["train-toy", "--data", "pairs", *flags, "--steps", "1", *_TINY_FLAGS]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: --data trains on the directory's pairs and excludes {flags[0]}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs"]
+
+
+@pytest.mark.parametrize("flags,size", [([], 32), (["--size", "8"], 8), (["--size", "0"], 0)])
+def test_train_toy_synthetic_side_is_32_unless_given(tmp_path, monkeypatch, capsys, flags, size):
+    seen = []
+
+    def record(count, size, seed):
+        seen.append(size)
+        raise InputError("stop before training")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "make_toy_pairs", record)
+    assert cli.main(["train-toy", "--synth", "1", *flags, "--steps", "0", *_TINY_FLAGS]) == 2
+    assert seen == [size]
 
 
 # the toy set with NaN in every clean image, so the first training loss is NaN

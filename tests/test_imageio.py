@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowscan.errors import ShapeError, ValidationError
+from shadowscan.errors import InputError
 from shadowscan.imageio import (
     read_image,
     read_mask,
@@ -89,7 +89,7 @@ def test_reader_rejects_bad_files(tmp_path):
     for i, blob in enumerate(cases):
         path = tmp_path / f"bad{i}.ppm"
         path.write_bytes(blob)
-        with pytest.raises(ValidationError):
+        with pytest.raises(InputError):
             read_ppm(str(path))
 
 
@@ -99,7 +99,7 @@ def test_reader_rejects_bad_files(tmp_path):
     flips=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 255)), max_size=4),
     keep=st.integers(0, 40),
 )
-def test_netpbm_reader_fuzz_loads_or_raises_validation_error(tmp_path_factory, magic, flips, keep):
+def test_netpbm_reader_fuzz_loads_or_raises_input_error(tmp_path_factory, magic, flips, keep):
     channels = 3 if magic == b"P6" else 1
     raw = bytearray(magic + b"\n# c\n3 2\n255\n" + bytes(range(6 * channels)))
     for at, value in flips:
@@ -109,14 +109,14 @@ def test_netpbm_reader_fuzz_loads_or_raises_validation_error(tmp_path_factory, m
     reader = read_ppm if magic == b"P6" else read_pgm
     try:
         reader(str(path))
-    except ValidationError:
+    except InputError:
         pass
 
 
-def test_writer_shape_errors(tmp_path):
-    with pytest.raises(ShapeError):
+def test_writers_reject_a_wrong_channel_count(tmp_path):
+    with pytest.raises(InputError):
         write_ppm(str(tmp_path / "x.ppm"), np.zeros((4, 4)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         write_pgm(str(tmp_path / "x.pgm"), np.zeros((3, 4, 4)))
 
 
@@ -152,11 +152,11 @@ def test_png_round_trip(tmp_path):
 
 
 def test_unsupported_extensions(tmp_path):
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         read_image(str(tmp_path / "x.bmp"))
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         read_mask(str(tmp_path / "x.ppm"))
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         write_image(str(tmp_path / "x.tiff"), np.zeros((3, 2, 2)))
 
 
@@ -182,5 +182,5 @@ def test_resize_handles_leading_channels():
     assert out.shape == (3, 4, 12)
     for c in range(3):
         assert np.allclose(out[c], resize_bilinear(img[c], 4, 12))
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         resize_bilinear(img, 0, 4)

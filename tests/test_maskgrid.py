@@ -3,20 +3,20 @@
 import numpy as np
 import pytest
 
-from shadowscan.errors import ConfigError, NoShadowRegion, ShapeError
+from shadowscan.errors import InputError
 from shadowscan.maskgrid import PatchGrid, RegionRect, partition_patches, shadow_rect, validate_mask
 
 
 def test_validate_mask():
     out = validate_mask([[0.0, 1.0], [0.5, 0.25]])
     assert out.dtype == np.float64
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         validate_mask(np.zeros((2, 2, 2)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         validate_mask(np.zeros((0, 3)))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         validate_mask(np.array([[0.0, 1.5]]))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         validate_mask(np.array([[0.0, np.nan]]))
 
 
@@ -43,13 +43,13 @@ def test_partition_patch_one_is_thresholded_mask():
 
 def test_partition_validation():
     mask = np.zeros((4, 4))
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         partition_patches(mask, 3)
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         partition_patches(mask, 0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         partition_patches(mask, 2, tau=0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         partition_patches(mask, 2, tau=1.5)
 
 
@@ -66,14 +66,14 @@ def test_shadow_rect_bounds():
 
 
 def test_shadow_rect_empty():
-    with pytest.raises(NoShadowRegion):
+    with pytest.raises(InputError):
         shadow_rect(partition_patches(np.zeros((4, 4)), 2))
 
 
 def test_region_rect_degenerate():
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         RegionRect(2, 1, 0, 0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         RegionRect(0, 0, 3, 2)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from shadowscan.errors import ConfigError, ShapeError
+from shadowscan.errors import InputError
 from shadowscan.metrics import _KERNEL, PSNR_CAP, evaluate, format_report, srgb_to_lab, ssim_map
 
 
@@ -47,15 +47,15 @@ def test_psnr_region_decomposition():
 
 def test_image_validation():
     pred, gt = _pair(3)
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         evaluate(pred[0], gt[0], _NO_SHADOW)
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         evaluate(pred, gt[:, :8, :], _NO_SHADOW)
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         evaluate(pred + 1.0, gt, _NO_SHADOW)
     bad = pred.copy()
     bad[0, 0, 0] = np.nan
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         evaluate(bad, gt, _NO_SHADOW)
 
 
@@ -84,7 +84,7 @@ def test_ssim_map_matches_per_window_brute_force():
 
 def test_ssim_needs_a_full_window():
     pred, gt = _pair(5, 10, 12)
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         ssim_map(pred, gt)
 
 
@@ -158,7 +158,7 @@ def test_evaluate_resize_reconciles_sizes():
     gt = rng.uniform(0.0, 1.0, size=(3, 16, 16))
     mask = np.zeros((20, 24))
     mask[5:15, 6:18] = 1.0
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         evaluate(pred, gt, mask)
     report = evaluate(pred, gt, mask, resize_to=16)
     assert report.full.psnr > 0.0
@@ -167,5 +167,19 @@ def test_evaluate_resize_reconciles_sizes():
 
 def test_evaluate_mask_must_be_2d():
     pred, gt = _pair(10)
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         evaluate(pred, gt, np.zeros((1, 16, 16)))
+
+
+@pytest.mark.parametrize("resize_to", [None, 256])
+@pytest.mark.parametrize("bad", ["nan_rows", "above_one"])
+def test_evaluate_rejects_the_masks_the_model_rejects(bad, resize_to):
+    # the same rule as ShadowNet.forward's, checked before any resizing
+    pred, gt = _pair(11)
+    mask = np.zeros((16, 16))
+    if bad == "nan_rows":
+        mask[3:5] = np.nan
+    else:
+        mask[6:10, 6:10] = 7.0
+    with pytest.raises(InputError, match=r"mask values must be finite and within \[0, 1\]"):
+        evaluate(pred, gt, mask, resize_to=resize_to)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowscan.autodiff import invert_permutation
-from shadowscan.errors import NoShadowRegion, ValidationError
+from shadowscan.errors import InputError
 from shadowscan.maskgrid import RegionRect, partition_patches, shadow_rect
 from shadowscan.scanorder import (
     DIRECTIONS,
@@ -46,7 +46,7 @@ def test_horizontal_order():
     assert path.patch == 1
     assert np.array_equal(path.flat, np.arange(6))
     assert path.is_permutation()
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         horizontal_order(0, 3)
 
 
@@ -55,7 +55,7 @@ def test_select_start_a_nearest_edges():
     assert select_start_a(RegionRect(1, 2, 5, 6), 8, 8) == (0, 7)
     # fully symmetric: ties resolve to top then left
     assert select_start_a(RegionRect(1, 2, 1, 2), 4, 4) == (0, 0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         select_start_a(RegionRect(0, 4, 0, 1), 4, 4)
 
 
@@ -72,7 +72,7 @@ def _select_start_a_by_edges(rect, rows, cols):
         "right": cols - 1 - rect.right,
     }
     if min(dist.values()) < 0:
-        raise ValidationError(f"rect {rect} exceeds grid {rows}x{cols}")
+        raise InputError(f"rect {rect} exceeds grid {rows}x{cols}")
     edge1 = min(_EDGE_ORDER, key=lambda e: (dist[e], _EDGE_ORDER.index(e)))
     orthogonal = ("left", "right") if edge1 in ("top", "bottom") else ("top", "bottom")
     edge2 = min(orthogonal, key=lambda e: (dist[e], _EDGE_ORDER.index(e)))
@@ -115,9 +115,9 @@ def test_spiral_full_square_from_corner():
 
 
 def test_spiral_start_must_be_on_perimeter():
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         spiral_in(RegionRect(0, 2, 0, 2), (1, 1))
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         spiral_in(RegionRect(0, 2, 0, 2), (3, 0))
 
 
@@ -241,7 +241,7 @@ def test_mask_aware_order_properties_exhaustive():
 # oracle for any shadow pattern (the start corner uses the edge ranking)
 def _spiral_in_ref(rect, start):
     if not _on_perimeter(rect, start):
-        raise ValidationError(f"start {start} is not on the perimeter of {rect}")
+        raise InputError(f"start {start} is not on the perimeter of {rect}")
     t, b, l, r = rect.top, rect.bottom, rect.left, rect.right
     out = []
     cur = start
@@ -269,9 +269,9 @@ def _spiral_in_ref(rect, start):
 def _gbs_traverse_ref(grid, rect, start):
     rows, cols = grid.rows, grid.cols
     if not (0 <= start[0] < rows and 0 <= start[1] < cols):
-        raise ValidationError(f"start {start} outside grid {rows}x{cols}")
+        raise InputError(f"start {start} outside grid {rows}x{cols}")
     if not (0 <= rect.top and rect.bottom < rows and 0 <= rect.left and rect.right < cols):
-        raise ValidationError(f"rect {rect} exceeds grid {rows}x{cols}")
+        raise InputError(f"rect {rect} exceeds grid {rows}x{cols}")
     visited = np.zeros((rows, cols), dtype=bool)
     visited[rect.top : rect.bottom + 1, rect.left : rect.right + 1] = True
     seen = int(visited.sum())
@@ -302,10 +302,9 @@ def _gbs_traverse_ref(grid, rect, start):
 
 
 def _mas_order_ref(grid):
-    try:
-        rect = shadow_rect(grid)
-    except NoShadowRegion:
+    if not grid.shadow.any():
         return horizontal_order(grid.rows, grid.cols, grid.patch)
+    rect = shadow_rect(grid)
     start_a = _select_start_a_by_edges(rect, grid.rows, grid.cols)
     start_b = (min(max(start_a[0], rect.top), rect.bottom), min(max(start_a[1], rect.left), rect.right))
     path_b = list(reversed(_spiral_in_ref(rect, start_b)))

@@ -17,7 +17,7 @@ from shadowscan import ssm
 from shadowscan.autodiff import GradTape, Tensor, backward
 from shadowscan.checks import _conv_and_recurrence
 from shadowscan.config import ModelConfig
-from shadowscan.errors import ConfigError, ShapeError
+from shadowscan.errors import InputError
 from shadowscan.ssm import (
     ZOH_SERIES_THRESHOLD,
     ConvMlp,
@@ -61,9 +61,9 @@ def test_discretize_series_matches_exact_near_threshold():
 
 
 def test_discretize_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         discretize(np.array([-1.0]), np.array([1.0]), 0.0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         discretize(np.array([-1.0]), np.array([1.0, 2.0]), 1.0)
 
 
@@ -130,9 +130,9 @@ def test_recurrence_shape_validation():
     bad = {"dt": (3, 2), "b": (3, 3), "a_log": (2, 2), "cvec": (3, 3), "x": (3, 2), "d": (2,)}
     for name in good:
         shapes = dict(good, **{name: bad[name]})
-        with pytest.raises(ShapeError):
+        with pytest.raises(InputError):
             _node(*(Tensor(np.ones(shape)) for shape in shapes.values()))
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         _node(*(Tensor(np.ones(shape)) for shape in dict(good, dt=(3, 1, 1)).values()))
 
 
@@ -181,14 +181,14 @@ def test_selective_direction_init():
     assert np.array_equal(direction.d.data, np.ones(3))
     assert np.array_equal(direction.b_dt.data, np.zeros(3))
     # ranges are the config's to check, once, when it is built
-    with pytest.raises(ConfigError, match="channels"):
+    with pytest.raises(InputError, match="channels"):
         ModelConfig(channels=0, state_dim=4)
 
 
 def test_selective_scan_channels_must_match():
     rng = np.random.default_rng(6)
     direction = SsmDirection(ModelConfig(channels=2, state_dim=2), rng)
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         direction.scan(Tensor(rng.normal(size=(5, 3))))
 
 
@@ -567,11 +567,11 @@ def test_conv_mlp_silence_and_validation():
     mlp.silence()
     x = Tensor(rng.normal(size=(6, 2)))
     assert np.array_equal(mlp.forward(x, 2, 3).data, x.data)
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         mlp.forward(x, 2, 2)
-    with pytest.raises(ConfigError, match="expansion"):
+    with pytest.raises(InputError, match="expansion"):
         ModelConfig(channels=2, expansion=0)
-    with pytest.raises(ConfigError, match="dropout"):
+    with pytest.raises(InputError, match="dropout"):
         ModelConfig(channels=2, dropout=1.0)
 
 

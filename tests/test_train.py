@@ -14,7 +14,7 @@ from shadowscan import train as train_module
 from shadowscan.autodiff import GradTape, Tensor, backward
 from shadowscan.blocks import ShadowNet
 from shadowscan.config import ModelConfig
-from shadowscan.errors import ValidationError
+from shadowscan.errors import InputError
 from shadowscan.imageio import write_image, write_pgm, write_ppm
 from shadowscan.train import (
     adam_step,
@@ -96,14 +96,14 @@ def test_train_zero_steps_changes_nothing():
 
 
 def test_train_requires_pairs():
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         train(ShadowNet(_TINY), [], steps=1)
 
 
 def test_loss_and_training_reject_an_empty_batch():
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         dataset_loss(ShadowNet(_TINY), [])
-    with pytest.raises(ValidationError, match="batch size"):
+    with pytest.raises(InputError, match="batch size"):
         train(ShadowNet(_TINY), make_toy_pairs(1, 8, seed=3), steps=1, batch_size=0)
 
 
@@ -282,7 +282,7 @@ def test_nan_parameter_stops_training_before_the_update():
     model = ShadowNet(_TINY)
     model.dec_w.data[0, 0, 0, 0] = np.nan
     before = {n: t.data.copy() for n, t in model.named_params()}
-    with pytest.raises(ValidationError, match="step 0: loss is nan"):
+    with pytest.raises(InputError, match="step 0: loss is nan"):
         train(model, make_toy_pairs(2, 8, seed=3), steps=2)
     for name, tensor in model.named_params():
         assert np.array_equal(tensor.data, before[name], equal_nan=True), name
@@ -299,7 +299,7 @@ def test_non_finite_gradient_is_named_and_stops_training(monkeypatch):
     train_step(model, state, make_toy_pairs(1, 8, seed=4), 1e-3)
     before = {n: t.data.copy() for n, t in model.named_params()}
     monkeypatch.setattr(train_module, "backward", poisoned)
-    with pytest.raises(ValidationError, match="step 1: gradient of dec_b is not finite"):
+    with pytest.raises(InputError, match="step 1: gradient of dec_b is not finite"):
         train_step(model, state, make_toy_pairs(2, 8, seed=5), 1e-3)
     assert state.step == 1
     for name, tensor in model.named_params():
@@ -358,12 +358,12 @@ def test_load_dir_pairs_round_trip(tmp_path):
 
 
 def test_load_dir_pairs_rejects_gaps(tmp_path):
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         load_dir_pairs(str(tmp_path))
     shadowed, mask, clean = make_toy_pairs(1, 8, seed=9)[0]
     write_ppm(str(tmp_path / "x_shadow.ppm"), shadowed)
     write_ppm(str(tmp_path / "x_gt.ppm"), clean)
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         load_dir_pairs(str(tmp_path))  # mask missing
 
 
