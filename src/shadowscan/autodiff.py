@@ -119,10 +119,6 @@ class Tensor:
     def grad(self) -> np.ndarray | None:
         return self.slot.grad
 
-    @grad.setter
-    def grad(self, value: np.ndarray | None) -> None:
-        self.slot.grad = value
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape

@@ -20,9 +20,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import InputError
-from .maskgrid import partition_patches, validate_mask
 from .module import Module
-from .scanorder import mas_order, pixel_order
+from .scanorder import mas_order, partition_patches, pixel_order, validate_mask
 from .ssm import SsmStage
 
 
@@ -35,7 +34,8 @@ def max_pool_mask2x(mask: np.ndarray) -> np.ndarray:
 
 
 def level_patch_size(height: int, width: int, patch: int) -> int:
-    """Largest power-of-two divisor of ``patch`` that tiles the level."""
+    """``patch``, floor-halved until it tiles the level or reaches 1; the
+    result need not be a power of two, nor the largest size that tiles."""
     while patch > 1 and (height % patch or width % patch):
         patch //= 2
     return patch
@@ -220,9 +220,12 @@ class ShadowNet(Module):
             raise InputError("image must be finite")
         h, w = mask.shape
         cfg = self.config
-        cfg.check_spatial(h, w)
         # the fusion reaches one level below the full size even at depth 0
-        orders = scan_orders(mask, max(cfg.unet_depth, 1) + 1, cfg.patch_size, cfg.tau)
+        levels = max(cfg.unet_depth, 1) + 1
+        div = 2 ** (levels - 1)
+        if h % div or w % div:
+            raise InputError(f"input {h}x{w} must be divisible by {div} for unet_depth={cfg.unet_depth}")
+        orders = scan_orders(mask, levels, cfg.patch_size, cfg.tau)
         seq = self.encoder.forward(image, mask)
         seq = self.fusion.forward(seq, orders, h, w)
         seq = self.unet.forward(seq, orders, h, w)

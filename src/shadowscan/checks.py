@@ -18,12 +18,9 @@ from .autodiff import GradTape, Tensor, backward
 from .blocks import ShadowNet, dfmb_interleave, fold_back
 from .config import ModelConfig
 from .errors import InputError
-from .maskgrid import partition_patches, shadow_rect
-from .scanorder import horizontal_order, mas_order, mean_adjacent_gap
+from .scanorder import horizontal_order, mas_order, mean_adjacent_gap, partition_patches, shadow_rect
 from .ssm import Zoh, discretize, ssm_recurrence
 from .train import batch_loss
-
-SUITES = ("ssm-equiv", "grad", "scan", "interleave")
 
 
 @dataclass(frozen=True)
@@ -244,18 +241,18 @@ def check_identity(seed: int = 0) -> CheckResult:
     return CheckResult("silenced-identity", exact, worst, "silenced scans, MLPs and decoder")
 
 
+# suite name -> its checks at a seed, in the order ``all`` runs them
+SUITES = {
+    "ssm-equiv": lambda seed: [check_form_equivalence(seed=seed), check_discretization()],
+    "grad": lambda seed: [check_gradients(seed=seed), check_identity(seed=seed)],
+    "scan": lambda seed: [check_scan_validity(), check_scan_locality(seed=seed)],
+    "interleave": lambda seed: [check_interleave(seed=seed)],
+}
+
+
 def run_suite(suite: str, seed: int = 0) -> list[CheckResult]:
-    if suite == "ssm-equiv":
-        return [check_form_equivalence(seed=seed), check_discretization()]
-    if suite == "grad":
-        return [check_gradients(seed=seed), check_identity(seed=seed)]
-    if suite == "scan":
-        return [check_scan_validity(), check_scan_locality(seed=seed)]
-    if suite == "interleave":
-        return [check_interleave(seed=seed)]
     if suite == "all":
-        results = []
-        for name in SUITES:
-            results.extend(run_suite(name, seed))
-        return results
-    raise InputError(f"unknown check suite {suite!r} (choose from {', '.join(SUITES + ('all',))})")
+        return [result for run in SUITES.values() for result in run(seed)]
+    if suite not in SUITES:
+        raise InputError(f"unknown check suite {suite!r} (choose from {', '.join([*SUITES, 'all'])})")
+    return SUITES[suite](seed)

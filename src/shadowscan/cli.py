@@ -24,9 +24,8 @@ from .checks import SUITES, run_suite
 from .config import ModelConfig
 from .errors import InputError
 from .imageio import image_writer, read_image, read_mask, write_image, write_pgm, write_ppm
-from .maskgrid import partition_patches
 from .metrics import evaluate, format_report
-from .scanorder import dump_path, mas_order
+from .scanorder import dump_path, mas_order, partition_patches
 from .train import check_run, dataset_loss, load_dir_pairs, make_toy_pairs, train
 
 log = logging.getLogger("shadowscan")
@@ -238,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan_viz)
 
     p = sub.add_parser("check", help="run self-check suites")
-    p.add_argument("suite", nargs="?", default="all", choices=SUITES + ("all",))
+    p.add_argument("suite", nargs="?", default="all", choices=[*SUITES, "all"])
     _add_config_flags(p, ("seed",))
     p.set_defaults(func=cmd_check)
 

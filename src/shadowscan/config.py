@@ -53,14 +53,6 @@ class ModelConfig:
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
 
-    def check_spatial(self, height: int, width: int) -> None:
-        # the dual-scale fusion needs one halving even at depth 0
-        div = 2 ** max(self.unet_depth, 1)
-        if height % div or width % div or height < div or width < div:
-            raise InputError(
-                f"input {height}x{width} must be divisible by {div} for unet_depth={self.unet_depth}"
-            )
-
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError
 from .imageio import resize_bilinear
-from .maskgrid import validate_mask
+from .scanorder import validate_mask
 
 PSNR_CAP = 100.0
 

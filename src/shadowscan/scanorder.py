@@ -1,11 +1,18 @@
-"""Scan orders over patch grids.
+"""Shadow masks to scan orders: mask validation, patch partition, the
+shadow rect and the orders over patch grids.
 
-Three orders matter here: the plain row-major order, a clockwise inward
-spiral over a rectangle, and the mask-aware order that serializes the
-shadow rectangle first. The mask-aware order is built from two pieces:
+A mask is a (H, W) float array in [0, 1]. Partitioning tiles it into s x s
+patches and labels a patch Shadow when its mean mask value reaches the
+threshold tau. The shadow rect is the tight bounding box of Shadow
+patches in patch coordinates.
 
-* the shadow rect is covered by the inward spiral traversed in reverse,
-  so the sequence ends at the rect corner facing the rest of the scan;
+Two orders matter here: the plain row-major order and the mask-aware
+order that serializes the shadow rect first. The mask-aware order is
+built from two pieces:
+
+* the shadow rect is covered by a clockwise inward spiral, entered at the
+  rect corner nearest the rest of the scan and traversed in reverse, so
+  the sequence ends at that corner;
 * the remaining cells are covered by a greedy boundary-hugging walk that
   starts at the grid corner nearest the rect, repeatedly steps to the
   unvisited 4-neighbor touching the most visited cells, and jumps to the
@@ -13,8 +20,8 @@ shadow rectangle first. The mask-aware order is built from two pieces:
 
 All tie-breaks are fixed: the start corner is chosen per axis, top row
 and left column on a tie; steps in the direction order up, down, left,
-right; jumps and perimeter picks in row-major order. With those rules
-every grid and rect has exactly one mask-aware order.
+right; jumps in row-major order. With those rules every grid and rect
+has exactly one mask-aware order.
 """
 
 from __future__ import annotations
@@ -24,12 +31,78 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .maskgrid import PatchGrid, RegionRect, shadow_rect
 
 DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 KIND_HORIZONTAL = "horizontal"
 KIND_MAS = "mas"
+
+
+def validate_mask(mask: np.ndarray) -> np.ndarray:
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.ndim != 2:
+        raise InputError(f"mask must be 2-D, got shape {mask.shape}")
+    if mask.size == 0:
+        raise InputError("mask must be non-empty")
+    if not np.isfinite(mask).all() or mask.min() < 0.0 or mask.max() > 1.0:
+        raise InputError("mask values must be finite and within [0, 1]")
+    return mask
+
+
+@dataclass(frozen=True)
+class RegionRect:
+    """Inclusive patch-coordinate bounds of the shadow region."""
+
+    top: int
+    bottom: int
+    left: int
+    right: int
+
+    def __post_init__(self) -> None:
+        if self.top > self.bottom or self.left > self.right:
+            raise InputError(f"degenerate rect bounds {self}")
+
+    @property
+    def area(self) -> int:
+        return (self.bottom - self.top + 1) * (self.right - self.left + 1)
+
+    def cells(self) -> list[tuple[int, int]]:
+        return [(r, c) for r in range(self.top, self.bottom + 1) for c in range(self.left, self.right + 1)]
+
+
+@dataclass(frozen=True)
+class PatchGrid:
+    """Per-patch mean mask values and Shadow labels for an s x s tiling."""
+
+    rows: int
+    cols: int
+    patch: int
+    mean_mask: np.ndarray
+    shadow: np.ndarray
+
+
+def partition_patches(mask: np.ndarray, patch_size: int, tau: float = 0.5) -> PatchGrid:
+    """Tile the mask into patches and label each by mean coverage >= tau."""
+    mask = validate_mask(mask)
+    if patch_size < 1:
+        raise InputError(f"patch size must be >= 1, got {patch_size}")
+    if not 0.0 < tau <= 1.0:
+        raise InputError(f"tau must lie in (0, 1], got {tau}")
+    h, w = mask.shape
+    if h % patch_size or w % patch_size:
+        raise InputError(f"mask {h}x{w} is not divisible by patch size {patch_size}")
+    rows = h // patch_size
+    cols = w // patch_size
+    means = mask.reshape(rows, patch_size, cols, patch_size).mean(axis=(1, 3))
+    return PatchGrid(rows, cols, patch_size, means, means >= tau)
+
+
+def shadow_rect(grid: PatchGrid) -> RegionRect:
+    """Tight bounding box of Shadow patches; raises InputError when empty."""
+    rs, cs = np.nonzero(grid.shadow)
+    if rs.size == 0:
+        raise InputError("grid has no shadow-labeled patch")
+    return RegionRect(int(rs.min()), int(rs.max()), int(cs.min()), int(cs.max()))
 
 
 @dataclass(frozen=True)
@@ -73,53 +146,23 @@ def select_start_a(rect: RegionRect, rows: int, cols: int) -> tuple[int, int]:
     return (rows - 1 if below < rect.top else 0, cols - 1 if right < rect.left else 0)
 
 
-def _on_perimeter(rect: RegionRect, cell: tuple[int, int]) -> bool:
-    r, c = cell
-    if not rect.contains(cell):
-        return False
-    return r in (rect.top, rect.bottom) or c in (rect.left, rect.right)
-
-
-def _ring_clockwise(t: int, b: int, l: int, r: int) -> list[tuple[int, int]]:
-    cells = [(t, j) for j in range(l, r + 1)]
-    cells += [(i, r) for i in range(t + 1, b + 1)]
-    cells += [(b, j) for j in range(r - 1, l - 1, -1)]
-    cells += [(i, l) for i in range(b - 1, t, -1)]
-    return cells
-
-
 def spiral_in(rect: RegionRect, start: tuple[int, int]) -> list[tuple[int, int]]:
-    """Clockwise inward spiral over the rect, beginning at a perimeter cell.
+    """Clockwise inward spiral over the rect, entered at one of its corners.
 
-    Each ring is walked as one clockwise circuit from the entry cell; the
-    walk then drops to the nearest cell of the shrunk bounds and repeats.
-    From any rect corner every step has Manhattan distance 1. From a
-    mid-edge entry the single turn-around (or ring hand-off) may exceed
-    that; callers that need strict unit steps enter at a corner.
+    The rect's cells are quarter-turned until the start corner sits at the
+    top left; the spiral then takes the top row and quarter-turns the rest
+    counterclockwise until no cell is left, so every step is a unit step.
     """
-    if not _on_perimeter(rect, start):
-        raise InputError(f"start {start} is not on the perimeter of {rect}")
-    t, b, l, r = rect.top, rect.bottom, rect.left, rect.right
+    corners = [(rect.top, rect.left), (rect.top, rect.right), (rect.bottom, rect.right), (rect.bottom, rect.left)]
+    if start not in corners:
+        raise InputError(f"start {start} is not a corner of {rect}")
+    rows, cols = np.mgrid[rect.top : rect.bottom + 1, rect.left : rect.right + 1]
+    # a counterclockwise quarter turn brings the next corner clockwise to the top left
+    cells = np.rot90(np.stack([rows, cols], axis=-1), corners.index(start))
     out: list[tuple[int, int]] = []
-    cur = start
-    while t <= b and l <= r:
-        if t == b:
-            _, cc = cur
-            out += [(t, j) for j in range(cc, r + 1)]
-            out += [(t, j) for j in range(cc - 1, l - 1, -1)]
-            break
-        if l == r:
-            cr, _ = cur
-            out += [(i, l) for i in range(cr, b + 1)]
-            out += [(i, l) for i in range(cr - 1, t - 1, -1)]
-            break
-        ring = _ring_clockwise(t, b, l, r)
-        k = ring.index(cur)
-        out += ring[k:] + ring[:k]
-        t, b, l, r = t + 1, b - 1, l + 1, r - 1
-        if t <= b and l <= r:
-            er, ec = out[-1]
-            cur = (min(max(er, t), b), min(max(ec, l), r))
+    while cells.size:
+        out += map(tuple, cells[0].tolist())
+        cells = np.rot90(cells[1:])
     return out
 
 
@@ -163,17 +206,10 @@ def gbs_traverse(grid: PatchGrid, rect: RegionRect, start: tuple[int, int]) -> l
         path.append(cur)
     total = rows * cols
     while seen < total:
-        best = None
-        best_touch = -1
-        for dr, dc in DIRECTIONS:
-            nxt = (cur[0] + dr, cur[1] + dc)
-            if 0 <= nxt[0] < rows and 0 <= nxt[1] < cols and not visited[nxt]:
-                touch = _touch(visited, nxt)
-                if touch > best_touch:
-                    best, best_touch = nxt, touch
-        if best is None:
-            best = _nearest_unvisited(visited, cur)
-        cur = best
+        steps = ((cur[0] + dr, cur[1] + dc) for dr, dc in DIRECTIONS)
+        free = [nxt for nxt in steps if 0 <= nxt[0] < rows and 0 <= nxt[1] < cols and not visited[nxt]]
+        # max keeps the first of equal keys: the DIRECTIONS order breaks ties
+        cur = max(free, key=lambda nxt: _touch(visited, nxt)) if free else _nearest_unvisited(visited, cur)
         visited[cur] = True
         seen += 1
         path.append(cur)
@@ -190,7 +226,7 @@ def mas_order(grid: PatchGrid) -> ScanPath:
         return horizontal_order(grid.rows, grid.cols, grid.patch)
     rect = shadow_rect(grid)
     start_a = select_start_a(rect, grid.rows, grid.cols)
-    # the rect cell nearest start_a: a grid corner clamps onto the perimeter
+    # the rect cell nearest start_a: a grid corner clamps onto a rect corner
     start_b = (min(max(start_a[0], rect.top), rect.bottom), min(max(start_a[1], rect.left), rect.right))
     path_b = list(reversed(spiral_in(rect, start_b)))
     path_a = gbs_traverse(grid, rect, start_a)

@@ -30,8 +30,7 @@ from shadowscan.blocks import (
 )
 from shadowscan.config import MAX_UNET_DEPTH, ModelConfig
 from shadowscan.errors import InputError
-from shadowscan.maskgrid import partition_patches
-from shadowscan.scanorder import mas_order, pixel_order
+from shadowscan.scanorder import mas_order, partition_patches, pixel_order
 from shadowscan.train import batch_loss, make_toy_pairs
 
 
@@ -57,6 +56,14 @@ def test_level_patch_size_shrinks_to_fit():
     assert level_patch_size(12, 12, 8) == 4
     assert level_patch_size(6, 6, 4) == 2
     assert level_patch_size(5, 5, 4) == 1
+
+
+def test_level_patch_size_floor_halves():
+    # the digests pin this rule: 2 and 4 tile but are skipped, 12 is kept
+    assert level_patch_size(32, 32, 6) == 1
+    assert level_patch_size(16, 16, 12) == 1
+    assert level_patch_size(24, 24, 12) == 12
+    assert level_patch_size(4, 4, 8) == 4
 
 
 def test_scan_orders_pool_the_mask_and_fit_the_patch():
@@ -359,6 +366,14 @@ def test_model_input_validation():
     bad[0, 0, 0] = np.nan
     with pytest.raises(InputError):
         model.forward(bad, mask)
+
+
+def test_depth_zero_still_needs_one_halving():
+    # the dual-scale fusion halves the image even without UNet levels
+    model = ShadowNet(ModelConfig(channels=2, state_dim=2, expansion=2, unet_depth=0, patch_size=2))
+    assert model.forward(np.full((3, 6, 6), 0.5), np.zeros((6, 6))).shape == (3, 6, 6)
+    with pytest.raises(InputError, match="must be divisible by 2 for unet_depth=0"):
+        model.forward(np.full((3, 5, 5), 0.5), np.zeros((5, 5)))
 
 
 def test_unet_depth_has_a_ceiling():

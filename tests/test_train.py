@@ -55,7 +55,8 @@ def test_adam_matches_reference_arithmetic():
     for t in range(1, 4):
         grads = [rng.normal(size=r.shape) for r in ref]
         for p, g in zip(params, grads):
-            p.grad = g.copy()
+            p.zero_grad()
+            p.accumulate(g)
         adam_step(params, state, lr)
         for i, g in enumerate(grads):
             m[i] *= b1
