@@ -31,33 +31,53 @@ class CheckResult:
     detail: str
 
 
-def _conv_and_recurrence(a, b, c, d, delta, x):
-    """One token-invariant single-channel scan computed two ways.
-
-    The convolution form discretizes (A, B) at the step ``delta`` with
-    ``discretize`` and is x (*) (C Bbar, C Abar Bbar, ..., C Abar^(L-1)
-    Bbar) + d x, causal and truncated to len(x); the other is the model's
-    scan node over the same step, B, log(-A) and C repeated per token,
-    which discretizes them itself with the same ZOH factor. A must be
-    negative. Returns (y_conv, y_rec).
-    """
+def _conv_form(a, b, c, d, delta, x):
+    """x (*) (C Bbar, C Abar Bbar, ..., C Abar^(L-1) Bbar) + d x, causal and
+    truncated to len(x), with (A, B) discretized at the step ``delta`` by
+    ``discretize``. A must be negative."""
     length = x.shape[0]
     abar, bbar = discretize(a, b, delta)
     powers = abar[None, :] ** np.arange(length, dtype=np.float64)[:, None]
-    y_conv = np.convolve(x, powers @ (c * bbar))[:length] + d * x
-    n = abar.shape[0]
-    zoh = Zoh(
-        Tensor(np.full((length, 1), delta)),
-        Tensor(np.broadcast_to(b, (length, n)).copy()),
-        Tensor(np.log(-a).reshape(1, n)),
-    )
-    cvec = Tensor(np.broadcast_to(c, (length, n)).copy())
-    y_rec = ssm_recurrence(zoh, cvec, Tensor(x.reshape(length, 1)), Tensor([d])).data.reshape(length)
-    return y_conv, y_rec
+    return np.convolve(x, powers @ (c * bbar))[:length] + d * x
+
+
+def _scan_node(*directions):
+    """The model's scan node over K = len(directions) token-invariant
+    single-channel scans (a, b, c, d, delta, x) of one length and state
+    size: step, B, log(-A) and C repeated per token, which the node
+    discretizes itself with the same ZOH factor. Direction k runs on
+    channel k alone (its input on every other channel is 0, so it adds
+    exact zeros there). Returns each direction's output in the order of
+    its own x: the node's re-reversal of the second is undone."""
+    k_dirs = len(directions)
+    length, n = directions[0][5].shape[0], directions[0][0].shape[0]
+    dt = np.empty((length, k_dirs, k_dirs))
+    b_in, cvec = np.empty((2, length, k_dirs, n))
+    a_log = np.empty((k_dirs, k_dirs, n))
+    x_in = np.zeros((length, k_dirs, k_dirs))
+    d_in = np.zeros((k_dirs, k_dirs))
+    for k, (a, b, c, d, delta, x) in enumerate(directions):
+        dt[:, k] = delta
+        b_in[:, k] = b
+        cvec[:, k] = c
+        a_log[k] = np.log(-a)
+        x_in[:, k, k] = x
+        d_in[k, k] = d
+    x_t = Tensor(x_in)
+    y = ssm_recurrence(Zoh(Tensor(dt), Tensor(b_in), Tensor(a_log), x_t), Tensor(cvec), x_t, Tensor(d_in)).data
+    return [y[:, 0]] if k_dirs == 1 else [y[:, 0], y[::-1, 1]]
 
 
 def check_form_equivalence(cases: int = 100, tol: float = 1e-10, seed: int = 0) -> CheckResult:
-    """Recurrence vs convolution kernel on random token-invariant scans."""
+    """Recurrence vs convolution kernel on random token-invariant scans.
+
+    Each config runs alone, then as the first of two directions that share
+    one node. The second scans 2x with C and d scaled by -1/2: every product
+    it forms is -1 times the first's, so its output and its convolution
+    form are the first's negated bit for bit, and each is checked against
+    its own form. The pair adds no rounding of its own, and a direction
+    that reads the other's input, C or d, or whose output is not
+    re-reversed, fails."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
@@ -69,8 +89,10 @@ def check_form_equivalence(cases: int = 100, tol: float = 1e-10, seed: int = 0) 
         d = float(rng.normal())
         delta = float(np.exp(rng.uniform(np.log(0.01), 0.0)))
         x = rng.normal(0.0, 1.0, length)
-        y_conv, y_rec = _conv_and_recurrence(a, b, c, d, delta, x)
-        worst = max(worst, float(np.abs(y_conv - y_rec).max()))
+        first, second = (a, b, c, d, delta, x), (a, b, -0.5 * c, -0.5 * d, delta, 2.0 * x)
+        for scans in ((first,), (first, second)):
+            for scan, y_rec in zip(scans, _scan_node(*scans)):
+                worst = max(worst, float(np.abs(_conv_form(*scan) - y_rec).max()))
     return CheckResult("ssm-form-equivalence", worst <= tol, worst, f"{cases} random configs, tol {tol:g}")
 
 

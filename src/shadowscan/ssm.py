@@ -14,16 +14,29 @@ vectors from each token, so only the sequential recurrence applies; the
 convolution form that token-invariant parameters admit lives with the
 ``check ssm-equiv`` suite, which cross-checks the recurrence against it.
 
-Each scan direction records two tape closures: one for the per-token
-projections (step size, B and C), which are (L, C) and (L, N), and one
-for ``ssm_recurrence``, which fuses the discretization, the recurrence
-and the output over row blocks of about 256 KB per (rows, C, N) array,
-as Mamba's selective-scan kernel does in fast memory (arXiv 2312.00752,
-section 3.3). Its backward recomputes abar, the ZOH terms and the state
-history block by block rather than storing them, the history from the
-state row at each block's seam. Every forward fills those seam rows, one
-(C, N) row per block but the last; a taped direction holds them until
-replay, and no (L, C, N) array.
+A scan runs K = 1 or 2 directions over one (L, C) sequence, the second
+over its token reversal, as two tape closures: ``_projections``, which
+computes every direction's per-token step size, B and C, (L, K, C) and
+(L, K, N), and stacks the directions' sequences and parameters, and
+``ssm_recurrence``, which fuses the discretization, the recurrence and
+the output of all K directions over row blocks of about 256 KB per
+(rows, K, C, N) array, as Mamba's selective-scan kernel does in fast
+memory (arXiv 2312.00752, section 3.3), and re-reverses and sums the
+second direction's output into the first's. One loop step thus advances
+every direction's chain, as VMamba's cross-scan runs its directions in
+one selective-scan call (arXiv 2401.10166, section 3). ``SsmStage`` runs
+its two directions as one such pair; ``SsmDirection.scan`` runs one
+direction at K = 1 through the same two nodes.
+
+The backward recomputes abar, the ZOH terms and the state history block
+by block rather than storing them, the history from the state row at each
+block's seam. Every forward fills those seam rows, one (K, C, N) row per
+block but the last; a taped scan holds them until replay, and no
+(L, K, C, N) array. Each direction's results, and the order in which the
+input sequence receives its gradient pieces (the reversed direction's
+whole gradient first, then the other's direct term, bx path, C, B and
+step), are bit for bit those of a scan of its own followed by the row
+gathers that reversed it.
 
 The softplus step's slope in the projections' backward is the logistic
 sigmoid ``autodiff.expit``, which, like GELU's erf (cephes), is evaluated
@@ -33,6 +46,7 @@ special functions.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -100,137 +114,157 @@ def _linear_recurrence(coef: np.ndarray, x: np.ndarray) -> None:
         cur += a * prev
 
 
-def _row_blocks(length: int, channels: int, state: int) -> list[slice]:
-    """Row slices of about _BLOCK_BYTES per (rows, C, N) float64 array,
-    the last one ragged."""
-    rows = max(1, _BLOCK_BYTES // (8 * channels * state))
+def _row_blocks(length: int, width: int, state: int) -> list[slice]:
+    """Row slices of about _BLOCK_BYTES per (rows, width, N) float64 array,
+    the last one ragged; width is K·C for K directions of C channels."""
+    rows = max(1, _BLOCK_BYTES // (8 * width * state))
     return [slice(start, min(start + rows, length)) for start in range(0, length, rows)]
 
 
 class Zoh(NamedTuple):
-    """A scan direction's zero-order-hold inputs: the per-token steps dt
-    (L, C) and input mixing B (L, N), and a_log (C, N), where A = -exp(a_log)."""
+    """The zero-order-hold inputs of K scan directions over L tokens: the
+    per-token steps dt (L, K, C), input mixing B (L, K, N) and sequence x
+    (L, K, C), which the scan discretizes into bx, and a_log (K, C, N),
+    where A = -exp(a_log)."""
 
     dt: Tensor
     b: Tensor
     a_log: Tensor
+    x: Tensor
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """(L, C, N), the shape of the state the scan expands to."""
-        return self.dt.shape + self.b.shape[1:]
+        """(L, K·C, N), the state the K directions' scans expand to."""
+        length, k_dirs, channels = self.dt.shape
+        return (length, k_dirs * channels, self.b.shape[2])
 
 
 def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
-    """Differentiable selective scan: discretization, recurrence and
-    output as one tape node.
+    """Differentiable selective scan of K = 1 or 2 directions:
+    discretization, recurrence and output as one tape node.
 
-    Shapes: zoh.shape is (L, C, N), cvec is (L, N), x is (L, C) and d is
-    (C,). With u = dt A, abar = exp(u), the ZOH factor f(u) = expm1(u) / u
-    and bx = f(u) (dt B) x, it computes h[t] = bx[t] + abar[t] * h[t-1]
-    with h[-1] = 0 and y[t, c] = sum_n h[t, c, n] cvec[t, n] + x[t, c] d[c].
-    Both passes run the one sequential primitive, _linear_recurrence:
-    forward over abar, backward over the time-reversed adjoint
+    Shapes: zoh.dt, zoh.x and x are (L, K, C), zoh.b and cvec are (L, K, N),
+    zoh.a_log is (K, C, N) and d is (K, C). Per direction k, with
+    u = dt A, abar = exp(u), the ZOH factor f(u) = expm1(u) / u and
+    bx = f(u) (dt B) zoh.x, it computes h[t] = bx[t] + abar[t] * h[t-1]
+    with h[-1] = 0 and y_k[t, c] = sum_n h[t, c, n] cvec[t, n] + x[t, c] d[c].
+    Direction 1 scans its tokens in reverse order: the node returns
+    y_0[t] + y_1[L-1-t], (L, C), and y_0 alone when K = 1. Both passes run
+    the one sequential primitive, _linear_recurrence, over every chain at
+    once: forward over abar, backward over the time-reversed adjoint
     adj[t] = g[t] c[t] + abar[t+1] adj[t+1]. No parallel-scan shortcut:
-    each element rounds as the plain sequential loop does.
+    each element rounds as the plain sequential loop does, and each
+    direction's results are bit for bit those of a scan of its own.
 
-    Everything runs over row blocks (_row_blocks) in buffers allocated
-    once per pass; each block continues the recurrence from the row
-    before it (the seam row runs the loop's own op), and every other op
-    is elementwise or reduces within a row, so the blocks round as whole
-    arrays would. The forward keeps no state history: it copies each
-    block's last state row into seams, which the next block starts from
-    and which are the only state a taped node keeps (the sublinear-memory
-    trade of arXiv 1604.06174, per row block). The backward walks the
-    blocks in reverse, recomputes u, the ZOH terms, abar and bx, and
-    seeds the block's first row from the seam before it. One
-    _linear_recurrence call then runs the history forward and the adjoint
-    backward in time, over a pair buffer whose slot 1 stores the adjoint
-    time-reversed. The a_log gradient's terms go into an (L, C, N) array
-    that lives only during the backward, so their sum over L stays one
-    reduction over a full-length array.
+    Everything runs over row blocks of (rows, K, C, N) (_row_blocks) in
+    buffers allocated once per pass; each block continues the recurrence
+    from the row before it (the seam row runs the loop's own op), and
+    every other op is elementwise or reduces within a row and direction, so
+    the blocks round as whole arrays would. The forward keeps no state
+    history: it copies each block's last state row into seams, which the
+    next block starts from and which are the only state a taped node keeps
+    (the sublinear-memory trade of arXiv 1604.06174, per row block). The
+    backward walks the blocks in reverse, recomputes u, the ZOH terms, abar
+    and bx, and seeds the block's first row from the seam before it. One
+    _linear_recurrence call then runs every direction's history forward and
+    its adjoint backward in time, over a pair buffer whose slot 1 stores
+    the adjoint time-reversed. The a_log gradient's terms go into an
+    (L, K, C, N) array that lives only during the backward, so each
+    direction's sum over L stays one reduction over a full-length array.
 
     The backward hands out the direct term's gradients first, x's then
-    d's, then x's through bx, then a_log's, cvec's, B's and dt's. x may
-    already hold gradient from elsewhere, so its updates stay separate
-    and in this order: summed first or reordered, they would round
-    differently.
+    d's, then zoh.x's through bx, then a_log's, cvec's, B's and dt's. x and
+    zoh.x may be one tensor that already holds gradient from elsewhere, so
+    its updates stay separate and in this order: summed first or
+    reordered, they would round differently. _projections passes two
+    tensors over one array there, so that it can hand each piece on apart.
 
-    Until replay the node saves the dt, B, cvec, x and d arrays, exp(a_log)
-    and its negation, the seam rows, and the gradient slots of those six
-    inputs; not the Zoh tuple, no Tensor, and neither a_log's data nor y.
+    Until replay the node saves the dt, B, cvec, x, zoh.x and d arrays,
+    exp(a_log) and its negation, the seam rows, and the gradient slots of
+    the seven inputs; not the Zoh tuple, no Tensor, and neither a_log's
+    data nor y.
     """
-    if zoh.dt.ndim != 2 or zoh.b.ndim != 2:
-        raise InputError(f"dt and b must be (L,C) and (L,N), got {zoh.dt.shape} and {zoh.b.shape}")
-    length, channels, state = zoh.shape
+    dt, b, a_log, x_bx = zoh
+    if dt.ndim != 3 or b.ndim != 3 or dt.shape[1] not in (1, 2):
+        raise InputError(f"dt and b must be (L,K,C) and (L,K,N) with K 1 or 2, got {dt.shape} and {b.shape}")
+    length, k_dirs, channels = dt.shape
+    state = b.shape[2]
     if (
-        zoh.b.shape[0] != length
-        or zoh.a_log.shape != (channels, state)
-        or cvec.shape != (length, state)
-        or x.shape != (length, channels)
-        or d.shape != (channels,)
+        b.shape[:2] != (length, k_dirs)
+        or a_log.shape != (k_dirs, channels, state)
+        or cvec.shape != b.shape
+        or x.shape != dt.shape
+        or x_bx.shape != dt.shape
+        or d.shape != (k_dirs, channels)
     ):
         raise InputError(
-            f"a_log, cvec, x and d must be ({channels},{state}), ({length},{state}), ({length},{channels}) "
-            f"and ({channels},), got {zoh.a_log.shape}, {cvec.shape}, {x.shape} and {d.shape}"
+            f"a_log, cvec, x, zoh.x and d must be {(k_dirs, channels, state)}, {(length, k_dirs, state)}, "
+            f"{dt.shape}, {dt.shape} and {(k_dirs, channels)}, got {a_log.shape}, {cvec.shape}, {x.shape}, "
+            f"{x_bx.shape} and {d.shape}"
         )
-    dt, c_d, xd, dd = zoh.dt.data, cvec.data, x.data, d.data
-    dt3, b3, x3 = dt[:, :, None], zoh.b.data[:, None, :], xd[:, :, None]
-    exp_a = np.exp(zoh.a_log.data)
+    dt_d, c_d, xd, dd = dt.data, cvec.data, x.data, d.data
+    dt4, b4, x4 = dt_d[..., None], b.data[:, :, None, :], x_bx.data[..., None]
+    exp_a = np.exp(a_log.data)
     neg_a = -exp_a
-    blocks = _row_blocks(length, channels, state)
-    block_shape = (blocks[0].stop, channels, state) if blocks else (0, channels, state)
+    blocks = _row_blocks(length, k_dirs * channels, state)
+    block_shape = (blocks[0].stop if blocks else 0, k_dirs, channels, state)
     # seams[k] keeps block k's last state row
-    seams = np.empty((max(len(blocks) - 1, 0), channels, state))
+    seams = np.empty((max(len(blocks) - 1, 0),) + block_shape[1:])
 
-    y = np.empty((length, channels))
+    ys = np.empty((length, k_dirs, channels))
     u_buf = np.empty(block_shape)
     terms = _zoh_buffers(block_shape)
     for k, rows in enumerate(blocks):
         n = rows.stop - rows.start
-        u = np.multiply(dt3[rows], neg_a, out=u_buf[:n])
+        u = np.multiply(dt4[rows], neg_a, out=u_buf[:n])
         factor, small, safe, em1 = (buf[:n] for buf in terms)
         _zoh_terms(u, factor, small, safe, em1)
-        factor *= np.multiply(dt3[rows], b3[rows], out=safe)
-        h = np.multiply(factor, x3[rows], out=em1)
+        factor *= np.multiply(dt4[rows], b4[rows], out=safe)
+        h = np.multiply(factor, x4[rows], out=em1)
         abar = np.exp(u, out=u)
         if rows.start:
             h[0] += abar[0] * seams[k - 1]
         _linear_recurrence(abar[1:], h)
         if rows.stop < length:
             np.copyto(seams[k], h[-1])
-        np.einsum("tcn,tn->tc", h, c_d[rows], out=y[rows])
-    y += xd * dd
-    out = Tensor(y)
-    x_slot, d_slot, a_log_slot = x.slot, d.slot, zoh.a_log.slot
-    slots = (cvec.slot, zoh.b.slot, zoh.dt.slot)
+        np.einsum("tkcn,tkn->tkc", h, c_d[rows], out=ys[rows])
+    ys += xd * dd
+    out = Tensor(ys[:, 0] + ys[::-1, 1] if k_dirs == 2 else ys[:, 0])
+    x_slot, d_slot, x_bx_slot, a_log_slot = x.slot, d.slot, x_bx.slot, a_log.slot
+    slots = (cvec.slot, b.slot, dt.slot)
 
     def bw(g):
+        # each direction's output gradient, in its own token order
+        g = g[:, None] if k_dirs == 1 else np.stack((g, g[::-1]), axis=1)
         x_slot.accumulate(g * dd, owned=True)
-        d_slot.accumulate((g * xd).sum(axis=0))
+        # every sum over L runs per direction, over an (L, C) or (L, C, N)
+        # view, as a scan of its own sums it: at C = N = 1 numpy sums such a
+        # view pairwise, but an (L, K, ...) array row by row
+        g_xd = g * xd
+        d_slot.accumulate(np.stack([g_xd[:, k].sum(axis=0) for k in range(k_dirs)]))
         abar_b, der_b = np.empty(block_shape), np.empty(block_shape)
-        # a pair row holds the state history in slot 0, run forward in
-        # time, and the adjoint in slot 1, stored time-reversed so that the
-        # same loop runs it backward; coef holds each slot's abar. h, adj
+        # a pair row holds the state histories in slot 0, run forward in
+        # time, and the adjoints in slot 1, stored time-reversed so that the
+        # same loop runs them backward; coef holds each slot's abar. h, adj
         # and abar's gradient are contiguous arrays in the two buffers'
         # memory: bx and adj are built there and copied into the pair's
         # strided slots (faster than writing those slots directly), and
         # the loop's results are copied back out
-        pair_b, coef_b = np.empty((2, block_shape[0], 2, channels, state))
+        pair_b, coef_b = np.empty((2, block_shape[0], 2) + block_shape[1:])
         h_b, adj_b = coef_b.reshape((2,) + block_shape)
         d_ab_b = pair_b.reshape((2,) + block_shape)[0]
         terms = _zoh_buffers(block_shape)
-        abar_next, adj_next = np.empty((channels, state)), np.empty((channels, state))
+        abar_next, adj_next = np.empty((2,) + block_shape[1:])
         d_x = np.empty_like(xd)
-        d_dt = np.empty_like(dt)
-        d_b = np.empty((length, state))
-        d_cv = np.empty((length, state))
-        # dt * d(u) per element, for a_log's sum over L as one reduction
-        d_ua = np.empty((length, channels, state))
+        d_dt = np.empty_like(dt_d)
+        d_b = np.empty_like(c_d)
+        d_cv = np.empty_like(c_d)
+        # dt * d(u) per element, for a_log's sums over L as one reduction each
+        d_ua = np.empty((length,) + block_shape[1:])
         for k in reversed(range(len(blocks))):
             rows = blocks[k]
             n = rows.stop - rows.start
-            dt_r, b_r = dt3[rows], b3[rows]
+            dt_r, b_r = dt4[rows], b4[rows]
             abar = np.multiply(dt_r, neg_a, out=abar_b[:n])
             factor, small, safe, em1 = (buf[:n] for buf in terms)
             _zoh_terms(abar, factor, small, safe, em1)
@@ -246,11 +280,11 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
             bbar = np.multiply(factor, step_b, out=em1)
             pair, coef = pair_b[:n], coef_b[: n - 1]
             h, adj = h_b[:n], adj_b[:n]
-            np.copyto(pair[:, 0], np.multiply(bbar, x3[rows], out=h))
+            np.copyto(pair[:, 0], np.multiply(bbar, x4[rows], out=h))
             if rows.start:
                 pair[0, 0] += abar[0] * seams[k - 1]
             # adj[t] is the adjoint of h[t], which is also the gradient of bx[t]
-            np.copyto(pair[::-1, 1], np.multiply(g[rows, :, None], c_d[rows, None, :], out=adj))
+            np.copyto(pair[::-1, 1], np.multiply(g[rows, :, :, None], c_d[rows, :, None, :], out=adj))
             if rows.stop < length:
                 pair[0, 1] += abar_next * adj_next
             np.copyto(coef[:, 0], abar[1:])
@@ -260,27 +294,27 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
             np.copyto(adj, pair[::-1, 1])
             np.copyto(abar_next, abar[0])
             np.copyto(adj_next, adj[0])
-            np.einsum("tc,tcn->tn", g[rows], h, out=d_cv[rows])
+            np.einsum("tkc,tkcn->tkn", g[rows], h, out=d_cv[rows])
             d_ab = d_ab_b[:n]
             if rows.start:
                 np.multiply(adj[0], seams[k - 1], out=d_ab[0])
             else:
                 d_ab[0] = 0.0
             np.multiply(adj[1:], h[:-1], out=d_ab[1:])
-            np.multiply(adj, bbar, out=bbar).sum(axis=2, out=d_x[rows])
-            g_bbar = np.multiply(adj, x3[rows], out=adj)
+            np.multiply(adj, bbar, out=bbar).sum(axis=3, out=d_x[rows])
+            g_bbar = np.multiply(adj, x4[rows], out=adj)
             g_u = np.multiply(g_bbar, step_b, out=bbar)
             g_step_b = np.multiply(g_bbar, factor, out=adj)
             g_u *= der
-            np.multiply(g_step_b, b_r, out=der).sum(axis=2, out=d_dt[rows])
+            np.multiply(g_step_b, b_r, out=der).sum(axis=3, out=d_dt[rows])
             g_step_b *= dt_r
-            g_step_b.sum(axis=1, out=d_b[rows])
+            g_step_b.sum(axis=2, out=d_b[rows])
             d_ab *= abar
             g_u += d_ab
-            d_dt[rows] += np.multiply(g_u, neg_a, out=der).sum(axis=2)
+            d_dt[rows] += np.multiply(g_u, neg_a, out=der).sum(axis=3)
             np.multiply(g_u, dt_r, out=d_ua[rows])
-        x_slot.accumulate(d_x, owned=True)
-        a_log_slot.accumulate(-d_ua.sum(axis=0) * exp_a)
+        x_bx_slot.accumulate(d_x, owned=True)
+        a_log_slot.accumulate(-np.stack([d_ua[:, k].sum(axis=0) for k in range(k_dirs)]) * exp_a)
         for slot, grad in zip(slots, (d_cv, d_b, d_dt)):
             slot.accumulate(grad, owned=True)
 
@@ -288,39 +322,74 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
     return out
 
 
-def _projections(
-    x: Tensor, w_dt: Tensor, b_dt: Tensor, w_b: Tensor, w_c: Tensor
-) -> tuple[Tensor, Tensor, Tensor]:
-    """The per-token step dt = softplus(x @ w_dt + b_dt) (L, C) and the
-    mixing vectors B = x @ w_b and C = x @ w_c (L, N), as one tape node.
+def _projections(u: Tensor, directions: Sequence[SsmDirection]) -> tuple[Zoh, Tensor, Tensor, Tensor]:
+    """ssm_recurrence's operands for K = 1 or 2 directions over an (L, C)
+    sequence u, as one tape node: direction 0 reads u, direction 1 its
+    token reversal. Each direction's step dt = softplus(seq @ w_dt + b_dt)
+    (L, C) and mixing vectors B = seq @ w_b and C = seq @ w_c (L, N) come
+    from its own sequence and weights and are stacked on axis 1; a_log and
+    d are the directions' stacked parameters, and the stacked
+    sequences (L, K, C) go out twice, as zoh.x and as x, two tensors over
+    one array, so that the direct term's gradient and bx's stay apart.
 
-    Until replay the node saves x's data, the logits, the w_dt, w_b and
-    w_c arrays, and the gradient slots of x, the four parameters and the
-    B and C outputs, whose gradients its backward reads with dt's; not
-    b_dt's data, nor the data of any output. Its backward hands x one
-    gradient per path, in the order C, B, step, for the reason
-    ssm_recurrence gives."""
-    xd, w_dt_d, w_b_d, w_c_d = x.data, w_dt.data, w_b.data, w_c.data
-    logits = xd @ w_dt_d + b_dt.data
-    dt = Tensor(np.logaddexp(0.0, logits))
-    b = Tensor(xd @ w_b_d)
-    cvec = Tensor(xd @ w_c_d)
-    x_slot, b_dt_slot, w_dt_slot = x.slot, b_dt.slot, w_dt.slot
-    paths = ((cvec.slot, w_c.slot, w_c_d), (b.slot, w_b.slot, w_b_d))
+    Its backward hands u the gradient of direction 1's sequence first,
+    summed and reversed, then direction 0's pieces one by one. Each
+    direction's sum, or u's, takes the pieces in the order direct term,
+    bx, C, B, step, for the reason ssm_recurrence gives: with K = 2, u's
+    gradient rounds as it did when the reversal was a row gather of its own
+    and each direction recorded its own projections and scan.
+
+    Until replay the node saves the stacked sequences, the logits, the
+    w_dt, w_b and w_c arrays, and the gradient slots of u, the directions'
+    parameters and the outputs; not u's data, b_dt's, nor the data of any
+    other output."""
+    ud = u.data
+    length = ud.shape[0]
+    k_dirs, state = len(directions), directions[0].w_b.shape[1]
+    seqs = ud[:, None] if k_dirs == 1 else np.stack((ud, ud[::-1]), axis=1)
+    logits = np.empty(seqs.shape)
+    b_d, c_d = np.empty((2, length, k_dirs, state))
+    for k, p in enumerate(directions):
+        seq = seqs[:, k]
+        np.add(seq @ p.w_dt.data, p.b_dt.data, out=logits[:, k])
+        b_d[:, k] = seq @ p.w_b.data
+        c_d[:, k] = seq @ p.w_c.data
+    dt, b, cvec = Tensor(np.logaddexp(0.0, logits)), Tensor(b_d), Tensor(c_d)
+    a_log = Tensor(np.stack([p.a_log.data for p in directions]))
+    d = Tensor(np.stack([p.d.data for p in directions]))
+    x, x_bx = Tensor(seqs), Tensor(seqs)
+    u_slot = u.slot
+    in_slots = (x.slot, x_bx.slot, cvec.slot, b.slot, a_log.slot, d.slot)
+    # per direction: (slot, data) of w_c, w_b and w_dt, and the other slots
+    weights = [[(w.slot, w.data) for w in (p.w_c, p.w_b, p.w_dt)] for p in directions]
+    others = [(p.b_dt.slot, p.a_log.slot, p.d.slot) for p in directions]
 
     def bw(g):
-        # ssm_recurrence hands all three outputs a gradient, or none
-        for out_slot, w_slot, wd in paths:
-            grad = out_slot.grad
-            x_slot.accumulate(grad @ wd.T)
-            w_slot.accumulate(xd.T @ grad)
+        # ssm_recurrence hands all its operands a gradient, or none
+        g_x, g_x_bx, g_c, g_b, g_a_log, g_d = (slot.grad for slot in in_slots)
         d_logits = g * ad.expit(logits)
-        b_dt_slot.accumulate(d_logits.sum(axis=0))
-        x_slot.accumulate(d_logits @ w_dt_d.T)
-        w_dt_slot.accumulate(xd.T @ d_logits)
+        for k in reversed(range(k_dirs)):
+            c_path, b_path, (w_dt_slot, w_dt_d) = weights[k]
+            b_dt_slot, a_log_slot, d_slot = others[k]
+            seq = seqs[:, k]
+            # direction 1's pieces add up apart, then reach u reversed
+            to = u_slot if k == 0 else ad.GradSlot()
+            to.accumulate(g_x[:, k])
+            to.accumulate(g_x_bx[:, k])
+            for grad, (w_slot, wd) in ((g_c[:, k], c_path), (g_b[:, k], b_path)):
+                to.accumulate(grad @ wd.T)
+                w_slot.accumulate(seq.T @ grad)
+            d_log = d_logits[:, k]
+            b_dt_slot.accumulate(d_log.sum(axis=0))
+            to.accumulate(d_log @ w_dt_d.T)
+            w_dt_slot.accumulate(seq.T @ d_log)
+            a_log_slot.accumulate(g_a_log[k])
+            d_slot.accumulate(g_d[k])
+            if k:
+                u_slot.accumulate(to.grad[::-1])
 
     ad._record(dt, bw)
-    return dt, b, cvec
+    return Zoh(dt, b, a_log, x_bx), cvec, x, d
 
 
 class SsmDirection(Module):
@@ -351,8 +420,7 @@ class SsmDirection(Module):
         """Run the selective recurrence over an (L, C) sequence."""
         if x.ndim != 2 or x.shape[1] != self.channels:
             raise InputError(f"expected (L,{self.channels}) sequence, got {x.shape}")
-        dt, b, cvec = _projections(x, self.w_dt, self.b_dt, self.w_b, self.w_c)
-        return ssm_recurrence(Zoh(dt, b, self.a_log), cvec, x, self.d)
+        return ssm_recurrence(*_projections(x, (self,)))
 
 
 class ConvMlp(Module):
@@ -398,7 +466,5 @@ class SsmStage(Module):
         re-reverse the latter, add both directions and the input, then
         run the conv MLP."""
         u = ad.layer_norm(seq, self.ln_gain, self.ln_bias)
-        y_fwd = self.fwd.scan(u)
-        reverse = np.arange(seq.shape[0] - 1, -1, -1)
-        y_bwd = ad.permute_gather(self.bwd.scan(ad.permute_gather(u, reverse)), reverse)
-        return self.mlp.forward(ad.add(seq, ad.add(y_fwd, y_bwd)), height, width)
+        y = ssm_recurrence(*_projections(u, (self.fwd, self.bwd)))
+        return self.mlp.forward(ad.add(seq, y), height, width)

@@ -3,6 +3,7 @@ finite differences for the backward pass, and what each op's tape node
 keeps until replay."""
 
 import tracemalloc
+import types
 import warnings
 import weakref
 
@@ -753,25 +754,38 @@ def test_param_init():
 
 # What each tape node may keep until replay: the gradient slots of the
 # tensors it sends gradient to, the arrays its backward reads and plain
-# shapes. Each case builds its inputs, runs the op and names the inputs
-# whose data the backward reads; every other input's data, and the
-# output's, must be freed once the caller drops its references.
+# shapes. Each case builds its inputs, runs the op and names the inputs,
+# and any outputs (out0, out1, ...), whose data the backward reads; every
+# other input's and output's data must be freed once the caller drops its
+# references.
 
 
 def _scan_inputs(rng):
-    # 600 tokens of 8 x 16 state: three row blocks, so two seams
+    # 300 tokens of two directions of 8 x 16 state: three row blocks, so
+    # two seams
     return {
-        "dt": Tensor(rng.uniform(0.05, 1.0, size=(600, 8))),
-        "b": _t(rng, 600, 16),
-        "a_log": _t(rng, 8, 16),
-        "cvec": _t(rng, 600, 16),
-        "x": _t(rng, 600, 8),
-        "d": _t(rng, 8),
+        "dt": Tensor(rng.uniform(0.05, 1.0, size=(300, 2, 8))),
+        "b": _t(rng, 300, 2, 16),
+        "a_log": _t(rng, 2, 8, 16),
+        "cvec": _t(rng, 300, 2, 16),
+        "x": _t(rng, 300, 2, 8),
+        "d": _t(rng, 2, 8),
     }
 
 
 def _scan(t):
-    return ssm.ssm_recurrence(ssm.Zoh(t["dt"], t["b"], t["a_log"]), t["cvec"], t["x"], t["d"])
+    return ssm.ssm_recurrence(ssm.Zoh(t["dt"], t["b"], t["a_log"], t["x"]), t["cvec"], t["x"], t["d"])
+
+
+def _projection_inputs(rng):
+    shapes = {"u": (6, 3), "w_dt": (3, 3), "b_dt": (3,), "w_b": (3, 2), "w_c": (3, 2), "a_log": (3, 2), "d": (3,)}
+    return {name: _t(rng, *shape) for name, shape in shapes.items()}
+
+
+def _projected(t):
+    """Both directions' operands, one direction's parameters read twice."""
+    zoh, cvec, x, d = ssm._projections(t["u"], [types.SimpleNamespace(**t)] * 2)
+    return (*zoh, cvec, x, d)
 
 
 class _Replaying:
@@ -830,11 +844,9 @@ _RETENTION = {
     ),
     "gelu": (lambda r: {"a": _t(r, 5, 3)}, lambda t: ad.gelu(t["a"]), ("a",)),
     "ssm_recurrence": (_scan_inputs, _scan, ("dt", "b", "cvec", "x", "d")),
-    "projections": (
-        lambda r: {"x": _t(r, 6, 3), "w_dt": _t(r, 3, 3), "b_dt": _t(r, 3), "w_b": _t(r, 3, 2), "w_c": _t(r, 3, 2)},
-        lambda t: ssm._projections(t["x"], t["w_dt"], t["b_dt"], t["w_b"], t["w_c"]),
-        ("x", "w_dt", "w_b", "w_c"),
-    ),
+    # the stacked sequences, out3 and out5, are two outputs over the one
+    # array the node reads
+    "projections": (_projection_inputs, _projected, ("w_dt", "w_b", "w_c", "out3", "out5")),
     "batch_loss": (lambda r: {"p0": _t(r, 3, 4, 4), "p1": _t(r, 3, 4, 4)}, _loss_of, ()),
 }
 
@@ -882,7 +894,7 @@ def _replay_op(name, drop):
         loss = _seed_slots(outs, weights)
     if drop:
         freed = {key: weakref.ref(t.data) for key, t in inputs.items() if key not in read}
-        freed.update((f"out{i}", weakref.ref(out.data)) for i, out in enumerate(outs))
+        freed.update((f"out{i}", weakref.ref(out.data)) for i, out in enumerate(outs) if f"out{i}" not in read)
         del inputs, outs
         assert [key for key, ref in freed.items() if ref() is not None] == []
         held = [obj for replay in tape._ops for obj in _captured(replay)]

@@ -330,14 +330,17 @@ def test_taped_forward_of_one_image_holds_at_most_12_5_mb():
     # 24.4 MB while each scan direction held its state history, and
     # 15.8 MB while every closure held its operands' tensors, and with
     # them the data of every activation, until replay; 11.5 MB since the
-    # closures keep gradient slots and only the arrays their backward reads
+    # closures keep gradient slots and only the arrays their backward reads,
+    # and 11.4 MB since both scan directions of a stage share one node
     held = _held_by_taped_forward(ModelConfig())
     assert held <= 12.5e6, held
 
 
 def test_taped_forward_of_one_full_size_image_holds_at_most_48_5_mb():
     # 64.6 MB while every closure held its operands' tensors; 46.1 MB since
-    # it keeps only gradient slots and the arrays its backward reads
+    # it keeps only gradient slots and the arrays its backward reads; 47.1 MB
+    # since both scan directions of a stage share one node, whose row blocks
+    # hold half as many rows, so it keeps twice the seam rows
     held = _held_by_taped_forward(ModelConfig(channels=32, state_dim=16, unet_depth=4))
     assert held <= 48.5e6, held
 

@@ -15,7 +15,8 @@ from helpers import assert_grads_match, weighted_sum
 from shadowscan import autodiff as ad
 from shadowscan import ssm
 from shadowscan.autodiff import GradTape, Tensor, backward
-from shadowscan.checks import _conv_and_recurrence
+from shadowscan.blocks import ShadowNet
+from shadowscan.checks import _conv_form, _scan_node
 from shadowscan.config import ModelConfig
 from shadowscan.errors import InputError
 from shadowscan.ssm import (
@@ -27,6 +28,7 @@ from shadowscan.ssm import (
     discretize,
     ssm_recurrence,
 )
+from shadowscan.train import make_toy_pairs
 
 LN2 = float(np.log(2.0))
 
@@ -77,11 +79,11 @@ def test_discretize_runs_the_model_zoh_factor():
     small = np.abs(u) < ZOH_SERIES_THRESHOLD
     assert small.any() and not small.all()
     _, factor = discretize(u.ravel(), np.ones(state), 1.0)
-    ones = Tensor(np.ones((1, channels)))
-    zoh = Zoh(ones, Tensor(np.ones((1, state))), Tensor(a_log))
+    ones = Tensor(np.ones((1, 1, channels)))
+    zoh = Zoh(ones, Tensor(np.ones((1, 1, state))), Tensor(a_log[None]), ones)
     for n in range(state):
-        onehot = Tensor(np.eye(state)[n : n + 1])
-        y = ssm_recurrence(zoh, onehot, ones, Tensor(np.zeros(channels)))
+        onehot = Tensor(np.eye(state)[None, n : n + 1])
+        y = ssm_recurrence(zoh, onehot, ones, Tensor(np.zeros((1, channels))))
         assert np.array_equal(y.data, factor[None, n : n + 1])
 
 
@@ -89,55 +91,71 @@ def test_recurrence_two_step_example():
     # A = -exp(-40) at step 1 takes the series branch: abar rounds to 1
     # and Bbar = dt B exactly, so bx = 0.5 x = [2, 1] and the scan is the
     # running sum [2, 3]; the direct term d x = [4, 2] / 4 adds [1, 1/2]
-    zoh = Zoh(Tensor(np.ones((2, 1))), Tensor(np.full((2, 1), 0.5)), Tensor([[-40.0]]))
-    y = ssm_recurrence(zoh, Tensor(np.ones((2, 1))), Tensor([[4.0], [2.0]]), Tensor([0.25]))
+    zoh = Zoh(Tensor(np.ones((2, 1, 1))), Tensor(np.full((2, 1, 1), 0.5)), Tensor([[[-40.0]]]), Tensor([[[4.0]], [[2.0]]]))
+    y = ssm_recurrence(zoh, Tensor(np.ones((2, 1, 1))), zoh.x, Tensor([[0.25]]))
     assert np.array_equal(y.data, np.array([[3.0], [3.5]]))
 
 
 def _node(dt, b, a_log, cvec, x, d):
-    return ssm_recurrence(Zoh(dt, b, a_log), cvec, x, d)
+    return ssm_recurrence(Zoh(dt, b, a_log, x), cvec, x, d)
 
 
-def _node_operands(rng, length, channels, state):
+def _node_operands(rng, length, k_dirs, channels, state):
     return [
-        Tensor(rng.uniform(0.1, 1.0, size=(length, channels))),
-        Tensor(rng.normal(size=(length, state))),
-        Tensor(rng.normal(scale=0.5, size=(channels, state))),
-        Tensor(rng.normal(size=(length, state))),
-        Tensor(rng.normal(size=(length, channels))),
-        Tensor(rng.normal(size=channels)),
+        Tensor(rng.uniform(0.1, 1.0, size=(length, k_dirs, channels))),
+        Tensor(rng.normal(size=(length, k_dirs, state))),
+        Tensor(rng.normal(scale=0.5, size=(k_dirs, channels, state))),
+        Tensor(rng.normal(size=(length, k_dirs, state))),
+        Tensor(rng.normal(size=(length, k_dirs, channels))),
+        Tensor(rng.normal(size=(k_dirs, channels))),
     ]
 
 
 def test_recurrence_matches_plain_loop():
-    length, channels, state = 7, 3, 4
-    dt, b, a_log, cvec, x, d = (t.data for t in _node_operands(np.random.default_rng(0), length, channels, state))
-    y = _node(*map(Tensor, (dt, b, a_log, cvec, x, d))).data
-    h = np.zeros((channels, state))
-    for t in range(length):
-        da = dt[t][:, None] * -np.exp(a_log)
-        bbar = np.expm1(da) / da * dt[t][:, None] * b[t]
-        h = np.exp(da) * h + bbar * x[t][:, None]
-        assert np.allclose(y[t], h @ cvec[t] + x[t] * d, atol=1e-12)
+    # two directions: the second scans its tokens from the end, and its
+    # output is added back in token order
+    length, k_dirs, channels, state = 7, 2, 3, 4
+    ops = [t.data for t in _node_operands(np.random.default_rng(0), length, k_dirs, channels, state)]
+    y = _node(*map(Tensor, ops)).data
+    want = np.zeros((length, channels))
+    for k, order in enumerate((range(length), range(length - 1, -1, -1))):
+        dt, b, cvec, x = (ops[i][:, k] for i in (0, 1, 3, 4))
+        a_log, d = ops[2][k], ops[5][k]
+        h = np.zeros((channels, state))
+        for step, t in enumerate(order):
+            da = dt[step][:, None] * -np.exp(a_log)
+            bbar = np.expm1(da) / da * dt[step][:, None] * b[step]
+            h = np.exp(da) * h + bbar * x[step][:, None]
+            want[t] += h @ cvec[step] + x[step] * d
+    assert np.allclose(y, want, atol=1e-12)
 
 
 def test_recurrence_grads():
-    assert_grads_match(_node, _node_operands(np.random.default_rng(1), 5, 2, 3))
+    for k_dirs in (1, 2):
+        assert_grads_match(_node, _node_operands(np.random.default_rng(1), 5, k_dirs, 2, 3))
 
 
 def test_recurrence_shape_validation():
-    good = {"dt": (3, 1), "b": (3, 2), "a_log": (1, 2), "cvec": (3, 2), "x": (3, 1), "d": (1,)}
-    bad = {"dt": (3, 2), "b": (3, 3), "a_log": (2, 2), "cvec": (3, 3), "x": (3, 2), "d": (2,)}
+    good = {"dt": (3, 2, 1), "b": (3, 2, 2), "a_log": (2, 1, 2), "cvec": (3, 2, 2), "x": (3, 2, 1), "d": (2, 1)}
+    bad = {"dt": (3, 2, 2), "b": (3, 2, 3), "a_log": (2, 2, 2), "cvec": (3, 2, 3), "x": (3, 2, 2), "d": (2, 2)}
     for name in good:
         shapes = dict(good, **{name: bad[name]})
         with pytest.raises(InputError):
             _node(*(Tensor(np.ones(shape)) for shape in shapes.values()))
-    with pytest.raises(InputError):
-        _node(*(Tensor(np.ones(shape)) for shape in dict(good, dt=(3, 1, 1)).values()))
+    # 2-D steps, and a third direction
+    for dt in ((3, 1), (3, 3, 1)):
+        with pytest.raises(InputError):
+            _node(*(Tensor(np.ones(shape)) for shape in dict(good, dt=dt).values()))
 
 
 def _one(value):
     return np.array([value], dtype=float)
+
+
+def _conv_and_recurrence(*scan):
+    """One token-invariant single-channel scan by its convolution form and
+    by the model's scan node."""
+    return _conv_form(*scan), _scan_node(scan)[0]
 
 
 def test_kernel_two_tap_example():
@@ -158,17 +176,21 @@ def test_direct_term_passthrough():
 
 def test_conv_form_matches_recurrence():
     rng = np.random.default_rng(3)
+
+    def draw(n, length):
+        a = -np.exp(rng.normal(size=n))
+        delta = float(np.exp(rng.uniform(np.log(0.01), 0.0)))
+        return a, rng.normal(size=n), rng.normal(size=n), float(rng.normal()), delta, rng.normal(size=length)
+
     for _ in range(10):
         n = int(rng.integers(1, 5))
         length = int(rng.integers(1, 30))
-        a = -np.exp(rng.normal(size=n))
-        b = rng.normal(size=n)
-        c = rng.normal(size=n)
-        d = float(rng.normal())
-        delta = float(np.exp(rng.uniform(np.log(0.01), 0.0)))
-        x = rng.normal(size=length)
-        via_conv, via_scan = _conv_and_recurrence(a, b, c, d, delta, x)
+        first, second = draw(n, length), draw(n, length)
+        via_conv, via_scan = _conv_and_recurrence(*first)
         assert np.abs(via_conv - via_scan).max() <= 1e-10
+        # two unrelated directions in one node, each against its own form
+        for scan, y in zip((first, second), _scan_node(first, second)):
+            assert np.abs(_conv_form(*scan) - y).max() <= 1e-10
 
 
 def test_selective_direction_init():
@@ -426,6 +448,278 @@ def test_scan_node_bitwise_matches_frozen_closures(case, rows, prior):
     assert np.array_equal(untaped.data, want[0])
     for name, g, w in zip(["y", "x"] + list(_PARAMS), got, want):
         assert np.array_equal(g, w), name
+
+
+# The two-direction chain as a stage recorded it before both directions
+# became one node: per direction a projections node and a scan node, the
+# token reversal and its undoing as row gathers, and two adds. The two
+# nodes and the helpers they call are kept verbatim, argument checks left
+# out, as the bitwise reference for SsmStage's gradient order.
+
+
+def _chain_zoh_buffers(shape):
+    return np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape), np.empty(shape)
+
+
+def _chain_zoh_terms(u, factor, small, safe, em1):
+    np.less(np.abs(u, out=safe), ZOH_SERIES_THRESHOLD, out=small)
+    np.copyto(safe, u)
+    np.copyto(safe, 1.0, where=small)
+    np.expm1(safe, out=em1)
+    np.divide(em1, safe, out=factor)
+    np.copyto(factor, 1.0, where=small)
+    return factor
+
+
+def _chain_row_blocks(length, channels, state):
+    rows = max(1, ssm._BLOCK_BYTES // (8 * channels * state))
+    return [slice(start, min(start + rows, length)) for start in range(0, length, rows)]
+
+
+def _chain_scan_node(dt_t, b_t, a_log_t, cvec, x, d):
+    length, channels, state = dt_t.shape + b_t.shape[1:]
+    dt, c_d, xd, dd = dt_t.data, cvec.data, x.data, d.data
+    dt3, b3, x3 = dt[:, :, None], b_t.data[:, None, :], xd[:, :, None]
+    exp_a = np.exp(a_log_t.data)
+    neg_a = -exp_a
+    blocks = _chain_row_blocks(length, channels, state)
+    block_shape = (blocks[0].stop, channels, state) if blocks else (0, channels, state)
+    # seams[k] keeps block k's last state row
+    seams = np.empty((max(len(blocks) - 1, 0), channels, state))
+
+    y = np.empty((length, channels))
+    u_buf = np.empty(block_shape)
+    terms = _chain_zoh_buffers(block_shape)
+    for k, rows in enumerate(blocks):
+        n = rows.stop - rows.start
+        u = np.multiply(dt3[rows], neg_a, out=u_buf[:n])
+        factor, small, safe, em1 = (buf[:n] for buf in terms)
+        _chain_zoh_terms(u, factor, small, safe, em1)
+        factor *= np.multiply(dt3[rows], b3[rows], out=safe)
+        h = np.multiply(factor, x3[rows], out=em1)
+        abar = np.exp(u, out=u)
+        if rows.start:
+            h[0] += abar[0] * seams[k - 1]
+        _frozen_linear_recurrence(abar[1:], h)
+        if rows.stop < length:
+            np.copyto(seams[k], h[-1])
+        np.einsum("tcn,tn->tc", h, c_d[rows], out=y[rows])
+    y += xd * dd
+    out = Tensor(y)
+    x_slot, d_slot, a_log_slot = x.slot, d.slot, a_log_t.slot
+    slots = (cvec.slot, b_t.slot, dt_t.slot)
+
+    def bw(g):
+        x_slot.accumulate(g * dd, owned=True)
+        d_slot.accumulate((g * xd).sum(axis=0))
+        abar_b, der_b = np.empty(block_shape), np.empty(block_shape)
+        # a pair row holds the state history in slot 0, run forward in
+        # time, and the adjoint in slot 1, stored time-reversed so that the
+        # same loop runs it backward; coef holds each slot's abar. h, adj
+        # and abar's gradient are contiguous arrays in the two buffers'
+        # memory: bx and adj are built there and copied into the pair's
+        # strided slots (faster than writing those slots directly), and
+        # the loop's results are copied back out
+        pair_b, coef_b = np.empty((2, block_shape[0], 2, channels, state))
+        h_b, adj_b = coef_b.reshape((2,) + block_shape)
+        d_ab_b = pair_b.reshape((2,) + block_shape)[0]
+        terms = _chain_zoh_buffers(block_shape)
+        abar_next, adj_next = np.empty((channels, state)), np.empty((channels, state))
+        d_x = np.empty_like(xd)
+        d_dt = np.empty_like(dt)
+        d_b = np.empty((length, state))
+        d_cv = np.empty((length, state))
+        # dt * d(u) per element, for a_log's sum over L as one reduction
+        d_ua = np.empty((length, channels, state))
+        for k in reversed(range(len(blocks))):
+            rows = blocks[k]
+            n = rows.stop - rows.start
+            dt_r, b_r = dt3[rows], b3[rows]
+            abar = np.multiply(dt_r, neg_a, out=abar_b[:n])
+            factor, small, safe, em1 = (buf[:n] for buf in terms)
+            _chain_zoh_terms(abar, factor, small, safe, em1)
+            np.exp(abar, out=abar)
+            # d factor / d u = (u exp(u) - expm1(u)) / u^2, 1/2 on the
+            # series branch; exp(u) is abar wherever the exact branch applies
+            der = np.multiply(safe, abar, out=der_b[:n])
+            der -= em1
+            safe *= safe
+            der /= safe
+            np.copyto(der, 0.5, where=small)
+            step_b = np.multiply(dt_r, b_r, out=safe)
+            bbar = np.multiply(factor, step_b, out=em1)
+            pair, coef = pair_b[:n], coef_b[: n - 1]
+            h, adj = h_b[:n], adj_b[:n]
+            np.copyto(pair[:, 0], np.multiply(bbar, x3[rows], out=h))
+            if rows.start:
+                pair[0, 0] += abar[0] * seams[k - 1]
+            # adj[t] is the adjoint of h[t], which is also the gradient of bx[t]
+            np.copyto(pair[::-1, 1], np.multiply(g[rows, :, None], c_d[rows, None, :], out=adj))
+            if rows.stop < length:
+                pair[0, 1] += abar_next * adj_next
+            np.copyto(coef[:, 0], abar[1:])
+            np.copyto(coef[:, 1], abar[:0:-1])
+            _frozen_linear_recurrence(coef, pair)
+            np.copyto(h, pair[:, 0])
+            np.copyto(adj, pair[::-1, 1])
+            np.copyto(abar_next, abar[0])
+            np.copyto(adj_next, adj[0])
+            np.einsum("tc,tcn->tn", g[rows], h, out=d_cv[rows])
+            d_ab = d_ab_b[:n]
+            if rows.start:
+                np.multiply(adj[0], seams[k - 1], out=d_ab[0])
+            else:
+                d_ab[0] = 0.0
+            np.multiply(adj[1:], h[:-1], out=d_ab[1:])
+            np.multiply(adj, bbar, out=bbar).sum(axis=2, out=d_x[rows])
+            g_bbar = np.multiply(adj, x3[rows], out=adj)
+            g_u = np.multiply(g_bbar, step_b, out=bbar)
+            g_step_b = np.multiply(g_bbar, factor, out=adj)
+            g_u *= der
+            np.multiply(g_step_b, b_r, out=der).sum(axis=2, out=d_dt[rows])
+            g_step_b *= dt_r
+            g_step_b.sum(axis=1, out=d_b[rows])
+            d_ab *= abar
+            g_u += d_ab
+            d_dt[rows] += np.multiply(g_u, neg_a, out=der).sum(axis=2)
+            np.multiply(g_u, dt_r, out=d_ua[rows])
+        x_slot.accumulate(d_x, owned=True)
+        a_log_slot.accumulate(-d_ua.sum(axis=0) * exp_a)
+        for slot, grad in zip(slots, (d_cv, d_b, d_dt)):
+            slot.accumulate(grad, owned=True)
+
+    ad._record(out, bw)
+    return out
+
+
+def _chain_projections(x, w_dt, b_dt, w_b, w_c):
+    xd, w_dt_d, w_b_d, w_c_d = x.data, w_dt.data, w_b.data, w_c.data
+    logits = xd @ w_dt_d + b_dt.data
+    dt = Tensor(np.logaddexp(0.0, logits))
+    b = Tensor(xd @ w_b_d)
+    cvec = Tensor(xd @ w_c_d)
+    x_slot, b_dt_slot, w_dt_slot = x.slot, b_dt.slot, w_dt.slot
+    paths = ((cvec.slot, w_c.slot, w_c_d), (b.slot, w_b.slot, w_b_d))
+
+    def bw(g):
+        # ssm_recurrence hands all three outputs a gradient, or none
+        for out_slot, w_slot, wd in paths:
+            grad = out_slot.grad
+            x_slot.accumulate(grad @ wd.T)
+            w_slot.accumulate(xd.T @ grad)
+        d_logits = g * ad.expit(logits)
+        b_dt_slot.accumulate(d_logits.sum(axis=0))
+        x_slot.accumulate(d_logits @ w_dt_d.T)
+        w_dt_slot.accumulate(xd.T @ d_logits)
+
+    ad._record(dt, bw)
+    return dt, b, cvec
+
+
+def _chain_scan(direction, x):
+    dt, b, cvec = _chain_projections(x, direction.w_dt, direction.b_dt, direction.w_b, direction.w_c)
+    return _chain_scan_node(dt, b, direction.a_log, cvec, x, direction.d)
+
+
+def _chain_stage_forward(stage, seq, height, width):
+    u = ad.layer_norm(seq, stage.ln_gain, stage.ln_bias)
+    y_fwd = _chain_scan(stage.fwd, u)
+    reverse = np.arange(seq.shape[0] - 1, -1, -1)
+    y_bwd = ad.permute_gather(_chain_scan(stage.bwd, ad.permute_gather(u, reverse)), reverse)
+    return stage.mlp.forward(ad.add(seq, ad.add(y_fwd, y_bwd)), height, width)
+
+
+def _pair_widths():
+    # default and full-size widths, and one channel of one state, where a
+    # sum over a direction's tokens would pairwise-sum if it ran contiguous
+    return [(8, 8), (32, 16), (1, 1)]
+
+
+def _pair_lengths(channels, state):
+    """1, 2, one row block and several with a ragged last one, in the
+    pair node's blocks of (rows, 2, C, N)."""
+    rows = ssm._row_blocks(1 << 20, 2 * channels, state)[0].stop
+    return [1, 2, rows, 2 * rows + rows // 2 + 1]
+
+
+def _stage_and_grads(forward, stage, seq, weight):
+    """The stage's output and the gradients of sum(out * weight): the
+    input's, then every parameter's in named_params order."""
+    x = Tensor(seq)
+    for p in stage.params():
+        p.zero_grad()
+    with GradTape() as tape:
+        out = forward(stage, x, 1, seq.shape[0])
+        loss = weighted_sum(out, weight)
+    backward(loss, tape)
+    return [out.data, x.grad] + [p.grad for _, p in stage.named_params()]
+
+
+@pytest.mark.parametrize("channels, state", _pair_widths())
+def test_stage_pair_node_bitwise_matches_two_direction_chain(channels, state):
+    rng = np.random.default_rng(31)
+    stage = SsmStage(ModelConfig(channels=channels, state_dim=state), rng)
+    # steps that reach both ZOH branches, and a direct term off its init
+    for direction in (stage.fwd, stage.bwd):
+        direction.b_dt.data[:] = rng.choice([3.0, -45.0, 0.0], size=channels)
+        direction.d.data[:] = rng.normal(size=channels)
+    names = ["out", "x"] + [name for name, _ in stage.named_params()]
+    for length in _pair_lengths(channels, state):
+        seq = rng.normal(size=(length, channels))
+        weight = rng.normal(size=(length, channels))
+        got = _stage_and_grads(SsmStage.forward, stage, seq, weight)
+        want = _stage_and_grads(_chain_stage_forward, stage, seq, weight)
+        for name, g, w in zip(names, got, want):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64)), (length, name)
+        assert np.array_equal(stage.forward(Tensor(seq), 1, length).data, want[0])
+
+
+@pytest.mark.parametrize("live", ["fwd", "bwd"])
+def test_lone_direction_scan_is_its_half_of_the_pair(live):
+    # with the other direction silenced the pair node is the live
+    # direction's scan, the second re-reversed: output, u's gradient and
+    # the live direction's parameter gradients bit for bit
+    rng = np.random.default_rng(32)
+    stage = SsmStage(ModelConfig(), rng)
+    getattr(stage, "bwd" if live == "fwd" else "fwd").silence()
+    direction = getattr(stage, live)
+    length = 2 * ssm._row_blocks(1 << 20, 16, 8)[0].stop + 7
+    seq = rng.normal(size=(length, 8))
+    weight = rng.normal(size=(length, 8))
+    order = slice(None) if live == "fwd" else slice(None, None, -1)
+
+    def grads(scan):
+        u = Tensor(seq)
+        for p in direction.params():
+            p.zero_grad()
+        with GradTape() as tape:
+            y = scan(u)
+            loss = weighted_sum(y, weight)
+        backward(loss, tape)
+        return [y.data, u.grad] + [p.grad for p in direction.params()]
+
+    pair = grads(lambda u: ssm_recurrence(*ssm._projections(u, (stage.fwd, stage.bwd))))
+    lone = grads(lambda u: ad.permute_gather(direction.scan(ad.permute_gather(u, np.arange(length)[order])), np.arange(length)[order]))
+    for g, w in zip(pair, lone):
+        assert np.array_equal(g, w)
+
+
+def test_one_32px_forward_runs_one_scan_node_per_stage():
+    # 22 nodes while each direction ran its own; the pair nodes cover the
+    # same 1,081,344 state elements, counted as the benchmark's probe does
+    shapes = []
+    node = ssm.ssm_recurrence
+
+    def counted(zoh, *rest):
+        shapes.append(zoh.shape)
+        return node(zoh, *rest)
+
+    image, mask, _ = make_toy_pairs(1, 32, seed=0)[0]
+    model = ShadowNet(ModelConfig())
+    with mock.patch.object(ssm, "ssm_recurrence", counted):
+        model.forward(image, mask)
+    assert len(shapes) == 11
+    assert sum(length * width * state for length, width, state in shapes) == 1_081_344
 
 
 _FULL_SIZE = (1024, 32, 16)
