@@ -42,13 +42,23 @@ replay; the tape is empty afterwards.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
 from .errors import InputError
 from .imageio import linear_taps
 
-_TAPE_STACK: list["GradTape"] = []
+
+class _TapeStack(threading.local):
+    """Each thread's stack of recording tapes: a tape records only the ops
+    of the thread that entered it."""
+
+    def __init__(self) -> None:
+        self.tapes: list[GradTape] = []
+
+
+_TAPE_STACK = _TapeStack()
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -56,7 +66,8 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def active_tape() -> "GradTape | None":
     """The innermost recording tape, or None outside any ``with tape:`` block."""
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    tapes = _TAPE_STACK.tapes
+    return tapes[-1] if tapes else None
 
 
 class GradTape:
@@ -64,7 +75,7 @@ class GradTape:
 
     Use as a context manager around the forward computation, then call
     ``backward`` on a scalar output. One backward pass per tape, which
-    empties it; a tape is confined to one logical thread.
+    empties it; a tape is confined to the thread that entered it.
     """
 
     def __init__(self) -> None:
@@ -72,11 +83,11 @@ class GradTape:
         self._consumed = False
 
     def __enter__(self) -> "GradTape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        _TAPE_STACK.pop()
+        _TAPE_STACK.tapes.pop()
         return False
 
     def record(self, replay) -> None:

@@ -19,7 +19,7 @@ from .blocks import ShadowNet, dfmb_interleave, fold_back
 from .config import ModelConfig
 from .errors import InputError
 from .scanorder import horizontal_order, mas_order, mean_adjacent_gap, partition_patches, shadow_rect
-from .ssm import Zoh, discretize, ssm_recurrence
+from .ssm import discretize, scan_forward
 from .train import batch_loss
 
 
@@ -42,13 +42,14 @@ def _conv_form(a, b, c, d, delta, x):
 
 
 def _scan_node(*directions):
-    """The model's scan node over K = len(directions) token-invariant
+    """The model's scan kernel over K = len(directions) token-invariant
     single-channel scans (a, b, c, d, delta, x) of one length and state
-    size: step, B, log(-A) and C repeated per token, which the node
+    size: step, B, log(-A) and C repeated per token, stacked on the
+    direction axis as the scan node stacks them, which the kernel
     discretizes itself with the same ZOH factor. Direction k runs on
     channel k alone (its input on every other channel is 0, so it adds
     exact zeros there). Returns each direction's output in the order of
-    its own x: the node's re-reversal of the second is undone."""
+    its own x."""
     k_dirs = len(directions)
     length, n = directions[0][5].shape[0], directions[0][0].shape[0]
     dt = np.empty((length, k_dirs, k_dirs))
@@ -63,21 +64,19 @@ def _scan_node(*directions):
         a_log[k] = np.log(-a)
         x_in[:, k, k] = x
         d_in[k, k] = d
-    x_t = Tensor(x_in)
-    y = ssm_recurrence(Zoh(Tensor(dt), Tensor(b_in), Tensor(a_log), x_t), Tensor(cvec), x_t, Tensor(d_in)).data
-    return [y[:, 0]] if k_dirs == 1 else [y[:, 0], y[::-1, 1]]
+    ys = scan_forward(dt, b_in, cvec, x_in, d_in, np.exp(a_log))[0]
+    return [ys[:, k, k] for k in range(k_dirs)]
 
 
 def check_form_equivalence(cases: int = 100, tol: float = 1e-10, seed: int = 0) -> CheckResult:
     """Recurrence vs convolution kernel on random token-invariant scans.
 
     Each config runs alone, then as the first of two directions that share
-    one node. The second scans 2x with C and d scaled by -1/2: every product
-    it forms is -1 times the first's, so its output and its convolution
-    form are the first's negated bit for bit, and each is checked against
-    its own form. The pair adds no rounding of its own, and a direction
-    that reads the other's input, C or d, or whose output is not
-    re-reversed, fails."""
+    one kernel call. The second scans 2x with C and d scaled by -1/2: every
+    product it forms is -1 times the first's, so its output and its
+    convolution form are the first's negated bit for bit, and each is
+    checked against its own form. The pair adds no rounding of its own, and
+    a direction that reads the other's input, C or d, fails."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):

@@ -14,31 +14,35 @@ vectors from each token, so only the sequential recurrence applies; the
 convolution form that token-invariant parameters admit lives with the
 ``check ssm-equiv`` suite, which cross-checks the recurrence against it.
 
-A scan runs K = 1 or 2 directions over one (L, C) sequence, the second
-over its token reversal, as two tape closures: ``_projections``, which
+A scan runs K = 1 or 2 directions over one (L, C) sequence u, the second
+over its token reversal, as one tape node, ``ssm_recurrence``: it
 computes every direction's per-token step size, B and C, (L, K, C) and
-(L, K, N), and stacks the directions' sequences and parameters, and
-``ssm_recurrence``, which fuses the discretization, the recurrence and
-the output of all K directions over row blocks of about 256 KB per
-(rows, K, C, N) array, as Mamba's selective-scan kernel does in fast
-memory (arXiv 2312.00752, section 3.3), and re-reverses and sums the
-second direction's output into the first's. One loop step thus advances
-every direction's chain, as VMamba's cross-scan runs its directions in
-one selective-scan call (arXiv 2401.10166, section 3). ``SsmStage`` runs
-its two directions as one such pair; ``SsmDirection.scan`` runs one
-direction at K = 1 through the same two nodes.
+(L, K, N), from its own sequence and weights, and fuses the
+discretization, the recurrence and the output of all K directions over
+row blocks of about 256 KB per (rows, K, C, N) array, as Mamba's
+selective-scan kernel does in fast memory (arXiv 2312.00752, section
+3.3), and re-reverses and sums the second direction's output into the
+first's. One loop step thus advances every direction's chain, as
+VMamba's cross-scan runs its directions in one selective-scan call
+(arXiv 2401.10166, section 3). ``SsmStage`` runs its two directions as
+one such pair, between its layer norm and its residual add, which stay
+nodes of their own; ``SsmDirection.scan`` runs one direction at K = 1.
 
-The backward recomputes abar, the ZOH terms and the state history block
-by block rather than storing them, the history from the state row at each
-block's seam. Every forward fills those seam rows, one (K, C, N) row per
-block but the last; a taped scan holds them until replay, and no
-(L, K, C, N) array. Each direction's results, and the order in which the
-input sequence receives its gradient pieces (the reversed direction's
-whole gradient first, then the other's direct term, bx path, C, B and
-step), are bit for bit those of a scan of its own followed by the row
-gathers that reversed it.
+A taped scan keeps u's data, the directions' weights and one (K, C, N)
+state row per seam between blocks until replay, and rebuilds the rest.
+Its backward repeats the projections with the same BLAS calls on the
+same views, then recomputes abar, the ZOH terms and the state history
+block by block, the history from the state row at each block's seam, as
+Mamba's backward recomputes its states (section 3.3) and as sublinear-
+memory training trades compute for stored activations (arXiv
+1604.06174). The backward's block buffers come from one workspace per
+thread, allocated once, so the memory the tape no longer holds is not
+mapped and faulted in again on every call. Each direction's results, and
+the order in which u and each parameter receive their gradient pieces,
+are bit for bit those of a scan of its own followed by the row gathers
+that reversed it.
 
-The softplus step's slope in the projections' backward is the logistic
+The softplus step's slope in the scan's backward is the logistic
 sigmoid ``autodiff.expit``, which, like GELU's erf (cephes), is evaluated
 in numpy over libm ``exp``; the package needs nothing beyond numpy for its
 special functions.
@@ -46,6 +50,8 @@ special functions.
 
 from __future__ import annotations
 
+import math
+import threading
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -59,8 +65,12 @@ from .module import Module
 
 ZOH_SERIES_THRESHOLD = 1e-8
 
-# bytes per (rows, C, N) array in the scan's row blocks
+# bytes per (rows, K·C, N) array in the scan's row blocks
 _BLOCK_BYTES = 1 << 18
+
+# blocks of _BLOCK_BYTES in a thread's backward workspace: the backward's
+# nine (rows, K, C, N) float64 buffers and one bool mask fit in it
+_WORKSPACE_BLOCKS = 10
 
 # abar at the softplus(0) step size equals this after default init
 _INIT_ABAR = 0.9
@@ -121,96 +131,96 @@ def _row_blocks(length: int, width: int, state: int) -> list[slice]:
     return [slice(start, min(start + rows, length)) for start in range(0, length, rows)]
 
 
-class Zoh(NamedTuple):
-    """The zero-order-hold inputs of K scan directions over L tokens: the
-    per-token steps dt (L, K, C), input mixing B (L, K, N) and sequence x
-    (L, K, C), which the scan discretizes into bx, and a_log (K, C, N),
-    where A = -exp(a_log)."""
+class Scan(NamedTuple):
+    """K = 1 or 2 scan directions over one (L, C) sequence u: direction 0
+    reads u, direction 1 its token reversal. A direction is anything with
+    an SsmDirection's arrays: w_dt (C, C), b_dt (C,), w_b and w_c (C, N),
+    a_log (C, N) and d (C,)."""
 
-    dt: Tensor
-    b: Tensor
-    a_log: Tensor
-    x: Tensor
+    u: Tensor
+    directions: Sequence[SsmDirection]
 
     @property
     def shape(self) -> tuple[int, ...]:
         """(L, K·C, N), the state the K directions' scans expand to."""
-        length, k_dirs, channels = self.dt.shape
-        return (length, k_dirs * channels, self.b.shape[2])
+        length, channels = self.u.shape
+        return (length, len(self.directions) * channels, self.directions[0].w_b.shape[-1])
 
 
-def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
-    """Differentiable selective scan of K = 1 or 2 directions:
-    discretization, recurrence and output as one tape node.
+class _Workspace(threading.local):
+    """One thread's float64 buffer for the scan backward's (rows, K, C, N)
+    block buffers. Each thread builds its own on first use; the main
+    thread's is built when this module is imported, before any forward, so
+    that it does not land at the heap's top, where it would keep glibc from
+    trimming below it."""
 
-    Shapes: zoh.dt, zoh.x and x are (L, K, C), zoh.b and cvec are (L, K, N),
-    zoh.a_log is (K, C, N) and d is (K, C). Per direction k, with
-    u = dt A, abar = exp(u), the ZOH factor f(u) = expm1(u) / u and
-    bx = f(u) (dt B) zoh.x, it computes h[t] = bx[t] + abar[t] * h[t-1]
-    with h[-1] = 0 and y_k[t, c] = sum_n h[t, c, n] cvec[t, n] + x[t, c] d[c].
-    Direction 1 scans its tokens in reverse order: the node returns
-    y_0[t] + y_1[L-1-t], (L, C), and y_0 alone when K = 1. Both passes run
-    the one sequential primitive, _linear_recurrence, over every chain at
-    once: forward over abar, backward over the time-reversed adjoint
-    adj[t] = g[t] c[t] + abar[t+1] adj[t+1]. No parallel-scan shortcut:
-    each element rounds as the plain sequential loop does, and each
-    direction's results are bit for bit those of a scan of its own.
+    def __init__(self) -> None:
+        self.buf = np.empty(_WORKSPACE_BLOCKS * _BLOCK_BYTES // 8)
 
-    Everything runs over row blocks of (rows, K, C, N) (_row_blocks) in
-    buffers allocated once per pass; each block continues the recurrence
-    from the row before it (the seam row runs the loop's own op), and
-    every other op is elementwise or reduces within a row and direction, so
-    the blocks round as whole arrays would. The forward keeps no state
-    history: it copies each block's last state row into seams, which the
-    next block starts from and which are the only state a taped node keeps
-    (the sublinear-memory trade of arXiv 1604.06174, per row block). The
-    backward walks the blocks in reverse, recomputes u, the ZOH terms, abar
-    and bx, and seeds the block's first row from the seam before it. One
-    _linear_recurrence call then runs every direction's history forward and
-    its adjoint backward in time, over a pair buffer whose slot 1 stores
-    the adjoint time-reversed. The a_log gradient's terms go into an
-    (L, K, C, N) array that lives only during the backward, so each
-    direction's sum over L stays one reduction over a full-length array.
 
-    The backward hands out the direct term's gradients first, x's then
-    d's, then zoh.x's through bx, then a_log's, cvec's, B's and dt's. x and
-    zoh.x may be one tensor that already holds gradient from elsewhere, so
-    its updates stay separate and in this order: summed first or
-    reordered, they would round differently. _projections passes two
-    tensors over one array there, so that it can hand each piece on apart.
+_workspace = _Workspace()
 
-    Until replay the node saves the dt, B, cvec, x, zoh.x and d arrays,
-    exp(a_log) and its negation, the seam rows, and the gradient slots of
-    the seven inputs; not the Zoh tuple, no Tensor, and neither a_log's
-    data nor y.
-    """
-    dt, b, a_log, x_bx = zoh
-    if dt.ndim != 3 or b.ndim != 3 or dt.shape[1] not in (1, 2):
-        raise InputError(f"dt and b must be (L,K,C) and (L,K,N) with K 1 or 2, got {dt.shape} and {b.shape}")
+
+def _backward_buffers(block_shape: tuple[int, ...]):
+    """The backward's block buffers, views of this thread's workspace,
+    which grows first if they need more: abar, der, the pair and
+    coefficient buffers, (rows, 2, K, C, N) each, and the ZOH terms."""
+    size = math.prod(block_shape)
+    need = 9 * size + -(-size // 8)
+    if _workspace.buf.size < need:
+        _workspace.buf = np.empty(need)
+    flat = _workspace.buf
+    abar_b, der_b, factor, safe, em1 = (flat[i * size : (i + 1) * size].reshape(block_shape) for i in range(5))
+    pair_b, coef_b = flat[5 * size : 9 * size].reshape((2, block_shape[0], 2) + block_shape[1:])
+    small = flat[9 * size : need].view(bool)[:size].reshape(block_shape)
+    return abar_b, der_b, pair_b, coef_b, (factor, small, safe, em1)
+
+
+def _operands(ud: np.ndarray, weights: Sequence[tuple[np.ndarray, ...]]):
+    """The stacked sequences (L, K, C), the logits and steps dt =
+    softplus(seq @ w_dt + b_dt) (L, K, C), and B = seq @ w_b and C = seq @
+    w_c (L, K, N) of K directions over u, from each direction's (w_dt,
+    b_dt, w_b, w_c). The forward and the backward both build them here, so
+    the backward's rebuild repeats the forward's bits."""
+    length = ud.shape[0]
+    k_dirs, state = len(weights), weights[0][2].shape[1]
+    seqs = ud[:, None] if k_dirs == 1 else np.stack((ud, ud[::-1]), axis=1)
+    logits = np.empty(seqs.shape)
+    b_d, c_d = np.empty((2, length, k_dirs, state))
+    for k, (w_dt, b_dt, w_b, w_c) in enumerate(weights):
+        seq = seqs[:, k]
+        np.add(seq @ w_dt, b_dt, out=logits[:, k])
+        b_d[:, k] = seq @ w_b
+        c_d[:, k] = seq @ w_c
+    return seqs, logits, np.logaddexp(0.0, logits), b_d, c_d
+
+
+def scan_forward(
+    dt: np.ndarray, b: np.ndarray, cvec: np.ndarray, x: np.ndarray, d: np.ndarray, exp_a: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The scan node's forward over stacked operands, in plain numpy.
+
+    Shapes: dt and x are (L, K, C), b and cvec (L, K, N), d (K, C) and
+    exp_a = exp(a_log) (K, C, N). Per direction k, with u = -dt exp_a,
+    abar = exp(u), the ZOH factor f(u) = expm1(u) / u and bx = f(u) (dt B)
+    x, it computes h[t] = bx[t] + abar[t] * h[t-1] with h[-1] = 0 and
+    y_k[t, c] = sum_n h[t, c, n] cvec[t, n] + x[t, c] d[c]. Returns the
+    (L, K, C) outputs, each direction in its own token order, and the seam
+    rows, one (K, C, N) state row per block but the last.
+
+    It runs over row blocks of (rows, K, C, N) (_row_blocks) in buffers
+    allocated on each call; each block continues the recurrence from the
+    seam row before it (by the loop's own op), and every other op is
+    elementwise or reduces within a row and direction, so the blocks round
+    as whole arrays would."""
     length, k_dirs, channels = dt.shape
     state = b.shape[2]
-    if (
-        b.shape[:2] != (length, k_dirs)
-        or a_log.shape != (k_dirs, channels, state)
-        or cvec.shape != b.shape
-        or x.shape != dt.shape
-        or x_bx.shape != dt.shape
-        or d.shape != (k_dirs, channels)
-    ):
-        raise InputError(
-            f"a_log, cvec, x, zoh.x and d must be {(k_dirs, channels, state)}, {(length, k_dirs, state)}, "
-            f"{dt.shape}, {dt.shape} and {(k_dirs, channels)}, got {a_log.shape}, {cvec.shape}, {x.shape}, "
-            f"{x_bx.shape} and {d.shape}"
-        )
-    dt_d, c_d, xd, dd = dt.data, cvec.data, x.data, d.data
-    dt4, b4, x4 = dt_d[..., None], b.data[:, :, None, :], x_bx.data[..., None]
-    exp_a = np.exp(a_log.data)
+    dt4, b4, x4 = dt[..., None], b[:, :, None, :], x[..., None]
     neg_a = -exp_a
     blocks = _row_blocks(length, k_dirs * channels, state)
     block_shape = (blocks[0].stop if blocks else 0, k_dirs, channels, state)
     # seams[k] keeps block k's last state row
     seams = np.empty((max(len(blocks) - 1, 0),) + block_shape[1:])
-
     ys = np.empty((length, k_dirs, channels))
     u_buf = np.empty(block_shape)
     terms = _zoh_buffers(block_shape)
@@ -227,169 +237,196 @@ def ssm_recurrence(zoh: Zoh, cvec: Tensor, x: Tensor, d: Tensor) -> Tensor:
         _linear_recurrence(abar[1:], h)
         if rows.stop < length:
             np.copyto(seams[k], h[-1])
-        np.einsum("tkcn,tkn->tkc", h, c_d[rows], out=ys[rows])
-    ys += xd * dd
+        np.einsum("tkcn,tkn->tkc", h, cvec[rows], out=ys[rows])
+    ys += x * d
+    return ys, seams
+
+
+def _scan_backward(g, seqs, dt, b, cvec, exp_a, seams):
+    """The recurrence's backward, from each direction's output gradient g
+    (L, K, C) in its own token order: the gradients of the sequences
+    through bx, of dt, of B and of C, and a_log's, in the forward's
+    shapes. It walks the blocks in reverse and rebuilds u, the ZOH terms,
+    abar and bx in each, seeding the block's first state row from the seam
+    before it. One _linear_recurrence call then runs every direction's
+    history forward and its adjoint adj[t] = g[t] c[t] + abar[t+1] adj[t+1]
+    backward in time, over a pair buffer whose slot 1 stores the adjoint
+    time-reversed. The block buffers are views of this thread's workspace;
+    every array returned is fresh."""
+    length, k_dirs, channels = dt.shape
+    state = b.shape[2]
+    dt4, b4, x4 = dt[..., None], b[:, :, None, :], seqs[..., None]
+    neg_a = -exp_a
+    blocks = _row_blocks(length, k_dirs * channels, state)
+    block_shape = (blocks[0].stop if blocks else 0, k_dirs, channels, state)
+    abar_b, der_b, pair_b, coef_b, terms = _backward_buffers(block_shape)
+    # a pair row holds the state histories in slot 0, run forward in time,
+    # and the adjoints in slot 1, stored time-reversed so that the same
+    # loop runs them backward; coef holds each slot's abar. h, adj and
+    # abar's gradient are contiguous arrays in the two buffers' memory: bx
+    # and adj are built there and copied into the pair's strided slots
+    # (faster than writing those slots directly), and the loop's results
+    # are copied back out
+    h_b, adj_b = coef_b.reshape((2,) + block_shape)
+    d_ab_b = pair_b.reshape((2,) + block_shape)[0]
+    abar_next, adj_next = np.empty((2,) + block_shape[1:])
+    d_x = np.empty_like(seqs)
+    d_dt = np.empty_like(dt)
+    d_b = np.empty_like(cvec)
+    d_cv = np.empty_like(cvec)
+    # dt * d(u) per element, for a_log's sums over L as one reduction each
+    d_ua = np.empty((length,) + block_shape[1:])
+    for k in reversed(range(len(blocks))):
+        rows = blocks[k]
+        n = rows.stop - rows.start
+        dt_r, b_r = dt4[rows], b4[rows]
+        abar = np.multiply(dt_r, neg_a, out=abar_b[:n])
+        factor, small, safe, em1 = (buf[:n] for buf in terms)
+        _zoh_terms(abar, factor, small, safe, em1)
+        np.exp(abar, out=abar)
+        # d factor / d u = (u exp(u) - expm1(u)) / u^2, 1/2 on the series
+        # branch; exp(u) is abar wherever the exact branch applies
+        der = np.multiply(safe, abar, out=der_b[:n])
+        der -= em1
+        safe *= safe
+        der /= safe
+        np.copyto(der, 0.5, where=small)
+        step_b = np.multiply(dt_r, b_r, out=safe)
+        bbar = np.multiply(factor, step_b, out=em1)
+        pair, coef = pair_b[:n], coef_b[: n - 1]
+        h, adj = h_b[:n], adj_b[:n]
+        np.copyto(pair[:, 0], np.multiply(bbar, x4[rows], out=h))
+        if rows.start:
+            pair[0, 0] += abar[0] * seams[k - 1]
+        # adj[t] is the adjoint of h[t], which is also the gradient of bx[t]
+        np.copyto(pair[::-1, 1], np.multiply(g[rows, :, :, None], cvec[rows, :, None, :], out=adj))
+        if rows.stop < length:
+            pair[0, 1] += abar_next * adj_next
+        np.copyto(coef[:, 0], abar[1:])
+        np.copyto(coef[:, 1], abar[:0:-1])
+        _linear_recurrence(coef, pair)
+        np.copyto(h, pair[:, 0])
+        np.copyto(adj, pair[::-1, 1])
+        np.copyto(abar_next, abar[0])
+        np.copyto(adj_next, adj[0])
+        np.einsum("tkc,tkcn->tkn", g[rows], h, out=d_cv[rows])
+        d_ab = d_ab_b[:n]
+        if rows.start:
+            np.multiply(adj[0], seams[k - 1], out=d_ab[0])
+        else:
+            d_ab[0] = 0.0
+        np.multiply(adj[1:], h[:-1], out=d_ab[1:])
+        np.multiply(adj, bbar, out=bbar).sum(axis=3, out=d_x[rows])
+        g_bbar = np.multiply(adj, x4[rows], out=adj)
+        g_u = np.multiply(g_bbar, step_b, out=bbar)
+        g_step_b = np.multiply(g_bbar, factor, out=adj)
+        g_u *= der
+        np.multiply(g_step_b, b_r, out=der).sum(axis=3, out=d_dt[rows])
+        g_step_b *= dt_r
+        g_step_b.sum(axis=2, out=d_b[rows])
+        d_ab *= abar
+        g_u += d_ab
+        d_dt[rows] += np.multiply(g_u, neg_a, out=der).sum(axis=3)
+        np.multiply(g_u, dt_r, out=d_ua[rows])
+    # every sum over L runs per direction, over an (L, C) or (L, C, N) view,
+    # as a scan of its own sums it: at C = N = 1 numpy sums such a view
+    # pairwise, but an (L, K, ...) array row by row
+    d_a_log = -np.stack([d_ua[:, k].sum(axis=0) for k in range(k_dirs)]) * exp_a
+    return d_x, d_dt, d_b, d_cv, d_a_log
+
+
+def ssm_recurrence(scan: Scan) -> Tensor:
+    """Differentiable selective scan of K = 1 or 2 directions over one
+    (L, C) sequence, as one tape node: each direction's projections of
+    step, B and C, the discretization, the recurrence and the output.
+
+    _operands builds the stacked sequences, dt, B and C, and scan_forward
+    runs every direction's chain at once. Direction 1 scans the tokens in
+    reverse order: the node returns y_0[t] + y_1[L-1-t], (L, C), and y_0
+    alone when K = 1. Both passes run the one sequential primitive,
+    _linear_recurrence: no parallel-scan shortcut, so each element rounds
+    as the plain sequential loop does, and each direction's results are bit
+    for bit those of a scan of its own.
+
+    Until replay the node keeps u's data, the seam rows, exp(a_log), the
+    directions' d stacked, their w_dt, b_dt, w_b and w_c arrays, and the
+    gradient slots of u and of every direction parameter: no (L, K, C)
+    operand, no (L, K, C, N) array and no workspace buffer. Its backward
+    rebuilds the stacked sequences, logits, dt, B and C through _operands,
+    the same BLAS calls on the same views, and runs _scan_backward, whose
+    block buffers are views of the calling thread's workspace, so
+    backwards that run at once on two threads never share a buffer.
+
+    Each piece of gradient then goes out separately, in a fixed order, as
+    when the projections and the recurrence were two nodes and a scan per
+    direction was joined by row gathers: summed first or reordered, the
+    pieces would round differently. For direction 1, then direction 0: the
+    direction's sequence receives the direct term's gradient, then bx's;
+    then C's through w_c, and w_c its own; then B's through w_b, and w_b
+    its own; then b_dt gets the step's, the sequence the step's through
+    w_dt, and w_dt its own; then a_log and d get theirs. Direction 1's
+    sequence sums its pieces apart and hands them to u reversed, before any
+    of direction 0's.
+    """
+    u, directions = scan
+    k_dirs = len(directions)
+    if u.ndim != 2 or k_dirs not in (1, 2):
+        raise InputError(f"a scan needs an (L,C) sequence and 1 or 2 directions, got {u.shape} and {k_dirs}")
+    length, channels = u.shape
+    state = directions[0].w_b.shape[-1]
+    want = {
+        "w_dt": (channels, channels),
+        "b_dt": (channels,),
+        "w_b": (channels, state),
+        "w_c": (channels, state),
+        "a_log": (channels, state),
+        "d": (channels,),
+    }
+    for p in directions:
+        for name, shape in want.items():
+            got = getattr(p, name).shape
+            if got != shape:
+                raise InputError(f"a direction's {name} must be {shape} for an (L,{channels}) sequence, got {got}")
+    ud = u.data
+    weights = [(p.w_dt.data, p.b_dt.data, p.w_b.data, p.w_c.data) for p in directions]
+    seqs, _, dt, b, cvec = _operands(ud, weights)
+    exp_a = np.exp(np.stack([p.a_log.data for p in directions]))
+    dd = np.stack([p.d.data for p in directions])
+    ys, seams = scan_forward(dt, b, cvec, seqs, dd, exp_a)
     out = Tensor(ys[:, 0] + ys[::-1, 1] if k_dirs == 2 else ys[:, 0])
-    x_slot, d_slot, x_bx_slot, a_log_slot = x.slot, d.slot, x_bx.slot, a_log.slot
-    slots = (cvec.slot, b.slot, dt.slot)
+    u_slot = u.slot
+    slots = [(p.w_c.slot, p.w_b.slot, p.w_dt.slot, p.b_dt.slot, p.a_log.slot, p.d.slot) for p in directions]
 
     def bw(g):
+        seqs, logits, dt, b, cvec = _operands(ud, weights)
         # each direction's output gradient, in its own token order
         g = g[:, None] if k_dirs == 1 else np.stack((g, g[::-1]), axis=1)
-        x_slot.accumulate(g * dd, owned=True)
-        # every sum over L runs per direction, over an (L, C) or (L, C, N)
-        # view, as a scan of its own sums it: at C = N = 1 numpy sums such a
-        # view pairwise, but an (L, K, ...) array row by row
-        g_xd = g * xd
-        d_slot.accumulate(np.stack([g_xd[:, k].sum(axis=0) for k in range(k_dirs)]))
-        abar_b, der_b = np.empty(block_shape), np.empty(block_shape)
-        # a pair row holds the state histories in slot 0, run forward in
-        # time, and the adjoints in slot 1, stored time-reversed so that the
-        # same loop runs them backward; coef holds each slot's abar. h, adj
-        # and abar's gradient are contiguous arrays in the two buffers'
-        # memory: bx and adj are built there and copied into the pair's
-        # strided slots (faster than writing those slots directly), and
-        # the loop's results are copied back out
-        pair_b, coef_b = np.empty((2, block_shape[0], 2) + block_shape[1:])
-        h_b, adj_b = coef_b.reshape((2,) + block_shape)
-        d_ab_b = pair_b.reshape((2,) + block_shape)[0]
-        terms = _zoh_buffers(block_shape)
-        abar_next, adj_next = np.empty((2,) + block_shape[1:])
-        d_x = np.empty_like(xd)
-        d_dt = np.empty_like(dt_d)
-        d_b = np.empty_like(c_d)
-        d_cv = np.empty_like(c_d)
-        # dt * d(u) per element, for a_log's sums over L as one reduction each
-        d_ua = np.empty((length,) + block_shape[1:])
-        for k in reversed(range(len(blocks))):
-            rows = blocks[k]
-            n = rows.stop - rows.start
-            dt_r, b_r = dt4[rows], b4[rows]
-            abar = np.multiply(dt_r, neg_a, out=abar_b[:n])
-            factor, small, safe, em1 = (buf[:n] for buf in terms)
-            _zoh_terms(abar, factor, small, safe, em1)
-            np.exp(abar, out=abar)
-            # d factor / d u = (u exp(u) - expm1(u)) / u^2, 1/2 on the
-            # series branch; exp(u) is abar wherever the exact branch applies
-            der = np.multiply(safe, abar, out=der_b[:n])
-            der -= em1
-            safe *= safe
-            der /= safe
-            np.copyto(der, 0.5, where=small)
-            step_b = np.multiply(dt_r, b_r, out=safe)
-            bbar = np.multiply(factor, step_b, out=em1)
-            pair, coef = pair_b[:n], coef_b[: n - 1]
-            h, adj = h_b[:n], adj_b[:n]
-            np.copyto(pair[:, 0], np.multiply(bbar, x4[rows], out=h))
-            if rows.start:
-                pair[0, 0] += abar[0] * seams[k - 1]
-            # adj[t] is the adjoint of h[t], which is also the gradient of bx[t]
-            np.copyto(pair[::-1, 1], np.multiply(g[rows, :, :, None], c_d[rows, :, None, :], out=adj))
-            if rows.stop < length:
-                pair[0, 1] += abar_next * adj_next
-            np.copyto(coef[:, 0], abar[1:])
-            np.copyto(coef[:, 1], abar[:0:-1])
-            _linear_recurrence(coef, pair)
-            np.copyto(h, pair[:, 0])
-            np.copyto(adj, pair[::-1, 1])
-            np.copyto(abar_next, abar[0])
-            np.copyto(adj_next, adj[0])
-            np.einsum("tkc,tkcn->tkn", g[rows], h, out=d_cv[rows])
-            d_ab = d_ab_b[:n]
-            if rows.start:
-                np.multiply(adj[0], seams[k - 1], out=d_ab[0])
-            else:
-                d_ab[0] = 0.0
-            np.multiply(adj[1:], h[:-1], out=d_ab[1:])
-            np.multiply(adj, bbar, out=bbar).sum(axis=3, out=d_x[rows])
-            g_bbar = np.multiply(adj, x4[rows], out=adj)
-            g_u = np.multiply(g_bbar, step_b, out=bbar)
-            g_step_b = np.multiply(g_bbar, factor, out=adj)
-            g_u *= der
-            np.multiply(g_step_b, b_r, out=der).sum(axis=3, out=d_dt[rows])
-            g_step_b *= dt_r
-            g_step_b.sum(axis=2, out=d_b[rows])
-            d_ab *= abar
-            g_u += d_ab
-            d_dt[rows] += np.multiply(g_u, neg_a, out=der).sum(axis=3)
-            np.multiply(g_u, dt_r, out=d_ua[rows])
-        x_bx_slot.accumulate(d_x, owned=True)
-        a_log_slot.accumulate(-np.stack([d_ua[:, k].sum(axis=0) for k in range(k_dirs)]) * exp_a)
-        for slot, grad in zip(slots, (d_cv, d_b, d_dt)):
-            slot.accumulate(grad, owned=True)
-
-    ad._record(out, bw)
-    return out
-
-
-def _projections(u: Tensor, directions: Sequence[SsmDirection]) -> tuple[Zoh, Tensor, Tensor, Tensor]:
-    """ssm_recurrence's operands for K = 1 or 2 directions over an (L, C)
-    sequence u, as one tape node: direction 0 reads u, direction 1 its
-    token reversal. Each direction's step dt = softplus(seq @ w_dt + b_dt)
-    (L, C) and mixing vectors B = seq @ w_b and C = seq @ w_c (L, N) come
-    from its own sequence and weights and are stacked on axis 1; a_log and
-    d are the directions' stacked parameters, and the stacked
-    sequences (L, K, C) go out twice, as zoh.x and as x, two tensors over
-    one array, so that the direct term's gradient and bx's stay apart.
-
-    Its backward hands u the gradient of direction 1's sequence first,
-    summed and reversed, then direction 0's pieces one by one. Each
-    direction's sum, or u's, takes the pieces in the order direct term,
-    bx, C, B, step, for the reason ssm_recurrence gives: with K = 2, u's
-    gradient rounds as it did when the reversal was a row gather of its own
-    and each direction recorded its own projections and scan.
-
-    Until replay the node saves the stacked sequences, the logits, the
-    w_dt, w_b and w_c arrays, and the gradient slots of u, the directions'
-    parameters and the outputs; not u's data, b_dt's, nor the data of any
-    other output."""
-    ud = u.data
-    length = ud.shape[0]
-    k_dirs, state = len(directions), directions[0].w_b.shape[1]
-    seqs = ud[:, None] if k_dirs == 1 else np.stack((ud, ud[::-1]), axis=1)
-    logits = np.empty(seqs.shape)
-    b_d, c_d = np.empty((2, length, k_dirs, state))
-    for k, p in enumerate(directions):
-        seq = seqs[:, k]
-        np.add(seq @ p.w_dt.data, p.b_dt.data, out=logits[:, k])
-        b_d[:, k] = seq @ p.w_b.data
-        c_d[:, k] = seq @ p.w_c.data
-    dt, b, cvec = Tensor(np.logaddexp(0.0, logits)), Tensor(b_d), Tensor(c_d)
-    a_log = Tensor(np.stack([p.a_log.data for p in directions]))
-    d = Tensor(np.stack([p.d.data for p in directions]))
-    x, x_bx = Tensor(seqs), Tensor(seqs)
-    u_slot = u.slot
-    in_slots = (x.slot, x_bx.slot, cvec.slot, b.slot, a_log.slot, d.slot)
-    # per direction: (slot, data) of w_c, w_b and w_dt, and the other slots
-    weights = [[(w.slot, w.data) for w in (p.w_c, p.w_b, p.w_dt)] for p in directions]
-    others = [(p.b_dt.slot, p.a_log.slot, p.d.slot) for p in directions]
-
-    def bw(g):
-        # ssm_recurrence hands all its operands a gradient, or none
-        g_x, g_x_bx, g_c, g_b, g_a_log, g_d = (slot.grad for slot in in_slots)
-        d_logits = g * ad.expit(logits)
+        g_x = g * dd
+        g_xd = g * seqs
+        g_d = np.stack([g_xd[:, k].sum(axis=0) for k in range(k_dirs)])
+        g_bx, g_dt, g_b, g_c, g_a_log = _scan_backward(g, seqs, dt, b, cvec, exp_a, seams)
+        d_logits = g_dt * ad.expit(logits)
         for k in reversed(range(k_dirs)):
-            c_path, b_path, (w_dt_slot, w_dt_d) = weights[k]
-            b_dt_slot, a_log_slot, d_slot = others[k]
+            w_dt, _, w_b, w_c = weights[k]
+            w_c_slot, w_b_slot, w_dt_slot, b_dt_slot, a_log_slot, d_slot = slots[k]
             seq = seqs[:, k]
-            # direction 1's pieces add up apart, then reach u reversed
             to = u_slot if k == 0 else ad.GradSlot()
             to.accumulate(g_x[:, k])
-            to.accumulate(g_x_bx[:, k])
-            for grad, (w_slot, wd) in ((g_c[:, k], c_path), (g_b[:, k], b_path)):
+            to.accumulate(g_bx[:, k])
+            for grad, w_slot, wd in ((g_c[:, k], w_c_slot, w_c), (g_b[:, k], w_b_slot, w_b)):
                 to.accumulate(grad @ wd.T)
                 w_slot.accumulate(seq.T @ grad)
             d_log = d_logits[:, k]
             b_dt_slot.accumulate(d_log.sum(axis=0))
-            to.accumulate(d_log @ w_dt_d.T)
+            to.accumulate(d_log @ w_dt.T)
             w_dt_slot.accumulate(seq.T @ d_log)
             a_log_slot.accumulate(g_a_log[k])
             d_slot.accumulate(g_d[k])
             if k:
                 u_slot.accumulate(to.grad[::-1])
 
-    ad._record(dt, bw)
-    return Zoh(dt, b, a_log, x_bx), cvec, x, d
+    ad._record(out, bw)
+    return out
 
 
 class SsmDirection(Module):
@@ -420,7 +457,7 @@ class SsmDirection(Module):
         """Run the selective recurrence over an (L, C) sequence."""
         if x.ndim != 2 or x.shape[1] != self.channels:
             raise InputError(f"expected (L,{self.channels}) sequence, got {x.shape}")
-        return ssm_recurrence(*_projections(x, (self,)))
+        return ssm_recurrence(Scan(x, (self,)))
 
 
 class ConvMlp(Module):
@@ -466,5 +503,5 @@ class SsmStage(Module):
         re-reverse the latter, add both directions and the input, then
         run the conv MLP."""
         u = ad.layer_norm(seq, self.ln_gain, self.ln_bias)
-        y = ssm_recurrence(*_projections(u, (self.fwd, self.bwd)))
+        y = ssm_recurrence(Scan(u, (self.fwd, self.bwd)))
         return self.mlp.forward(ad.add(seq, y), height, width)

@@ -760,32 +760,22 @@ def test_param_init():
 # references.
 
 
+# a scan of two directions of 8 x 16 state over 300 tokens: three row
+# blocks, so two seams
+_SCAN_SHAPES = {"w_dt": (8, 8), "b_dt": (8,), "w_b": (8, 16), "w_c": (8, 16), "a_log": (8, 16), "d": (8,)}
+_SCAN_WEIGHTS = ("w_dt", "b_dt", "w_b", "w_c")
+
+
 def _scan_inputs(rng):
-    # 300 tokens of two directions of 8 x 16 state: three row blocks, so
-    # two seams
-    return {
-        "dt": Tensor(rng.uniform(0.05, 1.0, size=(300, 2, 8))),
-        "b": _t(rng, 300, 2, 16),
-        "a_log": _t(rng, 2, 8, 16),
-        "cvec": _t(rng, 300, 2, 16),
-        "x": _t(rng, 300, 2, 8),
-        "d": _t(rng, 2, 8),
-    }
+    inputs = {"u": _t(rng, 300, 8)}
+    for k in range(2):
+        inputs.update((f"{name}{k}", _t(rng, *shape)) for name, shape in _SCAN_SHAPES.items())
+    return inputs
 
 
 def _scan(t):
-    return ssm.ssm_recurrence(ssm.Zoh(t["dt"], t["b"], t["a_log"], t["x"]), t["cvec"], t["x"], t["d"])
-
-
-def _projection_inputs(rng):
-    shapes = {"u": (6, 3), "w_dt": (3, 3), "b_dt": (3,), "w_b": (3, 2), "w_c": (3, 2), "a_log": (3, 2), "d": (3,)}
-    return {name: _t(rng, *shape) for name, shape in shapes.items()}
-
-
-def _projected(t):
-    """Both directions' operands, one direction's parameters read twice."""
-    zoh, cvec, x, d = ssm._projections(t["u"], [types.SimpleNamespace(**t)] * 2)
-    return (*zoh, cvec, x, d)
+    directions = [types.SimpleNamespace(**{name: t[f"{name}{k}"] for name in _SCAN_SHAPES}) for k in range(2)]
+    return ssm.ssm_recurrence(ssm.Scan(t["u"], directions))
 
 
 class _Replaying:
@@ -843,10 +833,9 @@ _RETENTION = {
         ("x", "w"),
     ),
     "gelu": (lambda r: {"a": _t(r, 5, 3)}, lambda t: ad.gelu(t["a"]), ("a",)),
-    "ssm_recurrence": (_scan_inputs, _scan, ("dt", "b", "cvec", "x", "d")),
-    # the stacked sequences, out3 and out5, are two outputs over the one
-    # array the node reads
-    "projections": (_projection_inputs, _projected, ("w_dt", "w_b", "w_c", "out3", "out5")),
+    # u and the weights the backward rebuilds its operands from; a_log and
+    # d are kept as exp(a_log) and a stacked copy
+    "ssm_recurrence": (_scan_inputs, _scan, ("u",) + tuple(f"{w}{k}" for k in range(2) for w in _SCAN_WEIGHTS)),
     "batch_loss": (lambda r: {"p0": _t(r, 3, 4, 4), "p1": _t(r, 3, 4, 4)}, _loss_of, ()),
 }
 
@@ -909,3 +898,24 @@ def test_tape_keeps_only_what_each_backward_reads(name):
     want = _replay_op(name, drop=False)
     for key in want:
         assert want[key] is not None and np.array_equal(got[key], want[key]), key
+
+
+def test_scan_node_keeps_no_operand_and_no_workspace_buffer():
+    # of the arrays the size of the sequence, the node keeps u's data
+    # alone: no (L, K, C) operand and no (L, K, C, N) array; it keeps the
+    # seam rows, and nothing that shares the backward's workspace, which
+    # the next backward on this thread overwrites
+    inputs = _scan_inputs(np.random.default_rng(25))
+    with GradTape() as tape:
+        y = _scan(inputs)
+    held = [obj for replay in tape._ops for obj in _captured(replay) if isinstance(obj, np.ndarray)]
+    with tape:
+        loss = _seed_slots([y], [np.ones(y.shape)])
+    assert any(arr is inputs["u"].data for arr in held)
+    assert [arr.shape for arr in held if arr.shape[0] == 300 and arr is not inputs["u"].data] == []
+    assert [arr.shape for arr in held if arr.ndim == 4] == [(2, 2, 8, 16)]
+    assert [arr.shape for arr in held if np.shares_memory(arr, ssm._workspace.buf)] == []
+    backward(loss, tape)
+    grads = [t.grad for t in inputs.values()]
+    assert all(g is not None for g in grads)
+    assert [g.shape for g in grads if np.shares_memory(g, ssm._workspace.buf)] == []

@@ -321,7 +321,7 @@ def _held_by_taped_forward(config):
     return held
 
 
-def test_taped_forward_of_one_image_holds_at_most_12_5_mb():
+def test_taped_forward_of_one_image_holds_at_most_7_mb():
     # one default 32 px image's tape held 58.7 MB while each scan kept bx
     # beside its history and each depthwise conv kept its im2col columns,
     # 39.5 MB while each scan direction held abar until replay, 30.8 MB
@@ -331,18 +331,22 @@ def test_taped_forward_of_one_image_holds_at_most_12_5_mb():
     # 15.8 MB while every closure held its operands' tensors, and with
     # them the data of every activation, until replay; 11.5 MB since the
     # closures keep gradient slots and only the arrays their backward reads,
-    # and 11.4 MB since both scan directions of a stage share one node
+    # 11.4 MB while both scan directions of a stage shared one node but
+    # the projections kept the stacked sequences, logits, dt, B and C until
+    # replay; 6.53 MB since the scan node keeps u and the seam rows and
+    # rebuilds the rest in its backward
     held = _held_by_taped_forward(ModelConfig())
-    assert held <= 12.5e6, held
+    assert held <= 7.0e6, held
 
 
-def test_taped_forward_of_one_full_size_image_holds_at_most_48_5_mb():
+def test_taped_forward_of_one_full_size_image_holds_at_most_32_mb():
     # 64.6 MB while every closure held its operands' tensors; 46.1 MB since
     # it keeps only gradient slots and the arrays its backward reads; 47.1 MB
     # since both scan directions of a stage share one node, whose row blocks
-    # hold half as many rows, so it keeps twice the seam rows
+    # hold half as many rows, so it keeps twice the seam rows; 30.2 MB
+    # since that node keeps u and the seams and rebuilds its operands
     held = _held_by_taped_forward(ModelConfig(channels=32, state_dim=16, unet_depth=4))
-    assert held <= 48.5e6, held
+    assert held <= 32.0e6, held
 
 
 def test_model_same_seed_same_output():

@@ -1,6 +1,7 @@
 """State-space kernels: discretization, recurrence vs convolution, the
 selective path, and the stage blocks around them."""
 
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -22,13 +23,14 @@ from shadowscan.errors import InputError
 from shadowscan.ssm import (
     ZOH_SERIES_THRESHOLD,
     ConvMlp,
+    Scan,
     SsmDirection,
     SsmStage,
-    Zoh,
     discretize,
+    scan_forward,
     ssm_recurrence,
 )
-from shadowscan.train import make_toy_pairs
+from shadowscan.train import batch_loss, make_toy_pairs
 
 LN2 = float(np.log(2.0))
 
@@ -70,82 +72,94 @@ def test_discretize_validation():
 
 
 def test_discretize_runs_the_model_zoh_factor():
-    # the checked step and the model's scan share one ZOH factor, series
-    # branch included: at step 1, B = 1, x = 1 and d = 0 one token's
-    # state is the factor itself, and a one-hot C reads out one state
+    # the checked step and the model's scan kernel share one ZOH factor,
+    # series branch included: at step 1, B = 1, x = 1 and d = 0 one
+    # token's state is the factor itself, and a one-hot C reads out one state
     channels, state = 1, 4
     a_log = np.array([[-40.0, -19.0, -18.4, 0.5]])
     u = -np.exp(a_log)
     small = np.abs(u) < ZOH_SERIES_THRESHOLD
     assert small.any() and not small.all()
     _, factor = discretize(u.ravel(), np.ones(state), 1.0)
-    ones = Tensor(np.ones((1, 1, channels)))
-    zoh = Zoh(ones, Tensor(np.ones((1, 1, state))), Tensor(a_log[None]), ones)
+    ones = np.ones((1, 1, channels))
     for n in range(state):
-        onehot = Tensor(np.eye(state)[None, n : n + 1])
-        y = ssm_recurrence(zoh, onehot, ones, Tensor(np.zeros((1, channels))))
-        assert np.array_equal(y.data, factor[None, n : n + 1])
+        onehot = np.eye(state)[None, n : n + 1]
+        ys, _ = scan_forward(ones, np.ones((1, 1, state)), onehot, ones, np.zeros((1, channels)), np.exp(a_log[None]))
+        assert np.array_equal(ys[:, 0], factor[None, n : n + 1])
 
 
 def test_recurrence_two_step_example():
     # A = -exp(-40) at step 1 takes the series branch: abar rounds to 1
     # and Bbar = dt B exactly, so bx = 0.5 x = [2, 1] and the scan is the
     # running sum [2, 3]; the direct term d x = [4, 2] / 4 adds [1, 1/2]
-    zoh = Zoh(Tensor(np.ones((2, 1, 1))), Tensor(np.full((2, 1, 1), 0.5)), Tensor([[[-40.0]]]), Tensor([[[4.0]], [[2.0]]]))
-    y = ssm_recurrence(zoh, Tensor(np.ones((2, 1, 1))), zoh.x, Tensor([[0.25]]))
-    assert np.array_equal(y.data, np.array([[3.0], [3.5]]))
+    ones, x = np.ones((2, 1, 1)), np.array([[[4.0]], [[2.0]]])
+    ys, _ = scan_forward(ones, np.full((2, 1, 1), 0.5), ones, x, np.array([[0.25]]), np.exp([[[-40.0]]]))
+    assert np.array_equal(ys[:, 0], np.array([[3.0], [3.5]]))
 
 
-def _node(dt, b, a_log, cvec, x, d):
-    return ssm_recurrence(Zoh(dt, b, a_log, x), cvec, x, d)
-
-
-def _node_operands(rng, length, k_dirs, channels, state):
-    return [
-        Tensor(rng.uniform(0.1, 1.0, size=(length, k_dirs, channels))),
-        Tensor(rng.normal(size=(length, k_dirs, state))),
-        Tensor(rng.normal(scale=0.5, size=(k_dirs, channels, state))),
-        Tensor(rng.normal(size=(length, k_dirs, state))),
-        Tensor(rng.normal(size=(length, k_dirs, channels))),
-        Tensor(rng.normal(size=(k_dirs, channels))),
-    ]
+def _directions(rng, k_dirs, channels, state):
+    """k_dirs directions with steps that reach both ZOH branches and a
+    direct term off its init."""
+    directions = [SsmDirection(ModelConfig(channels=channels, state_dim=state), rng) for _ in range(k_dirs)]
+    for direction in directions:
+        direction.b_dt.data[:] = rng.choice([3.0, -45.0, 0.0], size=channels)
+        direction.d.data[:] = rng.normal(size=channels)
+    return directions
 
 
 def test_recurrence_matches_plain_loop():
     # two directions: the second scans its tokens from the end, and its
     # output is added back in token order
-    length, k_dirs, channels, state = 7, 2, 3, 4
-    ops = [t.data for t in _node_operands(np.random.default_rng(0), length, k_dirs, channels, state)]
-    y = _node(*map(Tensor, ops)).data
+    length, channels, state = 7, 3, 4
+    rng = np.random.default_rng(0)
+    directions = _directions(rng, 2, channels, state)
+    u = rng.normal(size=(length, channels))
+    y = ssm_recurrence(Scan(Tensor(u), directions)).data
     want = np.zeros((length, channels))
-    for k, order in enumerate((range(length), range(length - 1, -1, -1))):
-        dt, b, cvec, x = (ops[i][:, k] for i in (0, 1, 3, 4))
-        a_log, d = ops[2][k], ops[5][k]
+    for p, order in zip(directions, (range(length), range(length - 1, -1, -1))):
         h = np.zeros((channels, state))
-        for step, t in enumerate(order):
-            da = dt[step][:, None] * -np.exp(a_log)
-            bbar = np.expm1(da) / da * dt[step][:, None] * b[step]
-            h = np.exp(da) * h + bbar * x[step][:, None]
-            want[t] += h @ cvec[step] + x[step] * d
+        for t in order:
+            dt = np.log1p(np.exp(u[t] @ p.w_dt.data + p.b_dt.data))
+            da = dt[:, None] * -np.exp(p.a_log.data)
+            factor = np.where(np.abs(da) < ZOH_SERIES_THRESHOLD, 1.0, np.expm1(da) / da)
+            h = np.exp(da) * h + factor * dt[:, None] * (u[t] @ p.w_b.data) * u[t][:, None]
+            want[t] += h @ (u[t] @ p.w_c.data) + u[t] * p.d.data
     assert np.allclose(y, want, atol=1e-12)
 
 
 def test_recurrence_grads():
+    # u and every direction parameter against central differences, over
+    # blocks of two rows, so that the backward seeds blocks from seams
+    length, channels, state = 5, 2, 3
+    rng = np.random.default_rng(1)
     for k_dirs in (1, 2):
-        assert_grads_match(_node, _node_operands(np.random.default_rng(1), 5, k_dirs, 2, 3))
+        directions = _directions(rng, k_dirs, channels, state)
+        u = Tensor(rng.normal(size=(length, channels)))
+        operands = [u] + [p for direction in directions for p in direction.params()]
+        with mock.patch.object(ssm, "_BLOCK_BYTES", 2 * 8 * k_dirs * channels * state):
+            assert len(ssm._row_blocks(length, k_dirs * channels, state)) == 3
+            assert_grads_match(lambda *_: ssm_recurrence(Scan(u, directions)), operands)
 
 
 def test_recurrence_shape_validation():
-    good = {"dt": (3, 2, 1), "b": (3, 2, 2), "a_log": (2, 1, 2), "cvec": (3, 2, 2), "x": (3, 2, 1), "d": (2, 1)}
-    bad = {"dt": (3, 2, 2), "b": (3, 2, 3), "a_log": (2, 2, 2), "cvec": (3, 2, 3), "x": (3, 2, 2), "d": (2, 2)}
-    for name in good:
-        shapes = dict(good, **{name: bad[name]})
+    rng = np.random.default_rng(2)
+    config = ModelConfig(channels=2, state_dim=3)
+    good = SsmDirection(config, rng)
+    u = Tensor(np.ones((4, 2)))
+    assert ssm_recurrence(Scan(u, (good, good))).shape == (4, 2)
+    # a sequence that is not (L, C), and no or three directions
+    for scan in (Scan(Tensor(np.ones(4)), (good,)), Scan(u, ()), Scan(u, (good,) * 3)):
         with pytest.raises(InputError):
-            _node(*(Tensor(np.ones(shape)) for shape in shapes.values()))
-    # 2-D steps, and a third direction
-    for dt in ((3, 1), (3, 3, 1)):
-        with pytest.raises(InputError):
-            _node(*(Tensor(np.ones(shape)) for shape in dict(good, dt=dt).values()))
+            ssm_recurrence(scan)
+    # a sequence, or any parameter of either direction, of another width
+    with pytest.raises(InputError):
+        ssm_recurrence(Scan(Tensor(np.ones((4, 3))), (good,)))
+    for name, shape in {"w_dt": (2, 3), "b_dt": (3,), "w_b": (3, 3), "w_c": (2, 4), "a_log": (2, 4), "d": (1,)}.items():
+        bad = SsmDirection(config, rng)
+        setattr(bad, name, Tensor(np.ones(shape)))
+        for pair in ((good, bad), (bad, good)):
+            with pytest.raises(InputError):
+                ssm_recurrence(Scan(u, pair))
 
 
 def _one(value):
@@ -698,7 +712,7 @@ def test_lone_direction_scan_is_its_half_of_the_pair(live):
         backward(loss, tape)
         return [y.data, u.grad] + [p.grad for p in direction.params()]
 
-    pair = grads(lambda u: ssm_recurrence(*ssm._projections(u, (stage.fwd, stage.bwd))))
+    pair = grads(lambda u: ssm_recurrence(Scan(u, (stage.fwd, stage.bwd))))
     lone = grads(lambda u: ad.permute_gather(direction.scan(ad.permute_gather(u, np.arange(length)[order])), np.arange(length)[order]))
     for g, w in zip(pair, lone):
         assert np.array_equal(g, w)
@@ -710,9 +724,9 @@ def test_one_32px_forward_runs_one_scan_node_per_stage():
     shapes = []
     node = ssm.ssm_recurrence
 
-    def counted(zoh, *rest):
-        shapes.append(zoh.shape)
-        return node(zoh, *rest)
+    def counted(scan):
+        shapes.append(scan.shape)
+        return node(scan)
 
     image, mask, _ = make_toy_pairs(1, 32, seed=0)[0]
     model = ShadowNet(ModelConfig())
@@ -743,20 +757,21 @@ def _traced(fn):
     return result, held, peak
 
 
-def test_scan_records_two_closures_and_holds_no_chain():
+def test_scan_records_one_closure_and_holds_no_chain():
     # at full size one direction used to hold about eight (L, C, N)
-    # arrays on the tape (34.8 MB); the projections keep (L, C) and (L, N)
-    # arrays, and the scan node keeps one (C, N) state row per block seam,
-    # no (L, C, N) array (1.13 MB held; 5.26 MB while it kept the 4.2 MB
+    # arrays on the tape (34.8 MB); the scan node keeps one (C, N) state
+    # row per block seam and rebuilds its (L, C) and (L, N) operands from
+    # the input, so what stays allocated is the seams and the output
+    # (0.33 MB held; 1.13 MB while the projections were a node of their
+    # own and kept the operands, 5.26 MB while the scan kept the 4.2 MB
     # state history, 10.0 MB while abar was held as well)
     direction, x = _full_size_direction()
     tape = GradTape()
     with tape:
         y, held, _ = _traced(lambda: direction.scan(x))
     assert y.shape == (1024, 32)
-    # the projections, and the scan node with its direct term
-    assert len(tape._ops) == 2
-    assert held <= 1.5e6, held
+    assert len(tape._ops) == 1
+    assert held <= 0.5e6, held
 
 
 # The scan's (L, C, N) temporaries are row blocks of about 256 KB; the
@@ -782,9 +797,12 @@ def test_full_size_taped_forward_peaks_at_most_3_5_mb():
 
 def test_full_size_replay_peaks_at_most_11_5_mb():
     # what the taped forward leaves plus the backward's peak beyond it: the
-    # backward rebuilds each block's history and sums a_log's terms in an
-    # (L, C, N) array of its own, 9.17 MB measured (8.58 MB while the tape
-    # held the history and the backward wrote those terms into it)
+    # backward rebuilds its operands and each block's history and sums
+    # a_log's terms in an (L, C, N) array of its own, 6.78 MB measured
+    # with its block buffers in the workspace, which was allocated at
+    # import and is not traced (9.17 MB while it allocated them on each
+    # call, 8.58 MB while the tape held the history and the backward wrote
+    # those terms into it)
     direction, x = _full_size_direction()
     tape = GradTape()
     tracemalloc.start()
@@ -798,6 +816,78 @@ def test_full_size_replay_peaks_at_most_11_5_mb():
         tracemalloc.stop()
     assert x.grad is not None and direction.a_log.grad is not None
     assert peak <= 11.5e6, peak
+
+
+def test_row_wider_than_a_block_grows_the_workspace():
+    # a (K, C, N) row of 2 x 4 x 8 floats is 512 bytes, twice the patched
+    # block, so each block is one row; a workspace of ten such blocks holds
+    # 320 floats and the backward's buffers need 584: it grows, and every
+    # result stays bitwise that of full-size blocks in the full workspace
+    rng = np.random.default_rng(33)
+    stage = SsmStage(ModelConfig(channels=4, state_dim=8), rng)
+    seq, weight = rng.normal(size=(2, 9, 4))
+    want = _stage_and_grads(SsmStage.forward, stage, seq, weight)
+    small = np.empty(ssm._WORKSPACE_BLOCKS * 256 // 8)
+    with mock.patch.object(ssm, "_BLOCK_BYTES", 256), mock.patch.object(ssm._workspace, "buf", small):
+        assert ssm._row_blocks(9, 8, 8)[0].stop == 1
+        got = _stage_and_grads(SsmStage.forward, stage, seq, weight)
+        assert ssm._workspace.buf.size == 9 * 64 + 8
+    assert ssm._workspace.buf.size == ssm._WORKSPACE_BLOCKS * ssm._BLOCK_BYTES // 8
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_no_gradient_is_a_view_of_the_workspace():
+    # every gradient the node hands on, by reference or as its own array,
+    # is fresh: a later backward reuses the workspace
+    rng = np.random.default_rng(34)
+    stage = SsmStage(ModelConfig(), rng)
+    length = 2 * ssm._row_blocks(1 << 20, 16, 8)[0].stop + 7
+    u = Tensor(rng.normal(size=(length, 8)))
+    with GradTape() as tape:
+        loss = weighted_sum(ssm_recurrence(Scan(u, (stage.fwd, stage.bwd))), rng.normal(size=(length, 8)))
+    backward(loss, tape)
+    grads = [u.grad] + [p.grad for p in stage.params() if p.grad is not None]
+    assert len(grads) == 1 + 12
+    assert [g.shape for g in grads if np.shares_memory(g, ssm._workspace.buf)] == []
+
+
+def test_two_threads_train_on_their_own_workspaces():
+    # two threads (no more) each run a taped forward and backward of a
+    # different image at once, on models of one seed; each thread's
+    # gradients are bit for bit those of a run on its own
+    config = ModelConfig(channels=4, state_dim=4, unet_depth=1, patch_size=4)
+    pairs = make_toy_pairs(2, 16, seed=3)
+
+    def grads(pair):
+        model = ShadowNet(config)
+        with GradTape() as tape:
+            loss = batch_loss(model, [pair])
+        backward(loss, tape)
+        return [p.grad for _, p in model.named_params()], ssm._workspace.buf
+
+    want = [grads(pair)[0] for pair in pairs]
+    got, errors = [None, None], []
+    start = threading.Barrier(2)
+
+    def run(i):
+        try:
+            start.wait()
+            got[i] = grads(pairs[i])
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    bufs = [buf for _, buf in got] + [ssm._workspace.buf]
+    assert len({buf.__array_interface__["data"][0] for buf in bufs}) == 3
+    for (g, _), w in zip(got, want):
+        for a, b in zip(g, w):
+            assert np.array_equal(a, b)
 
 
 def test_silenced_direction_emits_zeros():
