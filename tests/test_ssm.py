@@ -868,7 +868,7 @@ def test_two_threads_train_on_their_own_workspaces():
 
     want = [grads(pair)[0] for pair in pairs]
     got, errors = [None, None], []
-    start = threading.Barrier(2)
+    start = threading.Barrier(2, timeout=60)
 
     def run(i):
         try:
@@ -881,7 +881,8 @@ def test_two_threads_train_on_their_own_workspaces():
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
     assert errors == []
     bufs = [buf for _, buf in got] + [ssm._workspace.buf]
     assert len({buf.__array_interface__["data"][0] for buf in bufs}) == 3
