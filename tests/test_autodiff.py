@@ -778,6 +778,17 @@ def _scan(t):
     return ssm.ssm_recurrence(ssm.Scan(t["u"], directions))
 
 
+def _projection_inputs(rng):
+    shapes = {"u": (6, 3), "w_dt": (3, 3), "b_dt": (3,), "w_b": (3, 2), "w_c": (3, 2), "a_log": (3, 2), "d": (3,)}
+    return {name: _t(rng, *shape) for name, shape in shapes.items()}
+
+
+def _projected(t):
+    """Both directions' projections and scans, one direction's parameters
+    read twice, so that each gradient slot is sent to from both."""
+    return ssm.ssm_recurrence(ssm.Scan(t["u"], [types.SimpleNamespace(**t)] * 2))
+
+
 class _Replaying:
     """A model stand-in whose forward hands out the given predictions in turn."""
 
@@ -836,6 +847,8 @@ _RETENTION = {
     # u and the weights the backward rebuilds its operands from; a_log and
     # d are kept as exp(a_log) and a stacked copy
     "ssm_recurrence": (_scan_inputs, _scan, ("u",) + tuple(f"{w}{k}" for k in range(2) for w in _SCAN_WEIGHTS)),
+    # the projections the scan node rebuilds from u and the shared weights
+    "projections": (_projection_inputs, _projected, ("u", "w_dt", "b_dt", "w_b", "w_c")),
     "batch_loss": (lambda r: {"p0": _t(r, 3, 4, 4), "p1": _t(r, 3, 4, 4)}, _loss_of, ()),
 }
 
